@@ -1,6 +1,13 @@
 """Single-ancilla dissipative ground-state preparation: simulator and checks."""
 
-from .channel import ChannelConfig, CostLedger, SimulationRecord, build_w, run_simulation
+from .channel import (
+    ChannelConfig,
+    CostLedger,
+    SimulationRecord,
+    build_kraus_pair,
+    build_w,
+    run_simulation,
+)
 from .filters import FilterParams, default_params, f_hat, f_time, quadrature_grid
 from .jump import DilatedJump, JumpOperator, dilate, exact_jump, ground_residual, quadrature_jump
 from .linalg import (

@@ -15,6 +15,15 @@ telescopically, which is why only short ``tau_s`` evolutions remain; the
 leftover frame factors ``I x e^{-/+ i H (M tau_s)}`` cancel between
 consecutive steps and are dropped.
 
+Since the ancilla always starts in ``|0>``, a step only uses the block
+column ``<b| W^r |0>`` (b = 0, 1): the Kraus pair ``(M0, M1)``, with
+``e^{-iH tau}`` folded in.  :func:`build_kraus_pair` streams the factors
+onto that 2N x N block in the eigenbasis of ``A``, where every ``Atilde_l``
+is 2 x 2-block diagonal (O(N^2) work) and every frame hop is one GEMM, so
+neither ``W`` nor its factors are ever formed.  :func:`build_w` runs the
+same loop on the 2N x 2N identity and, with :func:`build_w_naive`, serves
+as the oracle.
+
 Cost accounting: every ``Atilde_l`` counts as one controlled-A gate and
 every ``e^{+/- i H t}`` factor contributes ``|t|`` of Hamiltonian
 simulation time, so one step costs ``r * 2 * (2M + 1)`` gates and
@@ -24,6 +33,7 @@ simulation time, so one step costs ``r * 2 * (2M + 1)`` gates and
 from __future__ import annotations
 
 import os
+import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -46,8 +56,10 @@ __all__ = [
     "CostLedger",
     "SimulationRecord",
     "ChannelError",
+    "build_kraus_pair",
     "build_w",
     "build_w_naive",
+    "isometry_defect",
     "step_cost",
     "channel_step_density",
     "trajectory_step",
@@ -55,6 +67,7 @@ __all__ = [
 ]
 
 WORKERS_ENV = "LINDBLADPREP_WORKERS"
+_EIGENSTATE = re.compile(r"eigenstate:([0-9]+)")
 
 
 class ChannelError(RuntimeError):
@@ -100,11 +113,20 @@ class ChannelConfig:
             raise ValueError("record_stride must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if not (
+        if not isinstance(self.initial_state, str) or not (
             self.initial_state in ("highest_excited", "ground")
-            or self.initial_state.startswith("eigenstate:")
+            or _EIGENSTATE.fullmatch(self.initial_state)
         ):
-            raise ValueError(f"unknown initial_state {self.initial_state!r}")
+            raise ValueError(
+                f"unknown initial_state {self.initial_state!r} (expected 'highest_excited', "
+                "'ground' or 'eigenstate:<index>')"
+            )
+
+    @property
+    def eigenstate_index(self) -> int | None:
+        """The index ``k`` of ``initial_state = "eigenstate:k"``, else None."""
+        match = _EIGENSTATE.fullmatch(self.initial_state)
+        return int(match[1]) if match else None
 
     @property
     def n_steps(self) -> int:
@@ -194,21 +216,122 @@ class SimulationRecord:
         return float(self.h_time[hits[0]])
 
 
+def _atilde_diagonals(
+    a_eigvals: np.ndarray, phi: float, theta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blocks of exp(-i phi P(theta) x A), P = cos(theta) X + sin(theta) Y,
+    in the eigenbasis of A, where each block is diagonal.
+
+    Returns the diagonals (c, off01, off10) of the blocks of
+    [[C, off01], [off10, C]]: c = cos(phi a), off01 = -i e^{-i theta}
+    sin(phi a), off10 = -i e^{i theta} sin(phi a), for eigenvalues a of A.
+    """
+    sin_d = np.sin(phi * a_eigvals)
+    return (
+        np.cos(phi * a_eigvals),
+        -1j * np.exp(-1j * theta) * sin_d,
+        -1j * np.exp(1j * theta) * sin_d,
+    )
+
+
 def _atilde_blocks(
     a_spec: SpectralDecomposition, phi: float, theta: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Blocks of exp(-i phi P(theta) x A) with P = cos(theta) X + sin(theta) Y.
-
-    Returns (C, off01, off10) where the full matrix is
-    [[C, off01], [off10, C]]; C = cos(phi A), off01 = -i e^{-i theta}
-    sin(phi A), off10 = -i e^{i theta} sin(phi A).
-    """
+    """The blocks (C, off01, off10) of :func:`_atilde_diagonals` in the
+    original basis."""
     v = a_spec.eigenvectors
-    cos_d = np.cos(phi * a_spec.eigenvalues)
-    sin_d = np.sin(phi * a_spec.eigenvalues)
-    c = (v * cos_d) @ v.conj().T
-    s = (v * sin_d) @ v.conj().T
-    return c, -1j * np.exp(-1j * theta) * s, -1j * np.exp(1j * theta) * s
+    return tuple((v * d) @ v.conj().T for d in _atilde_diagonals(a_spec.eigenvalues, phi, theta))
+
+
+def _node_angles(p: FilterParams, tau_eff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation angle ``phi_l`` and axis ``theta_l`` of every ``Atilde_l``,
+    l = -M..M."""
+    nodes, weights = quadrature_grid(p)
+    fvals = f_time(nodes, p)
+    return 0.5 * np.sqrt(tau_eff) * weights * np.abs(fvals), np.angle(fvals)
+
+
+def _rotate(x: np.ndarray, a_eigvals: np.ndarray, phi: float, theta: float) -> None:
+    """x <- Atilde(phi, theta) x in place, for x of shape (n, 2, k) in the
+    eigenbasis of A: x_b <- c x_b + off_b x_{1-b}."""
+    c, o01, o10 = _atilde_diagonals(a_eigvals, phi, theta)
+    crossed = np.stack([o01, o10], axis=1)[:, :, None] * x[:, ::-1]
+    x *= c[:, None, None]
+    x += crossed
+
+
+def _apply_w(
+    x: np.ndarray,
+    spec: SpectralDecomposition,
+    a_spec: SpectralDecomposition,
+    p: FilterParams,
+    tau_eff: float,
+    r: int,
+) -> np.ndarray:
+    """W^r x for a block x of shape (n, 2, k) held in the eigenbasis of A.
+
+    The axes are (row, ancilla, column), so a frame hop acts on both
+    ancilla blocks as one (n, n) @ (n, 2k) GEMM.  ``x`` is overwritten.
+    """
+    n, _, k = x.shape
+    q = spec.eigenvectors.conj().T @ a_spec.eigenvectors
+    # e^{-iH tau_s} and e^{+iH tau_s} in the eigenbasis of A
+    hop_bwd = (q.conj().T * np.exp(-1j * spec.eigenvalues * p.tau_s)) @ q
+    hop_fwd = hop_bwd.conj().T
+    phis, thetas = _node_angles(p, tau_eff)
+    lam = a_spec.eigenvalues
+    last = phis.size - 1
+
+    def hop(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return (u @ x.reshape(n, 2 * k)).reshape(n, 2, k)
+
+    for _ in range(r):
+        for l in range(last):  # (I x e^{-iH tau_s}) Atilde_l, l = -M .. M-1
+            _rotate(x, lam, phis[l], thetas[l])
+            x = hop(hop_bwd, x)
+        # the frame hops around the middle node cancel: Atilde_M^2
+        _rotate(x, lam, 2 * phis[last], thetas[last])
+        for l in range(last - 1, -1, -1):  # Atilde_l (I x e^{+iH tau_s}), l = M-1 .. -M
+            x = hop(hop_fwd, x)
+            _rotate(x, lam, phis[l], thetas[l])
+    return x
+
+
+def isometry_defect(m0: np.ndarray, m1: np.ndarray) -> float:
+    """max|M0^dag M0 + M1^dag M1 - I|, zero for a trace-preserving pair."""
+    return max_abs(m0.conj().T @ m0 + m1.conj().T @ m1 - np.eye(m0.shape[1]))
+
+
+def build_kraus_pair(
+    spec: SpectralDecomposition,
+    a: HermitianOperator,
+    p: FilterParams,
+    cfg: ChannelConfig,
+    u_coherent: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus pair ``M_b = U <b| W(sqrt(tau)/r)^r |0>`` of one evolution step.
+
+    ``U`` is ``u_coherent``, which must be ``e^{-iH tau}``, when the coherent
+    part is on and the identity otherwise.  Memory stays O(N^2): only the
+    2N x N block column is formed.
+    """
+    if spec.dim != a.dim:
+        raise ValueError("dimension mismatch between spectrum and coupling")
+    if cfg.include_coherent and u_coherent is None:
+        raise ChannelError("coherent step requested but no e^{-iH tau} supplied")
+    a_spec = hermitian_eig(a)
+    va = a_spec.eigenvectors
+    x = np.zeros((spec.dim, 2, spec.dim), dtype=complex)
+    x[:, 0] = va.conj().T
+    x = _apply_w(x, spec, a_spec, p, cfg.tau_eff, cfg.r)
+    back = u_coherent @ va if cfg.include_coherent else va
+    m0, m1 = back @ x[:, 0], back @ x[:, 1]
+    defect = isometry_defect(m0, m1)
+    if defect > 1e-10:
+        raise ChannelError(
+            f"Kraus pair lost trace preservation: max|M0^dag M0 + M1^dag M1 - I| = {defect:.3e}"
+        )
+    return m0, m1
 
 
 def build_w(
@@ -216,9 +339,6 @@ def build_w(
     a: HermitianOperator,
     p: FilterParams,
     tau_eff: float,
-    *,
-    a_spec: SpectralDecomposition | None = None,
-    check_unitary: bool = True,
 ) -> np.ndarray:
     """Second-order ordered-product unitary approximating
     ``exp(-i sqrt(tau_eff) Ktilde_s)`` up to the cancelled outer frames.
@@ -226,40 +346,23 @@ def build_w(
     ``tau_eff`` is the per-segment dissipative weight: ``tau`` for a single
     segment, ``tau / r^2`` when a step of size ``tau`` is split into ``r``
     segments (the unitary argument multiplies, so ``r`` segments of
-    ``sqrt(tau)/r`` compose to ``sqrt(tau)``).
+    ``sqrt(tau)/r`` compose to ``sqrt(tau)``).  Runs use
+    :func:`build_kraus_pair`; the full ``W`` is an oracle.
     """
     if tau_eff <= 0:
         raise ValueError("tau_eff must be positive")
     if spec.dim != a.dim:
         raise ValueError("dimension mismatch between spectrum and coupling")
-    x = np.sqrt(tau_eff)
-    if a_spec is None:
-        a_spec = hermitian_eig(a)
-    nodes, weights = quadrature_grid(p)
-    fvals = f_time(nodes, p)
-    u_fwd = evolution_unitary(spec, -p.tau_s)  # e^{+iH tau_s}
-    u_bwd = u_fwd.conj().T  # e^{-iH tau_s}
+    a_spec = hermitian_eig(a)
+    va = a_spec.eigenvectors
     n = spec.dim
-
-    factors_right = []
-    factors_left = []
-    for f_l, w_l in zip(fvals, weights):
-        phi = 0.5 * x * w_l * abs(f_l)
-        theta = float(np.angle(f_l)) if f_l != 0 else 0.0
-        c, o01, o10 = _atilde_blocks(a_spec, phi, theta)
-        # fold the tau_s frame hop into the node factor before assembling
-        factors_right.append(np.block([[c @ u_fwd, o01 @ u_fwd], [o10 @ u_fwd, c @ u_fwd]]))
-        factors_left.append(np.block([[u_bwd @ c, u_bwd @ o01], [u_bwd @ o10, u_bwd @ c]]))
-
-    w = np.eye(2 * n, dtype=complex)
-    for fac in factors_right:  # l = -M .. M
-        w = w @ fac
-    for fac in reversed(factors_left):  # l = M .. -M
-        w = w @ fac
-    if check_unitary:
-        defect = max_abs(w.conj().T @ w - np.eye(2 * n))
-        if defect > 1e-10:
-            raise ChannelError(f"W lost unitarity: max|W^dag W - I| = {defect:.3e}")
+    x = np.zeros((n, 2, 2 * n), dtype=complex)
+    x[:, 0, :n] = x[:, 1, n:] = va.conj().T
+    x = _apply_w(x, spec, a_spec, p, tau_eff, 1)
+    w = np.concatenate([va @ x[:, 0], va @ x[:, 1]])
+    defect = max_abs(w.conj().T @ w - np.eye(2 * n))
+    if defect > 1e-10:
+        raise ChannelError(f"W lost unitarity: max|W^dag W - I| = {defect:.3e}")
     return w
 
 
@@ -275,19 +378,16 @@ def build_w_naive(
     ``(I x e^{+iH s_l}) Atilde_l (I x e^{-iH s_l})``; the result equals
     ``(I x e^{-iHG}) W (I x e^{+iHG})`` with ``G`` the grid radius.
     """
-    x = np.sqrt(tau_eff)
     a_spec = hermitian_eig(a)
-    nodes, weights = quadrature_grid(p)
-    fvals = f_time(nodes, p)
+    nodes, _ = quadrature_grid(p)
+    phis, thetas = _node_angles(p, tau_eff)
     n = spec.dim
 
     def frame(t: float) -> np.ndarray:
         return np.kron(np.eye(2), evolution_unitary(spec, t))
 
     conjugated = []
-    for s_l, f_l, w_l in zip(nodes, fvals, weights):
-        phi = 0.5 * x * w_l * abs(f_l)
-        theta = float(np.angle(f_l)) if f_l != 0 else 0.0
+    for s_l, phi, theta in zip(nodes, phis, thetas):
         c, o01, o10 = _atilde_blocks(a_spec, phi, theta)
         atilde = np.block([[c, o01], [o10, c]])
         conjugated.append(frame(-s_l) @ atilde @ frame(s_l))
@@ -300,30 +400,16 @@ def build_w_naive(
     return out
 
 
-def _kraus_pair(w: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Kraus operators of the ancilla-discarding channel built from W^r."""
-    phi = np.linalg.matrix_power(w, r)
-    n = w.shape[0] // 2
-    return phi[:n, :n], phi[n:, :n]
-
-
 def channel_step_density(
     rho: DensityMatrix,
-    w: np.ndarray,
+    kraus: tuple[np.ndarray, np.ndarray],
     cfg: ChannelConfig,
     p: FilterParams,
-    u_coherent: np.ndarray | None = None,
 ) -> tuple[DensityMatrix, CostLedger]:
-    """One step of the density-matrix backend.
-
-    ``u_coherent`` must be ``e^{-iH tau}`` when the coherent part is on.
-    """
-    m0, m1 = _kraus_pair(w, cfg.r)
+    """One step of the density-matrix backend: M0 rho M0^dag + M1 rho M1^dag
+    for the pair from :func:`build_kraus_pair`."""
+    m0, m1 = kraus
     out = m0 @ rho.matrix @ m0.conj().T + m1 @ rho.matrix @ m1.conj().T
-    if cfg.include_coherent:
-        if u_coherent is None:
-            raise ChannelError("coherent step requested but no e^{-iH tau} supplied")
-        out = u_coherent @ out @ u_coherent.conj().T
     out = (out + out.conj().T) / 2
     tr = float(np.trace(out).real)
     if abs(tr - 1.0) > 1e-8:
@@ -333,15 +419,15 @@ def channel_step_density(
 
 def trajectory_step(
     psi: np.ndarray,
-    w: np.ndarray,
+    kraus: tuple[np.ndarray, np.ndarray],
     cfg: ChannelConfig,
     p: FilterParams,
-    u_coherent: np.ndarray | None,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, int, CostLedger]:
     """One stochastic step: apply W^r to |0> x psi, measure the ancilla in
     the computational basis, discard the outcome, reset, then (optionally)
-    apply e^{-iH tau}.
+    apply e^{-iH tau} -- i.e. branch b is M_b psi for the pair from
+    :func:`build_kraus_pair`.
 
     Returns (new state, measured bit, cost delta).  The bit is recorded for
     diagnostics only; the scheme never conditions on it.
@@ -349,36 +435,27 @@ def trajectory_step(
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-9:
         raise ChannelError(f"trajectory state norm {nrm} is not 1")
-    n = psi.size
-    branch0, branch1 = psi.copy(), np.zeros_like(psi)
-    for _ in range(cfg.r):
-        top = w[:n, :n] @ branch0 + w[:n, n:] @ branch1
-        bot = w[n:, :n] @ branch0 + w[n:, n:] @ branch1
-        branch0, branch1 = top, bot
+    m0, m1 = kraus
+    branch1 = m1 @ psi
     p1 = float(np.vdot(branch1, branch1).real)
     outcome = 1 if rng.random() < p1 else 0
-    collapsed = branch1 if outcome == 1 else branch0
+    collapsed = branch1 if outcome == 1 else m0 @ psi
     weight = np.linalg.norm(collapsed)
     if weight < 1e-12:
         raise ChannelError(
             f"measurement branch {outcome} has vanishing probability; trajectory aborted"
         )
-    out = collapsed / weight
-    if cfg.include_coherent:
-        if u_coherent is None:
-            raise ChannelError("coherent step requested but no e^{-iH tau} supplied")
-        out = u_coherent @ out
-    return out, outcome, step_cost(p, cfg)
+    return collapsed / weight, outcome, step_cost(p, cfg)
 
 
-def _initial_vector(spec: SpectralDecomposition, which: str) -> np.ndarray:
-    if which == "highest_excited":
+def _initial_vector(spec: SpectralDecomposition, cfg: ChannelConfig) -> np.ndarray:
+    if cfg.initial_state == "highest_excited":
         return spec.eigenvectors[:, -1].copy()
-    if which == "ground":
+    if cfg.initial_state == "ground":
         return spec.eigenvectors[:, 0].copy()
-    idx = int(which.split(":", 1)[1])
-    if not 0 <= idx < spec.dim:
-        raise ValueError(f"eigenstate index {idx} out of range")
+    idx = cfg.eigenstate_index
+    if idx >= spec.dim:
+        raise ValueError(f"eigenstate index {idx} out of range for dimension {spec.dim}")
     return spec.eigenvectors[:, idx].copy()
 
 
@@ -411,10 +488,9 @@ def _pool_trajectory(traj_idx: int) -> tuple[np.ndarray, np.ndarray]:
     c = _POOL_CTX
     return _run_trajectory(
         traj_idx,
-        c["w"],
+        c["kraus"],
         c["cfg"],
         c["params"],
-        c["u_coh"],
         c["psi0"],
         c["h_matrix"],
         c["ground_proj"],
@@ -424,10 +500,9 @@ def _pool_trajectory(traj_idx: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _run_trajectory(
     traj_idx: int,
-    w: np.ndarray,
+    kraus: tuple[np.ndarray, np.ndarray],
     cfg: ChannelConfig,
     p: FilterParams,
-    u_coh: np.ndarray | None,
     psi0: np.ndarray,
     h_matrix: np.ndarray,
     ground_proj: np.ndarray,
@@ -445,7 +520,7 @@ def _run_trajectory(
         overlaps[cursor] = np.vdot(psi, ground_proj @ psi).real
         cursor += 1
     for step in range(1, cfg.n_steps + 1):
-        psi, _, _ = trajectory_step(psi, w, cfg, p, u_coh, rng)
+        psi, _, _ = trajectory_step(psi, kraus, cfg, p, rng)
         if step in record_set:
             energies[cursor] = np.vdot(psi, h_matrix @ psi).real
             overlaps[cursor] = np.vdot(psi, ground_proj @ psi).real
@@ -485,8 +560,8 @@ def run_simulation(
 
         p = default_params(spec.spectral_norm, spec.gap)
 
-    w = build_w(spec, a, p, cfg.tau_eff)
     u_coh = evolution_unitary(spec, cfg.tau) if cfg.include_coherent else None
+    kraus = build_kraus_pair(spec, a, p, cfg, u_coh)
     ground_proj = spec.ground_projector()
     record_steps = _record_steps(cfg.n_steps, cfg.record_stride)
     per_step = step_cost(p, cfg)
@@ -494,36 +569,36 @@ def run_simulation(
     a_gates = record_steps * per_step.controlled_a_count
 
     if cfg.backend == "density":
-        rho = DensityMatrix.pure(_initial_vector(spec, cfg.initial_state))
+        rho = DensityMatrix.pure(_initial_vector(spec, cfg))
         record_set = set(int(s) for s in record_steps)
         energies = np.empty(record_steps.size)
         overlaps = np.empty(record_steps.size)
         cursor = 0
+        # Tr(X rho) = vdot(X, rho) for Hermitian X: O(n^2), no product formed
         if 0 in record_set:
-            energies[cursor] = float(np.trace(h.matrix @ rho.matrix).real)
-            overlaps[cursor] = float(np.trace(ground_proj @ rho.matrix).real)
+            energies[cursor] = np.vdot(h.matrix, rho.matrix).real
+            overlaps[cursor] = np.vdot(ground_proj, rho.matrix).real
             cursor += 1
         for step in range(1, cfg.n_steps + 1):
-            rho, _ = channel_step_density(rho, w, cfg, p, u_coh)
+            rho, _ = channel_step_density(rho, kraus, cfg, p)
             if step in record_set:
-                energies[cursor] = float(np.trace(h.matrix @ rho.matrix).real)
-                overlaps[cursor] = float(np.trace(ground_proj @ rho.matrix).real)
+                energies[cursor] = np.vdot(h.matrix, rho.matrix).real
+                overlaps[cursor] = np.vdot(ground_proj, rho.matrix).real
                 cursor += 1
         e_mean, e_se = energies, np.zeros_like(energies)
         o_mean, o_se = overlaps, np.zeros_like(overlaps)
     else:
-        psi0 = _initial_vector(spec, cfg.initial_state)
+        psi0 = _initial_vector(spec, cfg)
         n_workers = resolve_workers() if workers is None else workers
         n_workers = max(1, min(n_workers, cfg.reps))
-        args = (w, cfg, p, u_coh, psi0, h.matrix, ground_proj, record_steps)
+        args = (kraus, cfg, p, psi0, h.matrix, ground_proj, record_steps)
         if n_workers == 1:
             results = [_run_trajectory(i, *args) for i in range(cfg.reps)]
         else:
             ctx = {
-                "w": w,
+                "kraus": kraus,
                 "cfg": cfg,
                 "params": p,
-                "u_coh": u_coh,
                 "psi0": psi0,
                 "h_matrix": h.matrix,
                 "ground_proj": ground_proj,
@@ -575,6 +650,7 @@ def run_simulation(
             "record_stride": cfg.record_stride,
             "n_steps": cfg.n_steps,
         },
+        "health": {"kraus_isometry_defect": isometry_defect(*kraus)},
         "spectrum": {
             "ground_energy": float(spec.eigenvalues[0]),
             "max_energy": float(spec.eigenvalues[-1]),

@@ -127,22 +127,39 @@ def _parse_filter(block) -> dict:
     return out
 
 
+def _typed(key: str, val, kind: str):
+    """``val``, the value of ``channel.key``, if it is a JSON value of
+    ``kind``: "integer" or "number" (a bool is neither) or "boolean"."""
+    if kind == "boolean":
+        ok = isinstance(val, bool)
+    else:
+        types = int if kind == "integer" else (int, float)
+        ok = isinstance(val, types) and not isinstance(val, bool)
+    if not ok:
+        raise ConfigError(f"channel.{key} must be a JSON {kind}, got {json.dumps(val)}")
+    return val
+
+
 def _parse_channel(block) -> ChannelConfig:
     if not isinstance(block, dict):
         raise ConfigError("'channel' must be an object")
     _reject_unknown(block, _CHANNEL_KEYS, "channel")
     try:
         return ChannelConfig(
-            tau=float(_require(block, "tau", "channel")),
-            total_time=float(_require(block, "total_time", "channel")),
+            tau=float(_typed("tau", _require(block, "tau", "channel"), "number")),
+            total_time=float(
+                _typed("total_time", _require(block, "total_time", "channel"), "number")
+            ),
             mode=block.get("mode", "continuous"),
-            r=int(block.get("r", 1)),
-            include_coherent=bool(block.get("include_coherent", True)),
+            r=_typed("r", block.get("r", 1), "integer"),
+            include_coherent=_typed(
+                "include_coherent", block.get("include_coherent", True), "boolean"
+            ),
             backend=block.get("backend", "trajectory"),
-            reps=int(block.get("reps", 1)),
-            seed=int(block.get("seed", 0)),
+            reps=_typed("reps", block.get("reps", 1), "integer"),
+            seed=_typed("seed", block.get("seed", 0), "integer"),
             initial_state=block.get("initial_state", "highest_excited"),
-            record_stride=int(block.get("record_stride", 1)),
+            record_stride=_typed("record_stride", block.get("record_stride", 1), "integer"),
         )
     except ConfigError:
         raise
@@ -172,6 +189,11 @@ def parse_run_config(data) -> RunConfig:
     filt = _parse_filter(data.get("filter"))
     channel = _parse_channel(_require(data, "channel", "top-level"))
     csv_path, manifest, plots = _parse_output(_require(data, "output", "top-level"))
+    if channel.eigenstate_index is not None and channel.eigenstate_index >= model.dim:
+        raise ConfigError(
+            f"channel.initial_state {channel.initial_state!r} is out of range: "
+            f"the model has {model.dim} eigenstates (indices 0..{model.dim - 1})"
+        )
     return RunConfig(model, filt, channel, csv_path, manifest, plots)
 
 

@@ -13,7 +13,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, build_w, build_w_naive, channel_step_density, run_simulation
+from .channel import (
+    ChannelConfig,
+    build_kraus_pair,
+    build_w,
+    build_w_naive,
+    channel_step_density,
+    run_simulation,
+)
 from .filters import default_params, f_hat, f_time, quadrature_grid
 from .jump import dilate, exact_jump, ground_residual, quadrature_jump
 from .linalg import (
@@ -172,8 +179,8 @@ def check_channel_trotter_slope():
         cfg = ChannelConfig(
             tau=t, total_time=t, r=1, include_coherent=False, backend="density"
         )
-        w = build_w(spec, a, p, cfg.tau_eff)
-        out, _ = channel_step_density(rho, w, cfg, p)
+        kraus = build_kraus_pair(spec, a, p, cfg)
+        out, _ = channel_step_density(rho, kraus, cfg, p)
         ref = exact_dilated_step(kd, rho_rot, t)
         errs.append(trace_norm(u_g @ out.matrix @ u_g.conj().T - ref.matrix))
     slope = float(np.polyfit(np.log(taus), np.log(errs), 1)[0])
@@ -197,14 +204,14 @@ def check_cancellation_identity():
 def check_cptp_invariants():
     _, spec, a, p = _tfim2_setup()
     cfg = ChannelConfig(tau=0.5, total_time=0.5, r=1, include_coherent=True, backend="density")
-    w = build_w(spec, a, p, cfg.tau_eff)
     u_coh = evolution_unitary(spec, cfg.tau)
+    kraus = build_kraus_pair(spec, a, p, cfg, u_coh)
     rng = np.random.default_rng(9)
     worst_tr, worst_pos, worst_contract = 0.0, 0.0, 0.0
     for _ in range(50):
         r1, r2 = _random_density(rng, 4), _random_density(rng, 4)
-        o1, _ = channel_step_density(r1, w, cfg, p, u_coh)
-        o2, _ = channel_step_density(r2, w, cfg, p, u_coh)
+        o1, _ = channel_step_density(r1, kraus, cfg, p)
+        o2, _ = channel_step_density(r2, kraus, cfg, p)
         worst_tr = max(worst_tr, abs(float(np.trace(o1.matrix).real) - 1.0))
         worst_pos = max(worst_pos, -float(np.min(np.linalg.eigvalsh(o1.matrix))))
         gain = trace_norm(o1.matrix - o2.matrix) - trace_norm(r1.matrix - r2.matrix)
@@ -294,11 +301,11 @@ def check_global_first_order():
     taus = [0.2, 0.1, 0.05, 0.025]
     for t in taus:
         cfg = ChannelConfig(tau=t, total_time=2.0, r=1, include_coherent=True, backend="density")
-        w = build_w(spec, a, p, cfg.tau_eff)
         u_coh = evolution_unitary(spec, t)
+        kraus = build_kraus_pair(spec, a, p, cfg, u_coh)
         rho = rho_i
         for _ in range(cfg.n_steps):
-            rho, _ = channel_step_density(rho, w, cfg, p, u_coh)
+            rho, _ = channel_step_density(rho, kraus, cfg, p)
         back = u_g @ rho.matrix @ u_g.conj().T
         errs.append(trace_norm(back - ref.matrix))
     slope = float(np.polyfit(np.log(taus), np.log(errs), 1)[0])
@@ -311,12 +318,12 @@ def check_discrete_fixed_point():
     p = default_params(spec.spectral_norm, spec.gap)
     a = coupling_operator(model)
     cfg = ChannelConfig(tau=1.0, total_time=100.0, mode="discrete", r=1, backend="density")
-    w = build_w(spec, a, p, cfg.tau_eff)
     u_coh = evolution_unitary(spec, cfg.tau)
+    kraus = build_kraus_pair(spec, a, p, cfg, u_coh)
     rho_g = DensityMatrix.pure(spec.ground_state)
     rho, worst = rho_g, 0.0
     for _ in range(100):
-        rho, _ = channel_step_density(rho, w, cfg, p, u_coh)
+        rho, _ = channel_step_density(rho, kraus, cfg, p)
         worst = max(worst, trace_norm(rho.matrix - rho_g.matrix))
     return worst <= 2e-2, f"max drift from ground state {worst:.2e}"
 

@@ -9,6 +9,7 @@ import pytest
 
 from lindbladprep.channel import (
     ChannelConfig,
+    build_kraus_pair,
     build_w,
     build_w_naive,
     channel_step_density,
@@ -194,8 +195,8 @@ def test_criterion_07_channel_second_order():
     errs = []
     for t in taus:
         cfg = ChannelConfig(tau=t, total_time=t, r=1, include_coherent=False, backend="density")
-        w = build_w(spec, a, p, cfg.tau_eff)
-        out, _ = channel_step_density(rho, w, cfg, p)
+        kraus = build_kraus_pair(spec, a, p, cfg)
+        out, _ = channel_step_density(rho, kraus, cfg, p)
         ref = exact_dilated_step(kd, rho_rot, t)
         errs.append(trace_norm(u_g @ out.matrix @ u_g.conj().T - ref.matrix))
     slope = float(np.polyfit(np.log(taus), np.log(errs), 1)[0])
@@ -217,11 +218,11 @@ def test_criterion_08_global_first_order():
     errs = []
     for t in taus:
         cfg = ChannelConfig(tau=t, total_time=2.0, r=1, include_coherent=True, backend="density")
-        w = build_w(spec, a, p, cfg.tau_eff)
         u_coh = evolution_unitary(spec, t)
+        kraus = build_kraus_pair(spec, a, p, cfg, u_coh)
         rho = rho_i
         for _ in range(cfg.n_steps):
-            rho, _ = channel_step_density(rho, w, cfg, p, u_coh)
+            rho, _ = channel_step_density(rho, kraus, cfg, p)
         errs.append(trace_norm(u_g @ rho.matrix @ u_g.conj().T - ref.matrix))
     slope = float(np.polyfit(np.log(taus), np.log(errs), 1)[0])
     ok = abs(slope - 1.0) <= 0.25
@@ -232,14 +233,14 @@ def test_criterion_08_global_first_order():
 def test_criterion_09_cptp_invariants():
     _, spec, a, p = tfim2_setup()
     cfg = ChannelConfig(tau=0.5, total_time=0.5, backend="density")
-    w = build_w(spec, a, p, cfg.tau_eff)
     u_coh = evolution_unitary(spec, cfg.tau)
+    kraus = build_kraus_pair(spec, a, p, cfg, u_coh)
     rng = np.random.default_rng(9)
     worst_tr = worst_neg = worst_gain = 0.0
     for _ in range(50):
         r1, r2 = random_density(rng, 4), random_density(rng, 4)
-        o1, _ = channel_step_density(r1, w, cfg, p, u_coh)
-        o2, _ = channel_step_density(r2, w, cfg, p, u_coh)
+        o1, _ = channel_step_density(r1, kraus, cfg, p)
+        o2, _ = channel_step_density(r2, kraus, cfg, p)
         worst_tr = max(worst_tr, abs(float(np.trace(o1.matrix).real) - 1.0))
         worst_neg = max(worst_neg, -float(np.min(np.linalg.eigvalsh(o1.matrix))))
         worst_gain = max(
@@ -293,12 +294,12 @@ def test_criterion_12_fixed_point_stability():
     p = default_params(spec.spectral_norm, spec.gap)
     a = coupling_operator(model)
     cfg = ChannelConfig(tau=1.0, total_time=100.0, mode="discrete", r=1, backend="density")
-    w = build_w(spec, a, p, cfg.tau_eff)
     u_coh = evolution_unitary(spec, cfg.tau)
+    kraus = build_kraus_pair(spec, a, p, cfg, u_coh)
     rho_g = DensityMatrix.pure(spec.ground_state)
     rho, worst = rho_g, 0.0
     for _ in range(100):
-        rho, _ = channel_step_density(rho, w, cfg, p, u_coh)
+        rho, _ = channel_step_density(rho, kraus, cfg, p)
         worst = max(worst, trace_norm(rho.matrix - rho_g.matrix))
     ok = worst <= 2e-2
     report(12, ok, "ground state survives 100 large discrete steps",

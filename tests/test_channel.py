@@ -6,6 +6,7 @@ from lindbladprep.channel import (
     ChannelConfig,
     ChannelError,
     CostLedger,
+    build_kraus_pair,
     build_w,
     build_w_naive,
     channel_step_density,
@@ -111,8 +112,8 @@ class TestBuildW:
         errs = []
         for t in taus:
             cfg = ChannelConfig(tau=t, total_time=t, r=1, include_coherent=False, backend="density")
-            w = build_w(spec, a, p, cfg.tau_eff)
-            out, _ = channel_step_density(rho, w, cfg, p)
+            kraus = build_kraus_pair(spec, a, p, cfg)
+            out, _ = channel_step_density(rho, kraus, cfg, p)
             ref = exact_dilated_step(kd, rho_rot, t)
             errs.append(trace_norm(u_g @ out.matrix @ u_g.conj().T - ref.matrix))
         slope = np.polyfit(np.log(taus), np.log(errs), 1)[0]
@@ -134,21 +135,65 @@ class TestBuildW:
                 tau=tau, total_time=tau, mode="discrete", r=r,
                 include_coherent=False, backend="density",
             )
-            w = build_w(spec, a, p, cfg.tau_eff)
-            out, _ = channel_step_density(rho, w, cfg, p)
+            kraus = build_kraus_pair(spec, a, p, cfg)
+            out, _ = channel_step_density(rho, kraus, cfg, p)
             errs.append(trace_norm(u_g @ out.matrix @ u_g.conj().T - ref.matrix))
         assert errs[1] < errs[0] and errs[2] < errs[1]
         assert errs[2] <= errs[0] / 8  # ~r^2 suppression
+
+
+class TestBuildKrausPair:
+    @pytest.mark.parametrize("coherent", [True, False])
+    @pytest.mark.parametrize(
+        "model, r",
+        [
+            (ModelSpec("tfim", 4, tfim_g=1.2), 1),
+            (ModelSpec("tfim", 4, tfim_g=1.2), 2),
+            (ModelSpec("hubbard1d", 2, hubbard_t=1.0, hubbard_u=4.0), 2),
+        ],
+        ids=["tfim4-r1", "tfim4-r2", "hubbard2-r2"],
+    )
+    def test_matches_block_column_of_w_power(self, model, r, coherent):
+        """(M0, M1) is the ancilla-|0> block column of W^r, with e^{-iH tau}
+        folded in when the coherent part is on."""
+        spec = hermitian_eig(model.hamiltonian())
+        a = coupling_operator(model)
+        p = default_params(spec.spectral_norm, spec.gap)
+        cfg = ChannelConfig(
+            tau=0.5, total_time=0.5, mode="discrete", r=r, include_coherent=coherent
+        )
+        u = evolution_unitary(spec, cfg.tau)
+        m0, m1 = build_kraus_pair(spec, a, p, cfg, u)
+        phi = np.linalg.matrix_power(build_w(spec, a, p, cfg.tau_eff), r)
+        n = spec.dim
+        fold = u if coherent else np.eye(n)
+        assert np.max(np.abs(m0 - fold @ phi[:n, :n])) <= 1e-12
+        assert np.max(np.abs(m1 - fold @ phi[n:, :n])) <= 1e-12
+
+    def test_corrupted_factor_trips_isometry_check(self, monkeypatch):
+        import lindbladprep.channel as channel
+
+        exact = channel._atilde_diagonals
+
+        def corrupted(a_eigvals, phi, theta):
+            c, o01, o10 = exact(a_eigvals, phi, theta)
+            return 1.001 * c, o01, o10
+
+        monkeypatch.setattr(channel, "_atilde_diagonals", corrupted)
+        _, _, spec, a, p = tfim_setup(2)
+        cfg = ChannelConfig(tau=0.5, total_time=0.5, include_coherent=False)
+        with pytest.raises(ChannelError, match="trace preservation"):
+            build_kraus_pair(spec, a, p, cfg)
 
 
 class TestChannelStepDensity:
     def test_cptp_per_step(self, rng):
         _, _, spec, a, p = tfim_setup(2)
         cfg = ChannelConfig(tau=0.5, total_time=0.5, backend="density")
-        w = build_w(spec, a, p, cfg.tau_eff)
         u = evolution_unitary(spec, cfg.tau)
+        kraus = build_kraus_pair(spec, a, p, cfg, u)
         rho = random_density(rng, 4)
-        out, delta = channel_step_density(rho, w, cfg, p, u)
+        out, delta = channel_step_density(rho, kraus, cfg, p)
         assert abs(np.trace(out.matrix).real - 1.0) <= 1e-9
         assert np.min(np.linalg.eigvalsh(out.matrix)) >= -1e-8
         assert delta.controlled_a_count == 2 * (2 * p.m_half + 1)
@@ -156,12 +201,11 @@ class TestChannelStepDensity:
     def test_contractive(self, rng):
         _, _, spec, a, p = tfim_setup(2)
         cfg = ChannelConfig(tau=0.5, total_time=0.5, backend="density")
-        w = build_w(spec, a, p, cfg.tau_eff)
-        u = evolution_unitary(spec, cfg.tau)
+        kraus = build_kraus_pair(spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
         for _ in range(20):
             r1, r2 = random_density(rng, 4), random_density(rng, 4)
-            o1, _ = channel_step_density(r1, w, cfg, p, u)
-            o2, _ = channel_step_density(r2, w, cfg, p, u)
+            o1, _ = channel_step_density(r1, kraus, cfg, p)
+            o2, _ = channel_step_density(r2, kraus, cfg, p)
             assert trace_norm(o1.matrix - o2.matrix) <= trace_norm(r1.matrix - r2.matrix) + 1e-9
 
     def test_fixed_point_single_step(self):
@@ -169,17 +213,17 @@ class TestChannelStepDensity:
         rho_g = DensityMatrix.pure(spec.ground_state)
         for tau in (0.1, 1.0):
             cfg = ChannelConfig(tau=tau, total_time=tau, backend="density")
-            w = build_w(spec, a, p, cfg.tau_eff)
-            u = evolution_unitary(spec, tau)
-            out, _ = channel_step_density(rho_g, w, cfg, p, u)
+            kraus = build_kraus_pair(spec, a, p, cfg, evolution_unitary(spec, tau))
+            out, _ = channel_step_density(rho_g, kraus, cfg, p)
             assert trace_norm(out.matrix - rho_g.matrix) <= 1e-2
 
-    def test_missing_coherent_unitary(self, rng):
+    def test_missing_coherent_unitary(self):
+        # e^{-iH tau} enters the step through the pair, so the pair refuses to
+        # build without it
         _, _, spec, a, p = tfim_setup(2)
         cfg = ChannelConfig(tau=0.5, total_time=0.5, backend="density")
-        w = build_w(spec, a, p, cfg.tau_eff)
-        with pytest.raises(ChannelError):
-            channel_step_density(random_density(rng, 4), w, cfg, p, None)
+        with pytest.raises(ChannelError, match="coherent step"):
+            build_kraus_pair(spec, a, p, cfg, None)
 
 
 class TestCostLedger:
@@ -217,26 +261,25 @@ class TestTrajectoryStep:
         cfg = ChannelConfig(tau=0.3, total_time=0.3)
         psi = random_state(rng, 4)
         u = evolution_unitary(spec, cfg.tau)
-        out, bit, _ = trajectory_step(psi, np.eye(8, dtype=complex), cfg, p, u, rng)
+        # the pair of W = I with e^{-iH tau} folded in
+        kraus = (u, np.zeros_like(u))
+        out, bit, _ = trajectory_step(psi, kraus, cfg, p, rng)
         assert bit == 0
         assert np.allclose(out, u @ psi)
 
     def test_ground_state_rarely_clicks(self):
         _, _, spec, a, p = tfim_setup(4)
         cfg = ChannelConfig(tau=0.1, total_time=0.1)
-        w = build_w(spec, a, p, cfg.tau_eff)
-        u = evolution_unitary(spec, cfg.tau)
-        psi = spec.ground_state.copy()
-        n = psi.size
-        branch1 = w[n:, :n] @ psi
+        _, m1 = build_kraus_pair(spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
+        branch1 = m1 @ spec.ground_state
         assert np.vdot(branch1, branch1).real <= 1e-2
 
     def test_norm_validation(self, rng):
         _, _, spec, a, p = tfim_setup(2)
         cfg = ChannelConfig(tau=0.3, total_time=0.3)
-        w = build_w(spec, a, p, cfg.tau_eff)
+        kraus = build_kraus_pair(spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
         with pytest.raises(ChannelError):
-            trajectory_step(2.0 * random_state(rng, 4), w, cfg, p, None, rng)
+            trajectory_step(2.0 * random_state(rng, 4), kraus, cfg, p, rng)
 
 
 class TestRunSimulation:

@@ -129,6 +129,64 @@ class TestRunCommand:
         cfg_path.write_text(json.dumps(data))
         assert main(["run", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("include_coherent", "false"),
+            ("include_coherent", 0),
+            ("r", 2.9),
+            ("r", True),
+            ("reps", 2.9),
+            ("seed", "7"),
+            ("record_stride", 1.0),
+            ("tau", "0.5"),
+        ],
+    )
+    def test_mistyped_channel_field_exit_2(self, tmp_path, capsys, key, value):
+        data = tiny_config(tmp_path, **{key: value})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"channel.{key} must be a JSON" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize(
+        "initial_state, message",
+        [
+            ("eigenstate:abc", "unknown initial_state"),
+            ("eigenstate:-1", "unknown initial_state"),
+            ("eigenstate:4", "out of range"),
+            ("eigenstate:99", "out of range"),
+        ],
+    )
+    def test_bad_eigenstate_index_exit_2(self, tmp_path, capsys, initial_state, message):
+        data = tiny_config(tmp_path, initial_state=initial_state)  # 2 sites: 4 eigenstates
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_last_eigenstate_index_accepted(self, tmp_path):
+        data = tiny_config(tmp_path, initial_state="eigenstate:3")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["run", str(cfg_path)]) == 0
+
+    @pytest.mark.parametrize("backend", ["density", "trajectory"])
+    def test_manifest_records_kraus_isometry_defect(self, tmp_path, backend):
+        data = tiny_config(tmp_path, backend=backend, reps=2)
+        data["model"]["sites"] = 4
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["run", str(cfg_path)]) == 0
+        manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+        assert 0.0 <= manifest["resolved"]["health"]["kraus_isometry_defect"] <= 1e-10
+
     def test_plots_emitted(self, tmp_path):
         data = tiny_config(tmp_path)
         data["output"]["plots"] = str(tmp_path / "plots")
