@@ -32,10 +32,8 @@ simulation time, so one step costs ``r * 2 * (2M + 1)`` gates and
 
 from __future__ import annotations
 
-import os
 import re
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +64,6 @@ __all__ = [
     "run_simulation",
 ]
 
-WORKERS_ENV = "LINDBLADPREP_WORKERS"
 _EIGENSTATE = re.compile(r"eigenstate:([0-9]+)")
 
 
@@ -140,16 +137,10 @@ class ChannelConfig:
 
 @dataclass
 class CostLedger:
-    """Accumulated circuit cost; both counters only ever increase."""
+    """Circuit cost: Hamiltonian-simulation time and controlled-A gate count."""
 
     hamiltonian_time: float = 0.0
     controlled_a_count: int = 0
-
-    def add(self, other: "CostLedger") -> None:
-        if other.hamiltonian_time < 0 or other.controlled_a_count < 0:
-            raise ValueError("ledger increments must be nonnegative")
-        self.hamiltonian_time += other.hamiltonian_time
-        self.controlled_a_count += other.controlled_a_count
 
 
 def step_cost(p: FilterParams, cfg: ChannelConfig) -> CostLedger:
@@ -400,52 +391,53 @@ def build_w_naive(
     return out
 
 
-def channel_step_density(
-    rho: DensityMatrix,
-    kraus: tuple[np.ndarray, np.ndarray],
-    cfg: ChannelConfig,
-    p: FilterParams,
-) -> tuple[DensityMatrix, CostLedger]:
+def channel_step_density(rho: np.ndarray, kraus: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """One step of the density-matrix backend: M0 rho M0^dag + M1 rho M1^dag
-    for the pair from :func:`build_kraus_pair`."""
+    for the pair from :func:`build_kraus_pair`, symmetrized.
+
+    Raises :class:`ChannelError` on a non-finite entry or a trace off 1 by
+    more than 1e-9.
+    """
     m0, m1 = kraus
-    out = m0 @ rho.matrix @ m0.conj().T + m1 @ rho.matrix @ m1.conj().T
+    out = m0 @ rho @ m0.conj().T + m1 @ rho @ m1.conj().T
     out = (out + out.conj().T) / 2
+    if not np.isfinite(out).all():
+        raise ChannelError("channel step produced NaN/Inf entries")
     tr = float(np.trace(out).real)
-    if abs(tr - 1.0) > 1e-8:
+    if not abs(tr - 1.0) <= 1e-9:
         raise ChannelError(f"channel step trace drifted to {tr}")
-    return DensityMatrix(out, check_positivity=False), step_cost(p, cfg)
+    return out
 
 
 def trajectory_step(
-    psi: np.ndarray,
-    kraus: tuple[np.ndarray, np.ndarray],
-    cfg: ChannelConfig,
-    p: FilterParams,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, int, CostLedger]:
-    """One stochastic step: apply W^r to |0> x psi, measure the ancilla in
-    the computational basis, discard the outcome, reset, then (optionally)
-    apply e^{-iH tau} -- i.e. branch b is M_b psi for the pair from
-    :func:`build_kraus_pair`.
+    psi: np.ndarray, kraus: tuple[np.ndarray, np.ndarray], u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One stochastic step of a block of trajectories, one per column of
+    ``psi`` (n, reps): apply W^r to |0> x psi, measure the ancilla, discard
+    the outcome, reset, then (optionally) apply e^{-iH tau} -- i.e. column j
+    becomes M1 psi_j if ``u[j] < |M1 psi_j|^2`` and M0 psi_j otherwise, for
+    the pair from :func:`build_kraus_pair`, renormalised.
 
-    Returns (new state, measured bit, cost delta).  The bit is recorded for
-    diagnostics only; the scheme never conditions on it.
+    Returns (new block, per-column click flags).  The clicks are recorded
+    for diagnostics only; the scheme never conditions on them.
     """
-    nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ChannelError(f"trajectory state norm {nrm} is not 1")
+    nrm = np.linalg.norm(psi, axis=0)
+    off = ~(np.abs(nrm - 1.0) <= 1e-9)
+    if off.any():
+        raise ChannelError(f"trajectory state norm {nrm[off][0]} is not 1")
     m0, m1 = kraus
     branch1 = m1 @ psi
-    p1 = float(np.vdot(branch1, branch1).real)
-    outcome = 1 if rng.random() < p1 else 0
-    collapsed = branch1 if outcome == 1 else m0 @ psi
-    weight = np.linalg.norm(collapsed)
-    if weight < 1e-12:
+    p1 = np.einsum("ij,ij->j", branch1.conj(), branch1).real
+    clicks = u < p1
+    collapsed = np.where(clicks, branch1, m0 @ psi)
+    weight = np.linalg.norm(collapsed, axis=0)
+    vanishing = ~(weight >= 1e-12)
+    if vanishing.any():
         raise ChannelError(
-            f"measurement branch {outcome} has vanishing probability; trajectory aborted"
+            f"measurement branch {int(clicks[vanishing][0])} has vanishing probability; "
+            "trajectory aborted"
         )
-    return collapsed / weight, outcome, step_cost(p, cfg)
+    return collapsed / weight, clicks
 
 
 def _initial_vector(spec: SpectralDecomposition, cfg: ChannelConfig) -> np.ndarray:
@@ -466,82 +458,23 @@ def _record_steps(n_steps: int, stride: int) -> np.ndarray:
     return np.asarray(steps, dtype=int)
 
 
-def resolve_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is not None:
-        count = int(raw)
-        if count < 1:
-            raise ValueError(f"{WORKERS_ENV} must be >= 1")
-        return count
-    return os.cpu_count() or 1
-
-
-# Worker-process context for the trajectory pool (set by the initializer).
-_POOL_CTX: dict = {}
-
-
-def _pool_init(ctx: dict) -> None:
-    _POOL_CTX.update(ctx)
-
-
-def _pool_trajectory(traj_idx: int) -> tuple[np.ndarray, np.ndarray]:
-    c = _POOL_CTX
-    return _run_trajectory(
-        traj_idx,
-        c["kraus"],
-        c["cfg"],
-        c["params"],
-        c["psi0"],
-        c["h_matrix"],
-        c["ground_proj"],
-        c["record_steps"],
-    )
-
-
-def _run_trajectory(
-    traj_idx: int,
-    kraus: tuple[np.ndarray, np.ndarray],
-    cfg: ChannelConfig,
-    p: FilterParams,
-    psi0: np.ndarray,
-    h_matrix: np.ndarray,
-    ground_proj: np.ndarray,
-    record_steps: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One trajectory; RNG stream depends only on (seed, traj_idx)."""
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, traj_idx]))
-    psi = psi0.copy()
-    record_set = set(int(s) for s in record_steps)
-    energies = np.empty(record_steps.size)
-    overlaps = np.empty(record_steps.size)
-    cursor = 0
-    if 0 in record_set:
-        energies[cursor] = np.vdot(psi, h_matrix @ psi).real
-        overlaps[cursor] = np.vdot(psi, ground_proj @ psi).real
-        cursor += 1
-    for step in range(1, cfg.n_steps + 1):
-        psi, _, _ = trajectory_step(psi, kraus, cfg, p, rng)
-        if step in record_set:
-            energies[cursor] = np.vdot(psi, h_matrix @ psi).real
-            overlaps[cursor] = np.vdot(psi, ground_proj @ psi).real
-            cursor += 1
-    return energies, overlaps
-
-
 def run_simulation(
     model: ModelSpec | tuple[HermitianOperator, HermitianOperator],
     cfg: ChannelConfig,
     p: FilterParams | None = None,
-    *,
-    workers: int | None = None,
 ) -> SimulationRecord:
     """Full time series for one configuration.
 
     ``model`` is either a :class:`ModelSpec` or an explicit
     ``(hamiltonian, coupling)`` pair.  When ``p`` is omitted the parameter
-    rule is applied to the computed spectral norm and gap.  Results are
-    deterministic given ``(cfg.seed, cfg.reps)`` and independent of the
-    worker count.
+    rule is applied to the computed spectral norm and gap.
+
+    Both backends run the same record loop: advance to the next recorded
+    step, observe, repeat.  The trajectory backend steps all ``cfg.reps``
+    trajectories as one (n, reps) block; trajectory ``i`` draws its
+    uniforms from its own ``SeedSequence([cfg.seed, i])`` stream, so its
+    path depends only on ``(cfg.seed, i)``, not on ``cfg.reps`` or the
+    thread count.
     """
     if isinstance(model, ModelSpec):
         h = model.hamiltonian()
@@ -567,57 +500,56 @@ def run_simulation(
     per_step = step_cost(p, cfg)
     h_time = record_steps * per_step.hamiltonian_time
     a_gates = record_steps * per_step.controlled_a_count
+    health = {"kraus_isometry_defect": isometry_defect(*kraus)}
 
     if cfg.backend == "density":
-        rho = DensityMatrix.pure(_initial_vector(spec, cfg))
-        record_set = set(int(s) for s in record_steps)
-        energies = np.empty(record_steps.size)
-        overlaps = np.empty(record_steps.size)
-        cursor = 0
-        # Tr(X rho) = vdot(X, rho) for Hermitian X: O(n^2), no product formed
-        if 0 in record_set:
-            energies[cursor] = np.vdot(h.matrix, rho.matrix).real
-            overlaps[cursor] = np.vdot(ground_proj, rho.matrix).real
-            cursor += 1
-        for step in range(1, cfg.n_steps + 1):
-            rho, _ = channel_step_density(rho, kraus, cfg, p)
-            if step in record_set:
-                energies[cursor] = np.vdot(h.matrix, rho.matrix).real
-                overlaps[cursor] = np.vdot(ground_proj, rho.matrix).real
-                cursor += 1
-        e_mean, e_se = energies, np.zeros_like(energies)
-        o_mean, o_se = overlaps, np.zeros_like(overlaps)
+        state = DensityMatrix.pure(_initial_vector(spec, cfg)).matrix
+
+        def advance(rho: np.ndarray, span: int) -> np.ndarray:
+            for _ in range(span):
+                rho = channel_step_density(rho, kraus)
+            return rho
+
+        def observe(rho: np.ndarray) -> tuple[float, float]:
+            # Tr(X rho) = vdot(X, rho) for Hermitian X: O(n^2), no product formed
+            return np.vdot(h.matrix, rho).real, np.vdot(ground_proj, rho).real
+
     else:
-        psi0 = _initial_vector(spec, cfg)
-        n_workers = resolve_workers() if workers is None else workers
-        n_workers = max(1, min(n_workers, cfg.reps))
-        args = (kraus, cfg, p, psi0, h.matrix, ground_proj, record_steps)
-        if n_workers == 1:
-            results = [_run_trajectory(i, *args) for i in range(cfg.reps)]
-        else:
-            ctx = {
-                "kraus": kraus,
-                "cfg": cfg,
-                "params": p,
-                "psi0": psi0,
-                "h_matrix": h.matrix,
-                "ground_proj": ground_proj,
-                "record_steps": record_steps,
-            }
-            with ProcessPoolExecutor(
-                max_workers=n_workers, initializer=_pool_init, initargs=(ctx,)
-            ) as pool:
-                results = list(pool.map(_pool_trajectory, range(cfg.reps), chunksize=8))
-        e_stack = np.stack([r[0] for r in results])
-        o_stack = np.stack([r[1] for r in results])
-        e_mean = e_stack.mean(axis=0)
-        o_mean = o_stack.mean(axis=0)
-        if cfg.reps > 1:
-            e_se = e_stack.std(axis=0, ddof=1) / np.sqrt(cfg.reps)
-            o_se = o_stack.std(axis=0, ddof=1) / np.sqrt(cfg.reps)
-        else:
-            e_se = np.zeros_like(e_mean)
-            o_se = np.zeros_like(o_mean)
+        state = np.repeat(_initial_vector(spec, cfg)[:, None], cfg.reps, axis=1)
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence([cfg.seed, i])) for i in range(cfg.reps)
+        ]
+        click_rate = health["click_rate"] = []
+
+        def advance(psi: np.ndarray, span: int) -> np.ndarray:
+            u = np.stack([g.random(span) for g in rngs], axis=1)
+            clicks = 0
+            for u_step in u:
+                psi, clicked = trajectory_step(psi, kraus, u_step)
+                clicks += int(np.count_nonzero(clicked))
+            click_rate.append(clicks / (span * cfg.reps))
+            return psi
+
+        def observe(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            def expect(x):
+                return np.einsum("ij,ij->j", psi.conj(), x @ psi).real
+
+            return expect(h.matrix), expect(ground_proj)
+
+    observed = [observe(state)]
+    for span in np.diff(record_steps):
+        state = advance(state, int(span))
+        observed.append(observe(state))
+    # (recorded step, trajectory); the density backend has one exact column
+    energies = np.array([e for e, _ in observed]).reshape(record_steps.size, -1)
+    overlaps = np.array([o for _, o in observed]).reshape(record_steps.size, -1)
+    width = energies.shape[1]
+    e_mean, o_mean = energies.mean(axis=1), overlaps.mean(axis=1)
+    if width > 1:
+        e_se = energies.std(axis=1, ddof=1) / np.sqrt(width)
+        o_se = overlaps.std(axis=1, ddof=1) / np.sqrt(width)
+    else:
+        e_se, o_se = np.zeros_like(e_mean), np.zeros_like(o_mean)
 
     if np.any(o_mean < -1e-9) or np.any(o_mean > 1 + 1e-9):
         raise ChannelError("recorded overlap left [0, 1]")
@@ -650,7 +582,7 @@ def run_simulation(
             "record_stride": cfg.record_stride,
             "n_steps": cfg.n_steps,
         },
-        "health": {"kraus_isometry_defect": isometry_defect(*kraus)},
+        "health": health,
         "spectrum": {
             "ground_energy": float(spec.eigenvalues[0]),
             "max_energy": float(spec.eigenvalues[-1]),

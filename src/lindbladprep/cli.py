@@ -9,9 +9,7 @@ Subcommands::
     jump-report   numeric diagnostics of the jump operator for a model
 
 Exit codes: 0 success, 1 runtime failure / failed verification,
-2 invalid configuration or arguments.  The trajectory worker count is
-taken from the LINDBLADPREP_WORKERS environment variable (default: all
-available cores); results never depend on it.
+2 invalid configuration or arguments.
 """
 
 from __future__ import annotations

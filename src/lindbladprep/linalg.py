@@ -5,7 +5,7 @@ classes (:class:`HermitianOperator`, :class:`SpectralDecomposition`,
 :class:`DensityMatrix`) enforce the numerical invariants that the rest of the
 code relies on: Hermiticity, ascending eigenvalue order, a deterministic
 eigenvector phase convention, unit trace and positivity.  All objects are
-immutable after construction and safe to share between workers.
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "evolution_unitary",
     "partial_trace_ancilla",
     "trace_norm",
-    "kron",
     "frob",
     "max_abs",
 ]
@@ -228,7 +227,3 @@ def trace_norm(m: np.ndarray) -> float:
         raise LinalgError(f"SVD failed to converge: {exc}") from exc
     return float(np.sum(sv))
 
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product (thin alias, kept for a single import site)."""
-    return np.kron(a, b)

@@ -180,9 +180,9 @@ def check_channel_trotter_slope():
             tau=t, total_time=t, r=1, include_coherent=False, backend="density"
         )
         kraus = build_kraus_pair(spec, a, p, cfg)
-        out, _ = channel_step_density(rho, kraus, cfg, p)
+        out = channel_step_density(rho.matrix, kraus)
         ref = exact_dilated_step(kd, rho_rot, t)
-        errs.append(trace_norm(u_g @ out.matrix @ u_g.conj().T - ref.matrix))
+        errs.append(trace_norm(u_g @ out @ u_g.conj().T - ref.matrix))
     slope = float(np.polyfit(np.log(taus), np.log(errs), 1)[0])
     return abs(slope - 2.0) <= 0.25, f"channel Trotter slope {slope:.3f}"
 
@@ -210,11 +210,11 @@ def check_cptp_invariants():
     worst_tr, worst_pos, worst_contract = 0.0, 0.0, 0.0
     for _ in range(50):
         r1, r2 = _random_density(rng, 4), _random_density(rng, 4)
-        o1, _ = channel_step_density(r1, kraus, cfg, p)
-        o2, _ = channel_step_density(r2, kraus, cfg, p)
-        worst_tr = max(worst_tr, abs(float(np.trace(o1.matrix).real) - 1.0))
-        worst_pos = max(worst_pos, -float(np.min(np.linalg.eigvalsh(o1.matrix))))
-        gain = trace_norm(o1.matrix - o2.matrix) - trace_norm(r1.matrix - r2.matrix)
+        o1 = channel_step_density(r1.matrix, kraus)
+        o2 = channel_step_density(r2.matrix, kraus)
+        worst_tr = max(worst_tr, abs(float(np.trace(o1).real) - 1.0))
+        worst_pos = max(worst_pos, -float(np.min(np.linalg.eigvalsh(o1))))
+        gain = trace_norm(o1 - o2) - trace_norm(r1.matrix - r2.matrix)
         worst_contract = max(worst_contract, gain)
     ok = worst_tr <= 1e-9 and worst_pos <= 1e-8 and worst_contract <= 1e-9
     return ok, (
@@ -240,10 +240,8 @@ def check_transition_matrix():
 def check_trajectory_density_consistency():
     model = ModelSpec("tfim", 2, tfim_g=1.2)
     base = dict(tau=0.2, total_time=4.0, mode="continuous", r=1, record_stride=5)
-    dens = run_simulation(model, ChannelConfig(backend="density", **base), workers=1)
-    traj = run_simulation(
-        model, ChannelConfig(backend="trajectory", reps=400, seed=21, **base), workers=1
-    )
+    dens = run_simulation(model, ChannelConfig(backend="density", **base))
+    traj = run_simulation(model, ChannelConfig(backend="trajectory", reps=400, seed=21, **base))
     z = np.abs(traj.overlap_mean - dens.overlap_mean) / np.maximum(traj.overlap_se, 1e-6)
     worst = float(np.max(z[1:]))
     return worst <= 3.0, f"max |z| over checkpoints: {worst:.2f}"
@@ -303,10 +301,10 @@ def check_global_first_order():
         cfg = ChannelConfig(tau=t, total_time=2.0, r=1, include_coherent=True, backend="density")
         u_coh = evolution_unitary(spec, t)
         kraus = build_kraus_pair(spec, a, p, cfg, u_coh)
-        rho = rho_i
+        rho = rho_i.matrix
         for _ in range(cfg.n_steps):
-            rho, _ = channel_step_density(rho, kraus, cfg, p)
-        back = u_g @ rho.matrix @ u_g.conj().T
+            rho = channel_step_density(rho, kraus)
+        back = u_g @ rho @ u_g.conj().T
         errs.append(trace_norm(back - ref.matrix))
     slope = float(np.polyfit(np.log(taus), np.log(errs), 1)[0])
     return abs(slope - 1.0) <= 0.25, f"composed-scheme error slope {slope:.3f}"
@@ -321,10 +319,10 @@ def check_discrete_fixed_point():
     u_coh = evolution_unitary(spec, cfg.tau)
     kraus = build_kraus_pair(spec, a, p, cfg, u_coh)
     rho_g = DensityMatrix.pure(spec.ground_state)
-    rho, worst = rho_g, 0.0
+    rho, worst = rho_g.matrix, 0.0
     for _ in range(100):
-        rho, _ = channel_step_density(rho, kraus, cfg, p)
-        worst = max(worst, trace_norm(rho.matrix - rho_g.matrix))
+        rho = channel_step_density(rho, kraus)
+        worst = max(worst, trace_norm(rho - rho_g.matrix))
     return worst <= 2e-2, f"max drift from ground state {worst:.2e}"
 
 

@@ -24,8 +24,3 @@ def random_state(rng, dim: int) -> np.ndarray:
 def rng():
     return np.random.default_rng(1234)
 
-
-@pytest.fixture(autouse=True)
-def _serial_workers(monkeypatch):
-    # keep unit tests single-process; the dedicated pool test overrides this
-    monkeypatch.setenv("LINDBLADPREP_WORKERS", "1")

@@ -62,7 +62,7 @@ def tfim4_continuous():
         tau=0.1, total_time=80.0, mode="continuous", backend="trajectory",
         reps=100, seed=7, record_stride=10,
     )
-    return run_simulation(TFIM4, cfg, workers=1)
+    return run_simulation(TFIM4, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ def tfim4_discrete():
         tau=1.0, total_time=80.0, mode="discrete", r=1, backend="trajectory",
         reps=100, seed=7,
     )
-    return run_simulation(TFIM4, cfg, workers=1)
+    return run_simulation(TFIM4, cfg)
 
 
 def tfim2_setup(clamp=False):
@@ -119,7 +119,7 @@ def test_criterion_03_hubbard4_reproduction():
         tau=0.5, total_time=100.0, mode="discrete", r=2, backend="trajectory",
         reps=100, seed=7, record_stride=10,
     )
-    rec = run_simulation(model, cfg, workers=1)
+    rec = run_simulation(model, cfg)
     ok = rec.final_overlap >= 0.85
     report(3, ok, "Hubbard-4 discrete run reaches the ground state",
            f"final overlap {rec.final_overlap:.3f} (>= 0.85)")
@@ -196,9 +196,9 @@ def test_criterion_07_channel_second_order():
     for t in taus:
         cfg = ChannelConfig(tau=t, total_time=t, r=1, include_coherent=False, backend="density")
         kraus = build_kraus_pair(spec, a, p, cfg)
-        out, _ = channel_step_density(rho, kraus, cfg, p)
+        out = channel_step_density(rho.matrix, kraus)
         ref = exact_dilated_step(kd, rho_rot, t)
-        errs.append(trace_norm(u_g @ out.matrix @ u_g.conj().T - ref.matrix))
+        errs.append(trace_norm(u_g @ out @ u_g.conj().T - ref.matrix))
     slope = float(np.polyfit(np.log(taus), np.log(errs), 1)[0])
     ok = abs(slope - 2.0) <= 0.25
     report(7, ok, "ordered-product channel is second order per step",
@@ -220,10 +220,10 @@ def test_criterion_08_global_first_order():
         cfg = ChannelConfig(tau=t, total_time=2.0, r=1, include_coherent=True, backend="density")
         u_coh = evolution_unitary(spec, t)
         kraus = build_kraus_pair(spec, a, p, cfg, u_coh)
-        rho = rho_i
+        rho = rho_i.matrix
         for _ in range(cfg.n_steps):
-            rho, _ = channel_step_density(rho, kraus, cfg, p)
-        errs.append(trace_norm(u_g @ rho.matrix @ u_g.conj().T - ref.matrix))
+            rho = channel_step_density(rho, kraus)
+        errs.append(trace_norm(u_g @ rho @ u_g.conj().T - ref.matrix))
     slope = float(np.polyfit(np.log(taus), np.log(errs), 1)[0])
     ok = abs(slope - 1.0) <= 0.25
     report(8, ok, "composed scheme converges first order to the frame-shifted flow",
@@ -239,13 +239,13 @@ def test_criterion_09_cptp_invariants():
     worst_tr = worst_neg = worst_gain = 0.0
     for _ in range(50):
         r1, r2 = random_density(rng, 4), random_density(rng, 4)
-        o1, _ = channel_step_density(r1, kraus, cfg, p)
-        o2, _ = channel_step_density(r2, kraus, cfg, p)
-        worst_tr = max(worst_tr, abs(float(np.trace(o1.matrix).real) - 1.0))
-        worst_neg = max(worst_neg, -float(np.min(np.linalg.eigvalsh(o1.matrix))))
+        o1 = channel_step_density(r1.matrix, kraus)
+        o2 = channel_step_density(r2.matrix, kraus)
+        worst_tr = max(worst_tr, abs(float(np.trace(o1).real) - 1.0))
+        worst_neg = max(worst_neg, -float(np.min(np.linalg.eigvalsh(o1))))
         worst_gain = max(
             worst_gain,
-            trace_norm(o1.matrix - o2.matrix) - trace_norm(r1.matrix - r2.matrix),
+            trace_norm(o1 - o2) - trace_norm(r1.matrix - r2.matrix),
         )
     ok = worst_tr <= 1e-9 and worst_neg <= 1e-8 and worst_gain <= 1e-9
     report(
@@ -297,10 +297,10 @@ def test_criterion_12_fixed_point_stability():
     u_coh = evolution_unitary(spec, cfg.tau)
     kraus = build_kraus_pair(spec, a, p, cfg, u_coh)
     rho_g = DensityMatrix.pure(spec.ground_state)
-    rho, worst = rho_g, 0.0
+    rho, worst = rho_g.matrix, 0.0
     for _ in range(100):
-        rho, _ = channel_step_density(rho, kraus, cfg, p)
-        worst = max(worst, trace_norm(rho.matrix - rho_g.matrix))
+        rho = channel_step_density(rho, kraus)
+        worst = max(worst, trace_norm(rho - rho_g.matrix))
     ok = worst <= 2e-2
     report(12, ok, "ground state survives 100 large discrete steps",
            f"max trace distance {worst:.2e} (<= 2e-2) at tau=1")

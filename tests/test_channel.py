@@ -5,7 +5,6 @@ import scipy.linalg
 from lindbladprep.channel import (
     ChannelConfig,
     ChannelError,
-    CostLedger,
     build_kraus_pair,
     build_w,
     build_w_naive,
@@ -113,9 +112,9 @@ class TestBuildW:
         for t in taus:
             cfg = ChannelConfig(tau=t, total_time=t, r=1, include_coherent=False, backend="density")
             kraus = build_kraus_pair(spec, a, p, cfg)
-            out, _ = channel_step_density(rho, kraus, cfg, p)
+            out = channel_step_density(rho.matrix, kraus)
             ref = exact_dilated_step(kd, rho_rot, t)
-            errs.append(trace_norm(u_g @ out.matrix @ u_g.conj().T - ref.matrix))
+            errs.append(trace_norm(u_g @ out @ u_g.conj().T - ref.matrix))
         slope = np.polyfit(np.log(taus), np.log(errs), 1)[0]
         assert abs(slope - 2.0) <= 0.25
 
@@ -136,8 +135,8 @@ class TestBuildW:
                 include_coherent=False, backend="density",
             )
             kraus = build_kraus_pair(spec, a, p, cfg)
-            out, _ = channel_step_density(rho, kraus, cfg, p)
-            errs.append(trace_norm(u_g @ out.matrix @ u_g.conj().T - ref.matrix))
+            out = channel_step_density(rho.matrix, kraus)
+            errs.append(trace_norm(u_g @ out @ u_g.conj().T - ref.matrix))
         assert errs[1] < errs[0] and errs[2] < errs[1]
         assert errs[2] <= errs[0] / 8  # ~r^2 suppression
 
@@ -193,10 +192,9 @@ class TestChannelStepDensity:
         u = evolution_unitary(spec, cfg.tau)
         kraus = build_kraus_pair(spec, a, p, cfg, u)
         rho = random_density(rng, 4)
-        out, delta = channel_step_density(rho, kraus, cfg, p)
-        assert abs(np.trace(out.matrix).real - 1.0) <= 1e-9
-        assert np.min(np.linalg.eigvalsh(out.matrix)) >= -1e-8
-        assert delta.controlled_a_count == 2 * (2 * p.m_half + 1)
+        out = channel_step_density(rho.matrix, kraus)
+        assert abs(np.trace(out).real - 1.0) <= 1e-9
+        assert np.min(np.linalg.eigvalsh(out)) >= -1e-8
 
     def test_contractive(self, rng):
         _, _, spec, a, p = tfim_setup(2)
@@ -204,9 +202,9 @@ class TestChannelStepDensity:
         kraus = build_kraus_pair(spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
         for _ in range(20):
             r1, r2 = random_density(rng, 4), random_density(rng, 4)
-            o1, _ = channel_step_density(r1, kraus, cfg, p)
-            o2, _ = channel_step_density(r2, kraus, cfg, p)
-            assert trace_norm(o1.matrix - o2.matrix) <= trace_norm(r1.matrix - r2.matrix) + 1e-9
+            o1 = channel_step_density(r1.matrix, kraus)
+            o2 = channel_step_density(r2.matrix, kraus)
+            assert trace_norm(o1 - o2) <= trace_norm(r1.matrix - r2.matrix) + 1e-9
 
     def test_fixed_point_single_step(self):
         _, _, spec, a, p = tfim_setup(4)
@@ -214,8 +212,8 @@ class TestChannelStepDensity:
         for tau in (0.1, 1.0):
             cfg = ChannelConfig(tau=tau, total_time=tau, backend="density")
             kraus = build_kraus_pair(spec, a, p, cfg, evolution_unitary(spec, tau))
-            out, _ = channel_step_density(rho_g, kraus, cfg, p)
-            assert trace_norm(out.matrix - rho_g.matrix) <= 1e-2
+            out = channel_step_density(rho_g.matrix, kraus)
+            assert trace_norm(out - rho_g.matrix) <= 1e-2
 
     def test_missing_coherent_unitary(self):
         # e^{-iH tau} enters the step through the pair, so the pair refuses to
@@ -225,16 +223,20 @@ class TestChannelStepDensity:
         with pytest.raises(ChannelError, match="coherent step"):
             build_kraus_pair(spec, a, p, cfg, None)
 
+    def test_trace_drift_and_nonfinite_entries_fail(self, rng):
+        _, _, spec, a, p = tfim_setup(2)
+        cfg = ChannelConfig(tau=0.5, total_time=0.5, include_coherent=False, backend="density")
+        m0, m1 = build_kraus_pair(spec, a, p, cfg)
+        rho = random_density(rng, 4).matrix
+        with pytest.raises(ChannelError, match="trace drifted"):
+            channel_step_density(rho, (1.001 * m0, m1))
+        bad = rho.copy()
+        bad[0, 1] = np.nan
+        with pytest.raises(ChannelError, match="NaN/Inf"):
+            channel_step_density(bad, (m0, m1))
+
 
 class TestCostLedger:
-    def test_monotone(self):
-        led = CostLedger()
-        led.add(CostLedger(1.5, 3))
-        led.add(CostLedger(0.5, 2))
-        assert led.hamiltonian_time == 2.0 and led.controlled_a_count == 5
-        with pytest.raises(ValueError):
-            led.add(CostLedger(-1.0, 0))
-
     def test_step_cost_formula(self):
         _, _, spec, a, p = tfim_setup(4)
         cfg = ChannelConfig(tau=0.1, total_time=80.0, backend="trajectory")
@@ -259,12 +261,12 @@ class TestTrajectoryStep:
     def test_identity_w(self, rng):
         _, h, spec, a, p = tfim_setup(2)
         cfg = ChannelConfig(tau=0.3, total_time=0.3)
-        psi = random_state(rng, 4)
+        psi = np.stack([random_state(rng, 4) for _ in range(3)], axis=1)
         u = evolution_unitary(spec, cfg.tau)
         # the pair of W = I with e^{-iH tau} folded in
         kraus = (u, np.zeros_like(u))
-        out, bit, _ = trajectory_step(psi, kraus, cfg, p, rng)
-        assert bit == 0
+        out, clicks = trajectory_step(psi, kraus, rng.random(3))
+        assert not clicks.any()
         assert np.allclose(out, u @ psi)
 
     def test_ground_state_rarely_clicks(self):
@@ -278,40 +280,121 @@ class TestTrajectoryStep:
         _, _, spec, a, p = tfim_setup(2)
         cfg = ChannelConfig(tau=0.3, total_time=0.3)
         kraus = build_kraus_pair(spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
-        with pytest.raises(ChannelError):
-            trajectory_step(2.0 * random_state(rng, 4), kraus, cfg, p, rng)
+        psi = np.stack([random_state(rng, 4) for _ in range(3)], axis=1)
+        psi[:, 1] *= 2.0
+        with pytest.raises(ChannelError, match="norm"):
+            trajectory_step(psi, kraus, rng.random(3))
+        psi[:, 1] = np.nan
+        with pytest.raises(ChannelError, match="norm"):
+            trajectory_step(psi, kraus, rng.random(3))
+
+    def test_vanishing_branch_aborts(self, rng):
+        psi = random_state(rng, 4)[:, None]
+        zero = np.zeros((4, 4))
+        with pytest.raises(ChannelError, match="vanishing probability"):
+            trajectory_step(psi, (zero, zero), rng.random(1))
 
 
 class TestRunSimulation:
     def test_density_deterministic(self):
         model = ModelSpec("tfim", 2, tfim_g=1.2)
         cfg = ChannelConfig(tau=0.5, total_time=2.0, backend="density")
-        r1 = run_simulation(model, cfg, workers=1)
-        r2 = run_simulation(model, cfg, workers=1)
+        r1 = run_simulation(model, cfg)
+        r2 = run_simulation(model, cfg)
         assert np.array_equal(r1.energy_mean, r2.energy_mean)
         assert np.array_equal(r1.overlap_mean, r2.overlap_mean)
 
-    def test_trajectory_seed_determinism_and_worker_independence(self):
+    def test_trajectory_deterministic_and_independent_of_batch(self, monkeypatch):
+        """Repeated runs are bit-identical, and the first k trajectories of a
+        reps=6 run follow the same paths as a reps=k run."""
+        import lindbladprep.channel as channel
+
         model = ModelSpec("tfim", 2, tfim_g=1.2)
-        cfg = ChannelConfig(tau=0.5, total_time=2.0, backend="trajectory", reps=6, seed=3)
-        serial = run_simulation(model, cfg, workers=1)
-        pooled = run_simulation(model, cfg, workers=2)
-        assert np.array_equal(serial.energy_mean, pooled.energy_mean)
-        assert np.array_equal(serial.overlap_se, pooled.overlap_se)
+        base = dict(tau=0.5, total_time=4.0, backend="trajectory", seed=3, record_stride=3)
+        cfg = ChannelConfig(reps=6, **base)
+        r1, r2 = run_simulation(model, cfg), run_simulation(model, cfg)
+        assert np.array_equal(r1.energy_mean, r2.energy_mean)
+        assert np.array_equal(r1.overlap_se, r2.overlap_se)
+
+        def steps_of(reps):
+            seen = []
+            exact = channel.trajectory_step
+
+            def spy(*args):
+                seen.append(exact(*args))
+                return seen[-1]
+
+            monkeypatch.setattr(channel, "trajectory_step", spy)
+            run_simulation(model, ChannelConfig(reps=reps, **base))
+            monkeypatch.undo()
+            return seen
+
+        full = steps_of(6)
+        assert len(full) == cfg.n_steps
+        for k in (1, 4):
+            for (psi_k, clicks_k), (psi_n, clicks_n) in zip(steps_of(k), full, strict=True):
+                assert np.array_equal(clicks_k, clicks_n[:k])
+                assert np.max(np.abs(psi_k - psi_n[:, :k])) <= 1e-12
+
+    def test_trajectory_matches_scalar_loop(self):
+        """Each trajectory stepped on its own -- M1 psi or M0 psi with one
+        rng.random() per step from SeedSequence([seed, i]) -- gives the run's
+        means, SEs and click rates."""
+        model = ModelSpec("tfim", 2, tfim_g=1.2)
+        cfg = ChannelConfig(
+            tau=0.5, total_time=4.0, backend="trajectory", reps=5, seed=11, record_stride=3
+        )
+        rec = run_simulation(model, cfg)
+        h, spec, a, p = tfim_setup(2)[1:]
+        m0, m1 = build_kraus_pair(spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
+        obs = np.empty((2, cfg.reps, cfg.n_steps + 1))
+        clicks = np.zeros(cfg.n_steps + 1)
+        for i in range(cfg.reps):
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
+            psi = spec.eigenvectors[:, -1]
+            for step in range(cfg.n_steps + 1):
+                if step:
+                    branch1 = m1 @ psi
+                    click = rng.random() < np.vdot(branch1, branch1).real
+                    psi = branch1 if click else m0 @ psi
+                    psi = psi / np.linalg.norm(psi)
+                    clicks[step] += click
+                for k, x in enumerate((h.matrix, spec.ground_projector())):
+                    obs[k, i, step] = np.vdot(psi, x @ psi).real
+        assert clicks.sum() > 0
+        for name, ref in zip(("energy", "overlap"), obs[:, :, rec.steps]):
+            assert np.max(np.abs(getattr(rec, f"{name}_mean") - ref.mean(axis=0))) <= 1e-12
+            se = ref.std(axis=0, ddof=1) / np.sqrt(cfg.reps)
+            assert np.max(np.abs(getattr(rec, f"{name}_se") - se)) <= 1e-12
+        rate = [
+            clicks[a + 1 : b + 1].sum() / ((b - a) * cfg.reps)
+            for a, b in zip(rec.steps[:-1], rec.steps[1:])
+        ]
+        assert np.max(np.abs(np.array(rec.meta["health"]["click_rate"]) - rate)) <= 1e-12
+
+    def test_ground_state_click_rate_small(self):
+        model = ModelSpec("tfim", 4, tfim_g=1.2)
+        cfg = ChannelConfig(
+            tau=0.1, total_time=2.0, backend="trajectory", reps=20, seed=4,
+            initial_state="ground", record_stride=5,
+        )
+        rate = run_simulation(model, cfg).meta["health"]["click_rate"]
+        assert len(rate) == 4
+        assert max(rate) <= 1e-2
 
     def test_different_seeds_differ(self):
         model = ModelSpec("tfim", 2, tfim_g=1.2)
         base = dict(tau=0.5, total_time=4.0, backend="trajectory", reps=4)
-        r1 = run_simulation(model, ChannelConfig(seed=1, **base), workers=1)
-        r2 = run_simulation(model, ChannelConfig(seed=2, **base), workers=1)
+        r1 = run_simulation(model, ChannelConfig(seed=1, **base))
+        r2 = run_simulation(model, ChannelConfig(seed=2, **base))
         assert not np.array_equal(r1.overlap_mean, r2.overlap_mean)
 
     def test_trajectory_matches_density_within_3se(self):
         model = ModelSpec("tfim", 2, tfim_g=1.2)
         base = dict(tau=0.2, total_time=4.0, record_stride=4)
-        dens = run_simulation(model, ChannelConfig(backend="density", **base), workers=1)
+        dens = run_simulation(model, ChannelConfig(backend="density", **base))
         traj = run_simulation(
-            model, ChannelConfig(backend="trajectory", reps=2000, seed=17, **base), workers=1
+            model, ChannelConfig(backend="trajectory", reps=2000, seed=17, **base)
         )
         for name in ("overlap", "energy"):
             mean = getattr(traj, f"{name}_mean")
@@ -323,7 +406,7 @@ class TestRunSimulation:
     def test_record_stride_and_cost_columns(self):
         model = ModelSpec("tfim", 2, tfim_g=1.2)
         cfg = ChannelConfig(tau=0.5, total_time=5.0, backend="density", record_stride=4)
-        rec = run_simulation(model, cfg, workers=1)
+        rec = run_simulation(model, cfg)
         assert list(rec.steps) == [0, 4, 8, 10]
         per = step_cost(rec_params(rec), cfg)
         assert rec.h_time[-1] == pytest.approx(10 * per.hamiltonian_time)
@@ -334,7 +417,6 @@ class TestRunSimulation:
         rec = run_simulation(
             model,
             ChannelConfig(tau=0.5, total_time=0.5, backend="density", initial_state="ground"),
-            workers=1,
         )
         assert rec.overlap_mean[0] == pytest.approx(1.0)
         rec2 = run_simulation(
@@ -342,26 +424,14 @@ class TestRunSimulation:
             ChannelConfig(
                 tau=0.5, total_time=0.5, backend="density", initial_state="eigenstate:1"
             ),
-            workers=1,
         )
         assert rec2.overlap_mean[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_initial_overlap_is_zero(self):
         model = ModelSpec("tfim", 4, tfim_g=1.2)
         cfg = ChannelConfig(tau=0.5, total_time=0.5, backend="density")
-        rec = run_simulation(model, cfg, workers=1)
+        rec = run_simulation(model, cfg)
         assert rec.overlap_mean[0] <= 1e-15
-
-    def test_worker_count_from_env(self, monkeypatch):
-        from lindbladprep.channel import resolve_workers
-
-        monkeypatch.setenv("LINDBLADPREP_WORKERS", "3")
-        assert resolve_workers() == 3
-        monkeypatch.setenv("LINDBLADPREP_WORKERS", "0")
-        with pytest.raises(ValueError):
-            resolve_workers()
-        monkeypatch.delenv("LINDBLADPREP_WORKERS")
-        assert resolve_workers() >= 1
 
 
 def rec_params(rec):

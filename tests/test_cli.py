@@ -187,6 +187,18 @@ class TestRunCommand:
         manifest = json.loads((tmp_path / "run.manifest.json").read_text())
         assert 0.0 <= manifest["resolved"]["health"]["kraus_isometry_defect"] <= 1e-10
 
+    def test_manifest_records_click_rate(self, tmp_path):
+        data = tiny_config(tmp_path, backend="trajectory", reps=4, total_time=3.0, record_stride=2)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["run", str(cfg_path)]) == 0
+        manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+        rate = manifest["resolved"]["health"]["click_rate"]
+        steps = read_timeseries(tmp_path / "run.csv")["step"]
+        assert list(steps) == [0, 2, 4, 6]
+        assert len(rate) == len(steps) - 1
+        assert all(0.0 <= x <= 1.0 for x in rate)
+
     def test_plots_emitted(self, tmp_path):
         data = tiny_config(tmp_path)
         data["output"]["plots"] = str(tmp_path / "plots")
@@ -201,7 +213,6 @@ class TestPlotting:
         rec = run_simulation(
             ModelSpec("tfim", 2, tfim_g=1.2),
             ChannelConfig(tau=0.5, total_time=2.0, backend="trajectory", reps=reps, seed=5),
-            workers=1,
         )
         path = tmp_path / "series.csv"
         write_timeseries_csv(rec, path)
@@ -227,7 +238,6 @@ class TestPlotting:
         rec = run_simulation(
             ModelSpec("tfim", 2, tfim_g=1.2),
             ChannelConfig(tau=1.0, total_time=2.0, mode="discrete", backend="density"),
-            workers=1,
         )
         write_timeseries_csv(rec, p2)
         out = tmp_path / "cmp.svg"

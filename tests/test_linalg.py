@@ -8,7 +8,6 @@ from lindbladprep.linalg import (
     LinalgError,
     evolution_unitary,
     hermitian_eig,
-    kron,
     partial_trace_ancilla,
     trace_norm,
 )
@@ -147,16 +146,6 @@ class TestTraceNorm:
         m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         oracle = np.sum(np.sqrt(np.maximum(np.linalg.eigvalsh(m.conj().T @ m), 0.0)))
         assert trace_norm(m) == pytest.approx(oracle, abs=1e-10)
-
-
-class TestKron:
-    def test_identities(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-        assert np.allclose(kron(PAULI_Z, np.eye(2)), np.diag([1, 1, -1, -1]))
-
-    def test_mixed_product(self, rng):
-        a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(4))
-        assert np.allclose(kron(a, b) @ kron(c, d), kron(a @ c, b @ d), atol=1e-12)
 
 
 class TestDensityMatrix:
