@@ -318,7 +318,7 @@ def build_kraus_pair(
     back = u_coherent @ va if cfg.include_coherent else va
     m0, m1 = back @ x[:, 0], back @ x[:, 1]
     defect = isometry_defect(m0, m1)
-    if defect > 1e-10:
+    if not defect <= 1e-10:
         raise ChannelError(
             f"Kraus pair lost trace preservation: max|M0^dag M0 + M1^dag M1 - I| = {defect:.3e}"
         )
@@ -352,7 +352,7 @@ def build_w(
     x = _apply_w(x, spec, a_spec, p, tau_eff, 1)
     w = np.concatenate([va @ x[:, 0], va @ x[:, 1]])
     defect = max_abs(w.conj().T @ w - np.eye(2 * n))
-    if defect > 1e-10:
+    if not defect <= 1e-10:
         raise ChannelError(f"W lost unitarity: max|W^dag W - I| = {defect:.3e}")
     return w
 
@@ -461,13 +461,15 @@ def _record_steps(n_steps: int, stride: int) -> np.ndarray:
 def run_simulation(
     model: ModelSpec | tuple[HermitianOperator, HermitianOperator],
     cfg: ChannelConfig,
-    p: FilterParams | None = None,
+    filter_overrides: dict | None = None,
 ) -> SimulationRecord:
     """Full time series for one configuration.
 
     ``model`` is either a :class:`ModelSpec` or an explicit
-    ``(hamiltonian, coupling)`` pair.  When ``p`` is omitted the parameter
-    rule is applied to the computed spectral norm and gap.
+    ``(hamiltonian, coupling)`` pair.  The filter is the parameter rule
+    applied to the computed spectral norm and gap, with
+    ``filter_overrides`` (a run config's ``filter`` block) on top; invalid
+    overrides raise ``ConfigError``.
 
     Both backends run the same record loop: advance to the next recorded
     step, observe, repeat.  The trajectory backend steps all ``cfg.reps``
@@ -488,10 +490,9 @@ def run_simulation(
             "measured against the full ground-space projector",
             stacklevel=2,
         )
-    if p is None:
-        from .filters import default_params
+    from .config import resolve_filter_params  # config imports this module
 
-        p = default_params(spec.spectral_norm, spec.gap)
+    p = resolve_filter_params(filter_overrides or {}, spec.spectral_norm, spec.gap)
 
     u_coh = evolution_unitary(spec, cfg.tau) if cfg.include_coherent else None
     kraus = build_kraus_pair(spec, a, p, cfg, u_coh)

@@ -53,7 +53,6 @@ def _model_from_args(args) -> ModelSpec:
 def cmd_run(args) -> int:
     try:
         run = load_run_config(args.config)
-        params = run.resolved_filter()
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return EXIT_CONFIG
@@ -61,7 +60,8 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        record = run_simulation(run.model, run.channel, params)
+        # the filter overrides are resolved against the spectrum the run computes
+        record = run_simulation(run.model, run.channel, run.filter_overrides)
         write_timeseries_csv(record, run.csv_path)
         manifest = manifest_dict(run, record.meta)
         path = Path(run.manifest_path)
@@ -72,6 +72,9 @@ def cmd_run(args) -> int:
                 render_plot([run.csv_path], kind, Path(run.plots_dir) / f"{kind}.svg")
         print(f"wrote {run.csv_path} and {run.manifest_path}")
         return EXIT_OK
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ChannelError, LinalgError, PlotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -74,35 +74,26 @@ class RunConfig:
     manifest_path: str
     plots_dir: str | None
 
-    def resolved_filter(self) -> FilterParams:
-        from .linalg import hermitian_eig
-
-        spec = hermitian_eig(self.model.hamiltonian())
-        return resolve_filter_params(self.filter_overrides, spec.spectral_norm, spec.gap)
-
 
 def _parse_model(block) -> ModelSpec:
     if not isinstance(block, dict):
         raise ConfigError("'model' must be an object")
     _reject_unknown(block, _MODEL_KEYS, "model")
     kind = _require(block, "kind", "model")
-    sites = _require(block, "sites", "model")
-    if not isinstance(sites, int):
-        raise ConfigError("model.sites must be an integer")
+    sites = _typed("model.sites", _require(block, "sites", "model"), "integer")
+
+    def number(key: str) -> float:
+        return float(_typed(f"model.{key}", _require(block, key, "model"), "number"))
+
     try:
         if kind == "tfim":
             if "t" in block or "u" in block:
                 raise ConfigError("model keys 't'/'u' only apply to hubbard1d")
-            return ModelSpec("tfim", sites, tfim_g=float(_require(block, "g", "model")))
+            return ModelSpec("tfim", sites, tfim_g=number("g"))
         if kind == "hubbard1d":
             if "g" in block:
                 raise ConfigError("model key 'g' only applies to tfim")
-            return ModelSpec(
-                "hubbard1d",
-                sites,
-                hubbard_t=float(_require(block, "t", "model")),
-                hubbard_u=float(_require(block, "u", "model")),
-            )
+            return ModelSpec("hubbard1d", sites, hubbard_t=number("t"), hubbard_u=number("u"))
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -119,24 +110,23 @@ def _parse_filter(block) -> dict:
     out = {}
     for key, val in block.items():
         if key == "clamp_nonnegative":
-            if not isinstance(val, bool):
-                raise ConfigError("filter.clamp_nonnegative must be a boolean")
-            out[key] = val
+            out[key] = _typed(f"filter.{key}", val, "boolean")
         else:
-            out[key] = float(val)
+            out[key] = float(_typed(f"filter.{key}", val, "number"))
     return out
 
 
-def _typed(key: str, val, kind: str):
-    """``val``, the value of ``channel.key``, if it is a JSON value of
-    ``kind``: "integer" or "number" (a bool is neither) or "boolean"."""
+def _typed(name: str, val, kind: str):
+    """``val``, the value of the config field ``name`` ("block.key"), if it
+    is a JSON value of ``kind``: "integer" or "number" (a bool is neither)
+    or "boolean"."""
     if kind == "boolean":
         ok = isinstance(val, bool)
     else:
         types = int if kind == "integer" else (int, float)
         ok = isinstance(val, types) and not isinstance(val, bool)
     if not ok:
-        raise ConfigError(f"channel.{key} must be a JSON {kind}, got {json.dumps(val)}")
+        raise ConfigError(f"{name} must be a JSON {kind}, got {json.dumps(val)}")
     return val
 
 
@@ -146,20 +136,22 @@ def _parse_channel(block) -> ChannelConfig:
     _reject_unknown(block, _CHANNEL_KEYS, "channel")
     try:
         return ChannelConfig(
-            tau=float(_typed("tau", _require(block, "tau", "channel"), "number")),
+            tau=float(_typed("channel.tau", _require(block, "tau", "channel"), "number")),
             total_time=float(
-                _typed("total_time", _require(block, "total_time", "channel"), "number")
+                _typed("channel.total_time", _require(block, "total_time", "channel"), "number")
             ),
             mode=block.get("mode", "continuous"),
-            r=_typed("r", block.get("r", 1), "integer"),
+            r=_typed("channel.r", block.get("r", 1), "integer"),
             include_coherent=_typed(
-                "include_coherent", block.get("include_coherent", True), "boolean"
+                "channel.include_coherent", block.get("include_coherent", True), "boolean"
             ),
             backend=block.get("backend", "trajectory"),
-            reps=_typed("reps", block.get("reps", 1), "integer"),
-            seed=_typed("seed", block.get("seed", 0), "integer"),
+            reps=_typed("channel.reps", block.get("reps", 1), "integer"),
+            seed=_typed("channel.seed", block.get("seed", 0), "integer"),
             initial_state=block.get("initial_state", "highest_excited"),
-            record_stride=_typed("record_stride", block.get("record_stride", 1), "integer"),
+            record_stride=_typed(
+                "channel.record_stride", block.get("record_stride", 1), "integer"
+            ),
         )
     except ConfigError:
         raise

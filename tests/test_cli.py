@@ -6,7 +6,7 @@ import pytest
 from lindbladprep.channel import ChannelConfig, run_simulation
 from lindbladprep.cli import main
 from lindbladprep.config import ConfigError, load_run_config, parse_run_config, resolve_filter_params
-from lindbladprep.models import ModelSpec
+from lindbladprep.models import ModelSpec, coupling_operator
 from lindbladprep.plotting import (
     PlotError,
     read_timeseries,
@@ -33,6 +33,25 @@ def tiny_config(tmp_path, **channel_overrides):
             "manifest": str(tmp_path / "run.manifest.json"),
         },
     }
+
+
+# (block, key, value) of a config field given a JSON value of the wrong type
+MISTYPED = [
+    ("channel", "include_coherent", "false"),
+    ("channel", "include_coherent", 0),
+    ("channel", "r", 2.9),
+    ("channel", "r", True),
+    ("channel", "reps", 2.9),
+    ("channel", "seed", "7"),
+    ("channel", "record_stride", 1.0),
+    ("channel", "tau", "0.5"),
+    ("model", "sites", True),
+    ("model", "g", "1.5"),
+    ("model", "g", True),
+    ("filter", "tau_s", True),
+    ("filter", "a", "5"),
+    ("filter", "clamp_nonnegative", 1),
+]
 
 
 class TestConfigParsing:
@@ -130,27 +149,50 @@ class TestRunCommand:
         assert main(["run", str(cfg_path)]) == 2
 
     @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("include_coherent", "false"),
-            ("include_coherent", 0),
-            ("r", 2.9),
-            ("r", True),
-            ("reps", 2.9),
-            ("seed", "7"),
-            ("record_stride", 1.0),
-            ("tau", "0.5"),
-        ],
+        "block, key, value", MISTYPED, ids=[f"{key}-{value}" for _, key, value in MISTYPED]
     )
-    def test_mistyped_channel_field_exit_2(self, tmp_path, capsys, key, value):
-        data = tiny_config(tmp_path, **{key: value})
+    def test_mistyped_channel_field_exit_2(self, tmp_path, capsys, block, key, value):
+        data = tiny_config(tmp_path)
+        data.setdefault(block, {})[key] = value
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(data))
         assert main(["run", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert f"channel.{key} must be a JSON" in err
+        assert f"{block}.{key} must be a JSON" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "run.csv").exists()
+
+    def test_invalid_filter_override_exit_2(self, tmp_path, capsys):
+        data = tiny_config(tmp_path)
+        data["filter"] = {"tau_s": -0.1}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid filter parameters" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_run_eigensolves_h_once(self, tmp_path, monkeypatch):
+        import lindbladprep.channel as channel
+        import lindbladprep.linalg as linalg
+
+        exact = linalg.hermitian_eig
+        solved = []
+
+        def spy(op):
+            solved.append(op.matrix)
+            return exact(op)
+
+        monkeypatch.setattr(linalg, "hermitian_eig", spy)
+        monkeypatch.setattr(channel, "hermitian_eig", spy)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(tmp_path)))
+        assert main(["run", str(cfg_path)]) == 0
+        model = ModelSpec("tfim", 2, tfim_g=1.2)
+        assert len(solved) == 2
+        assert np.array_equal(solved[0], model.hamiltonian().matrix)
+        assert np.array_equal(solved[1], coupling_operator(model).matrix)
 
     @pytest.mark.parametrize(
         "initial_state, message",
