@@ -7,6 +7,7 @@ from lindbladprep.channel import (
     ChannelError,
     build_kraus_pair,
     build_w,
+    build_w_naive,
     channel_step_density,
     run_simulation,
     step_cost,
@@ -90,6 +91,32 @@ class TestBuildW:
             gen = np.kron(sigma, a.matrix)
             oracle = scipy.linalg.expm(-0.5j * x * gen)
             assert np.max(np.abs(built - oracle)) <= 1e-12
+
+    def test_cancellation_identity_four_qubits(self):
+        _, _, spec, a, p = tfim_setup(4)
+        tau = 0.3
+        w = build_w(spec, a, p, tau)
+        naive = build_w_naive(spec, a, p, tau)
+        frame = np.kron(np.eye(2), evolution_unitary(spec, p.grid_radius))
+        assert np.max(np.abs(naive - frame @ w @ frame.conj().T)) <= 1e-10
+
+    def test_trotter_slope_against_dilated_step(self):
+        _, _, spec, a, p = tfim_setup(2)
+        kd = dilate(quadrature_jump(spec, a, p))
+        rng = np.random.default_rng(11)
+        rho = random_density(rng, 4)
+        u_g = evolution_unitary(spec, p.grid_radius)
+        rho_rot = DensityMatrix(u_g @ rho.matrix @ u_g.conj().T, check_positivity=False)
+        taus = np.logspace(-2, 0, 5)
+        errs = []
+        for t in taus:
+            cfg = ChannelConfig(tau=t, total_time=t, r=1, include_coherent=False, backend="density")
+            kraus = build_kraus_pair(spec, a, p, cfg)
+            out = channel_step_density(rho.matrix, kraus)
+            ref = exact_dilated_step(kd, rho_rot, t)
+            errs.append(trace_norm(u_g @ out @ u_g.conj().T - ref.matrix))
+        slope = np.polyfit(np.log(taus), np.log(errs), 1)[0]
+        assert abs(slope - 2.0) <= 0.25
 
     def test_segment_refinement_converges_to_dilated_step(self):
         """W(sqrt(tau)/r)^r approaches exp(-i sqrt(tau) Ktilde) as r grows."""

@@ -74,6 +74,12 @@ class TestQuadratureJump:
         k = quadrature_jump(spec, HermitianOperator(np.zeros((4, 4))), p)
         assert np.max(np.abs(k.matrix)) == 0.0
 
+    def test_converges_to_exact_tfim4(self):
+        spec, a, p = tfim_setup(4)
+        k_exact = exact_jump(spec, a, p)
+        k_quad = quadrature_jump(spec, a, p)
+        assert np.linalg.norm(k_exact.matrix - k_quad.matrix, 2) <= 1e-3 * a.norm()
+
     def test_converges_on_all_benchmarks(self):
         for model in (
             ModelSpec("tfim", 4, tfim_g=1.2),
@@ -87,6 +93,14 @@ class TestQuadratureJump:
                 exact_jump(spec, a, p).matrix - quadrature_jump(spec, a, p).matrix, 2
             )
             assert err <= 1e-3 * a.norm()
+
+    def test_nyquist_saturation(self):
+        spec, a, p = tfim_setup(4)
+        k = exact_jump(spec, a, p)
+        k2 = quadrature_jump(spec, a, p.with_s_radius(2 * p.s_radius))
+        k4 = quadrature_jump(spec, a, p.with_s_radius(4 * p.s_radius))
+        assert np.linalg.norm(k4.matrix - k2.matrix, 2) <= 1e-6
+        assert np.linalg.norm(k.matrix - k2.matrix, 2) <= 1e-6
 
     def test_norm_bound_invariant(self):
         spec, a, p = tfim_setup(4)
