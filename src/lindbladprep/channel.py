@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -475,8 +475,8 @@ def run_simulation(
     step, observe, repeat.  The trajectory backend steps all ``cfg.reps``
     trajectories as one (n, reps) block; trajectory ``i`` draws its
     uniforms from its own ``SeedSequence([cfg.seed, i])`` stream, so its
-    path depends only on ``(cfg.seed, i)``, not on ``cfg.reps`` or the
-    thread count.
+    path does not depend on ``cfg.reps``, and a run is byte-identical at a
+    fixed BLAS thread count.
     """
     if isinstance(model, ModelSpec):
         h = model.hamiltonian()
@@ -559,30 +559,8 @@ def run_simulation(
         raise ChannelError("recorded energy left the spectral range")
 
     meta = {
-        "filter": {
-            "a": p.a,
-            "delta_a": p.delta_a,
-            "b": p.b,
-            "delta_b": p.delta_b,
-            "s_radius": p.s_radius,
-            "tau_s": p.tau_s,
-            "m_half": p.m_half,
-            "grid_radius": p.grid_radius,
-            "clamp_nonnegative": p.clamp_nonnegative,
-        },
-        "channel": {
-            "tau": cfg.tau,
-            "total_time": cfg.total_time,
-            "mode": cfg.mode,
-            "r": cfg.r,
-            "include_coherent": cfg.include_coherent,
-            "backend": cfg.backend,
-            "reps": cfg.reps,
-            "seed": cfg.seed,
-            "initial_state": cfg.initial_state,
-            "record_stride": cfg.record_stride,
-            "n_steps": cfg.n_steps,
-        },
+        "filter": {**asdict(p), "grid_radius": p.grid_radius},
+        "channel": {**asdict(cfg), "n_steps": cfg.n_steps},
         "health": health,
         "spectrum": {
             "ground_energy": float(spec.eigenvalues[0]),

@@ -27,9 +27,9 @@ import numpy as np
 import scipy.linalg
 
 from .filters import FilterParams, f_hat
-from .jump import exact_jump
-from .linalg import DensityMatrix, HermitianOperator, SpectralDecomposition, hermitian_eig
-from .reference import LindbladSystem, evolve_ode
+from .jump import exact_jump  # noqa: F401  unused; perfbench/traced.py still wraps this name
+from .linalg import HermitianOperator, LinalgError
+from .reference import evolve_ode  # noqa: F401  unused; as exact_jump
 
 __all__ = [
     "RandomCouplingSpec",
@@ -107,14 +107,20 @@ def sample_coupling(
     sigma_ij`` (independent real/imag parts of variance ``sigma_ij / 2``);
     diagonal entries are real Gaussian with variance ``sigma_ii``.
     """
+    return HermitianOperator(_draw_couplings(spec_r, [rng])[0])
+
+
+def _draw_couplings(spec_r: RandomCouplingSpec, rngs: list) -> np.ndarray:
+    """One coupling per generator, stacked ``(len(rngs), n, n)``.  Each draws
+    ``re`` (n^2), ``im`` (n^2), then the diagonal (n) standard normals."""
     n = spec_r.dim
+    z = np.stack([g.standard_normal(2 * n * n + n) for g in rngs])
     std = np.sqrt(spec_r.sigma / 2)
-    re = rng.standard_normal((n, n)) * std
-    im = rng.standard_normal((n, n)) * std
+    re = z[:, : n * n].reshape(-1, n, n) * std
+    im = z[:, n * n : 2 * n * n].reshape(-1, n, n) * std
     upper = np.triu(re + 1j * im, k=1)
-    diag = rng.standard_normal(n) * np.sqrt(np.diag(spec_r.sigma))
-    a = upper + upper.conj().T + np.diag(diag)
-    return HermitianOperator(a)
+    diag = z[:, 2 * n * n :] * np.sqrt(np.diag(spec_r.sigma))
+    return upper + upper.conj().swapaxes(1, 2) + diag[:, :, None] * np.eye(n)
 
 
 def transition_matrix(
@@ -173,9 +179,49 @@ def synthetic_spectrum(kind: str, n: int, *, seed: int = 0, span: float = 4.0) -
     raise ValueError(f"unknown spectrum kind {kind!r}")
 
 
-def _diag_system(eigenvalues: np.ndarray) -> tuple[HermitianOperator, SpectralDecomposition]:
-    h = HermitianOperator(np.diag(np.asarray(eigenvalues, dtype=float)))
-    return h, hermitian_eig(h)
+def _resampled_evolution(
+    lam: np.ndarray, spec_r: RandomCouplingSpec, p: FilterParams, p0: np.ndarray, tau: float,
+    t_final: float, rngs: list, include_coherent: bool, record: int | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evolve ``diag(p0)`` once per generator: every ``tau``, draw a coupling
+    ``A`` and take one RK4 step of the master equation with ``H = diag(lam)``
+    and ``K = F o A``, ``F_ij = fhat(lam_i - lam_j)`` (no eigenbasis needed).
+    Each step is re-Hermitized, fails on a per-rep trace drift beyond 1e-6 or
+    NaN, and is renormalized.  Returns ``record`` evenly spaced checkpoint
+    steps (None: the last step only) and the states there, ``(rep, step, n, n)``.
+    """
+    n_steps = int(round(t_final / tau))
+    if abs(n_steps * tau - t_final) > 1e-9:
+        raise ValueError("t_final must be a multiple of tau")
+    steps = np.array([n_steps]) if record is None else np.unique(
+        np.linspace(1, n_steps, record).round().astype(int)
+    )
+    f = f_hat(lam[:, None] - lam[None, :], p)
+    rho = np.repeat(np.diag(p0.astype(complex))[None], len(rngs), axis=0)
+    kept = []
+
+    def generator(x):
+        y = k @ x @ kh - 0.5 * (kdk @ x + x @ kdk)
+        return y - 1j * (lam[:, None] * x - x * lam) if include_coherent else y
+
+    for step in range(1, n_steps + 1):
+        k = f * _draw_couplings(spec_r, rngs)
+        kh = k.conj().swapaxes(1, 2)
+        kdk = kh @ k
+        k1 = generator(rho)
+        k2 = generator(rho + 0.5 * tau * k1)
+        k3 = generator(rho + 0.5 * tau * k2)
+        k4 = generator(rho + tau * k3)
+        rho = rho + (tau / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        rho = (rho + rho.conj().swapaxes(1, 2)) / 2
+        tr = np.trace(rho, axis1=1, axis2=2).real
+        bad = np.flatnonzero(~(np.abs(tr - 1.0) <= 1e-6))
+        if bad.size:
+            raise LinalgError(f"trace of rep {bad[0]} drifted to {tr[bad[0]]}; decrease tau")
+        rho /= tr[:, None, None]
+        if step in steps:
+            kept.append(rho)
+    return steps, np.stack(kept, axis=1)
 
 
 @dataclass
@@ -234,36 +280,20 @@ def ergodicity_experiment(
     Each rep evolves a diagonal initial state, redrawing the coupling every
     ``tau`` and integrating the master equation across the interval (one
     RK4 step; the local error is far below the sampling noise).  Per-rep
-    RNG streams derive from (seed, rep), so aggregation order and worker
-    strategy cannot change results.
+    RNG streams derive from (seed, rep), so a rep's path does not depend on
+    ``reps``.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if not p.clamp_nonnegative:
         raise ValueError("ergodicity experiment expects the clamped filter")
-    h, spec = _diag_system(lam)
-    n = lam.size
     p0 = np.asarray(p0, dtype=float)
-    n_steps = int(round(t_final / tau))
-    if abs(n_steps * tau - t_final) > 1e-9:
-        raise ValueError("t_final must be a multiple of tau")
-    check_steps = np.unique(
-        np.linspace(1, n_steps, n_checkpoints).round().astype(int)
-    )
     rngs = [
         np.random.default_rng(np.random.SeedSequence([seed, rep])) for rep in range(reps)
     ]
-    diag_samples = np.zeros((reps, check_steps.size, n))
-    for rep in range(reps):
-        rho = DensityMatrix(np.diag(p0.astype(complex)), check_positivity=False)
-        cursor = 0
-        for step in range(1, n_steps + 1):
-            a = sample_coupling(spec_r, rngs[rep])
-            k = exact_jump(spec, a, p)
-            sys = LindbladSystem(h, k, include_coherent=include_coherent)
-            rho = evolve_ode(sys, rho, tau, tau)
-            if cursor < check_steps.size and step == check_steps[cursor]:
-                diag_samples[rep, cursor] = np.diag(rho.matrix).real
-                cursor += 1
+    check_steps, states = _resampled_evolution(
+        lam, spec_r, p, p0, tau, t_final, rngs, include_coherent, n_checkpoints
+    )
+    diag_samples = np.diagonal(states, axis1=2, axis2=3).real  # (rep, checkpoint, level)
     mc_mean = diag_samples.mean(axis=0)
     mc_se = diag_samples.std(axis=0, ddof=1) / np.sqrt(reps)
     tmat = transition_matrix(lam, p, spec_r)
@@ -439,25 +469,17 @@ def concentration_experiment(
     term scales like sqrt(tau), so the fitted slope should sit near 1/2.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    h, spec = _diag_system(lam)
     p0 = np.asarray(p0, dtype=float)
     tmat = transition_matrix(lam, p, spec_r)
     target = np.diag(evolve_populations(tmat, p0, t_final)).astype(complex)
     devs, ses = [], []
     for tau_idx, tau in enumerate(taus):
-        n_steps = int(round(t_final / tau))
-        if abs(n_steps * tau - t_final) > 1e-9:
-            raise ValueError("t_final must be a multiple of every tau")
-        samples = np.empty(reps)
-        for rep in range(reps):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, tau_idx, rep]))
-            rho = DensityMatrix(np.diag(p0.astype(complex)), check_positivity=False)
-            for _ in range(n_steps):
-                a = sample_coupling(spec_r, rng)
-                k = exact_jump(spec, a, p)
-                sys = LindbladSystem(h, k, include_coherent=include_coherent)
-                rho = evolve_ode(sys, rho, tau, tau)
-            samples[rep] = np.linalg.norm(rho.matrix - target)
+        seqs = (np.random.SeedSequence([seed, tau_idx, rep]) for rep in range(reps))
+        rngs = [np.random.default_rng(q) for q in seqs]
+        _, states = _resampled_evolution(
+            lam, spec_r, p, p0, tau, t_final, rngs, include_coherent, None
+        )
+        samples = np.array([np.linalg.norm(rho - target) for rho in states[:, -1]])
         devs.append(samples.mean())
         ses.append(samples.std(ddof=1) / np.sqrt(reps))
     devs = np.asarray(devs)

@@ -122,6 +122,20 @@ class TestRunCommand:
         assert main(["run", str(cfg_path)]) == 0
         assert csv_path.read_bytes() == first
 
+    def test_manifest_filter_and_channel_keys(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(tmp_path)))
+        assert main(["run", str(cfg_path)]) == 0
+        resolved = json.loads((tmp_path / "run.manifest.json").read_text())["resolved"]
+        assert set(resolved["filter"]) == {
+            "a", "delta_a", "b", "delta_b", "s_radius", "tau_s", "m_half", "grid_radius",
+            "clamp_nonnegative",
+        }
+        assert set(resolved["channel"]) == {
+            "tau", "total_time", "mode", "r", "include_coherent", "backend", "reps", "seed",
+            "initial_state", "record_stride", "n_steps",
+        }
+
     def test_trajectory_csv_bit_reproducible(self, tmp_path):
         cfg = tiny_config(tmp_path, backend="trajectory", reps=5)
         cfg_path = tmp_path / "cfg.json"

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from lindbladprep.filters import FilterParams, default_params, f_hat
+from lindbladprep.jump import exact_jump
+from lindbladprep.linalg import DensityMatrix, HermitianOperator, LinalgError, hermitian_eig
 from lindbladprep.randomcoupling import (
     RandomCouplingSpec,
     TransitionMatrix,
+    _resampled_evolution,
     concentration_experiment,
     ergodicity_experiment,
     evolve_populations,
@@ -13,6 +16,7 @@ from lindbladprep.randomcoupling import (
     synthetic_spectrum,
     transition_matrix,
 )
+from lindbladprep.reference import LindbladSystem, evolve_ode
 
 
 def clamped_params(norm_h, gap):
@@ -159,6 +163,67 @@ class TestErgodicity:
         # fit the excited-population decay rate from the MC means
         fitted = -np.polyfit(rep.checkpoints, np.log(rep.mc_mean[:, 1]), 1)[0]
         assert fitted == pytest.approx(rate, rel=0.05)
+
+
+class TestResampledEvolution:
+    # unsorted on purpose: K = F o A holds in any level order
+    lam = np.array([0.0, 2.5, 1.0, 1.75])
+    p = clamped_params(2.5, 1.0)
+    p0 = np.array([0.1, 0.4, 0.3, 0.2])
+
+    def evolve(self, rngs, spec_r, tau, t_final, record=None, include_coherent=True):
+        return _resampled_evolution(
+            self.lam, spec_r, self.p, self.p0, tau, t_final, rngs, include_coherent, record
+        )
+
+    @pytest.mark.parametrize("include_coherent", [True, False])
+    def test_one_step_matches_rk4_oracle(self, include_coherent):
+        spec_r = RandomCouplingSpec.uniform(4, 0.5)
+        a = sample_coupling(spec_r, np.random.default_rng(11))
+        h = HermitianOperator(np.diag(self.lam))
+        k = exact_jump(hermitian_eig(h), a, self.p)
+        rho0 = DensityMatrix(np.diag(self.p0), check_positivity=False)
+        expect = evolve_ode(LindbladSystem(h, k, include_coherent), rho0, 0.2, 0.2).matrix
+        # the kernel's first draw from an identically seeded stream is the same coupling
+        _, states = self.evolve(
+            [np.random.default_rng(11)], spec_r, 0.2, 0.2, include_coherent=include_coherent
+        )
+        assert np.max(np.abs(states[0, -1] - expect)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_rep_independent_of_batch_size(self, k):
+        spec_r = RandomCouplingSpec.uniform(4, 0.5)
+
+        def run(reps):
+            rngs = [np.random.default_rng(np.random.SeedSequence([7, i])) for i in range(reps)]
+            return self.evolve(rngs, spec_r, 0.05, 0.5, record=3)
+
+        steps6, states6 = run(6)
+        steps_k, states_k = run(k)
+        assert list(steps6) == list(steps_k) == [1, 6, 10]
+        assert np.array_equal(states6[:k], states_k)
+
+    def test_trace_drift_fails(self):
+        # RK4 preserves the trace exactly; roundoff in a wildly unstable
+        # step is what shows up as drift
+        spec_r = RandomCouplingSpec.uniform(4, 1e4)
+        with pytest.raises(LinalgError, match="trace"):
+            self.evolve([np.random.default_rng(0)], spec_r, 10.0, 10.0)
+
+    def test_nan_rep_fails(self):
+        class NanStream:
+            def standard_normal(self, size):
+                return np.full(size, np.nan)
+
+        rngs = [np.random.default_rng(0), NanStream()]
+        spec_r = RandomCouplingSpec.uniform(4, 0.5)
+        with pytest.raises(LinalgError, match="rep 1 drifted to nan"):
+            self.evolve(rngs, spec_r, 0.05, 0.05)
+
+    def test_t_final_must_be_multiple_of_tau(self):
+        spec_r = RandomCouplingSpec.uniform(4, 0.5)
+        with pytest.raises(ValueError, match="multiple of tau"):
+            self.evolve([np.random.default_rng(0)], spec_r, 0.3, 1.0)
 
 
 class TestMixingLayers:
