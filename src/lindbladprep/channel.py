@@ -20,9 +20,15 @@ column ``<b| W^r |0>`` (b = 0, 1): the Kraus pair ``(M0, M1)``, with
 ``e^{-iH tau}`` folded in.  :func:`build_kraus_pair` streams the factors
 onto that 2N x N block in the eigenbasis of ``A``, where every ``Atilde_l``
 is 2 x 2-block diagonal (O(N^2) work) and every frame hop is one GEMM, so
-neither ``W`` nor its factors are ever formed.  :func:`build_w` runs the
-same loop on the 2N x 2N identity and, with :func:`build_w_naive`, serves
-as the oracle.
+neither ``W`` nor its factors are ever formed.  It does so one invariant
+block of ``(H, A)`` at a time: every factor of ``W`` is block-diagonal on
+the connected components of the joint nonzero pattern of ``H`` and ``A``
+(:func:`invariant_blocks`), so a block of size ``d_k`` costs
+``r * 2 * (2M + 1)`` hops of ``(d_k, d_k) @ (d_k, 2 d_k)`` and the pair's
+off-block entries are exactly 0.  TFIM is one block; the Hubbard chain
+splits into its (N_up, N_dn) sectors (25 for four sites, the largest of
+size 36).  :func:`build_w` runs the same kernel on the 2N x 2N identity
+over all indices and, with :func:`build_w_naive`, serves as the oracle.
 
 Cost accounting: every ``Atilde_l`` counts as one controlled-A gate and
 every ``e^{+/- i H t}`` factor contributes ``|t|`` of Hamiltonian
@@ -57,6 +63,7 @@ __all__ = [
     "build_kraus_pair",
     "build_w",
     "build_w_naive",
+    "invariant_blocks",
     "isometry_defect",
     "step_cost",
     "channel_step_density",
@@ -251,26 +258,35 @@ def _rotate(x: np.ndarray, a_eigvals: np.ndarray, phi: float, theta: float) -> N
     x += crossed
 
 
+def _frame_hop(
+    spec: SpectralDecomposition, rows, va: np.ndarray, tau_s: float
+) -> np.ndarray:
+    """``e^{-iH tau_s}`` on the basis states ``rows`` of an invariant block,
+    in the eigenbasis ``va`` of ``A`` on that block.
+
+    Every eigenpair of ``H`` enters, so the result is exact even where a
+    degenerate level spans several blocks and its eigenvectors mix them."""
+    q = spec.eigenvectors[rows].conj().T @ va
+    return (q.conj().T * np.exp(-1j * spec.eigenvalues * tau_s)) @ q
+
+
 def _apply_w(
     x: np.ndarray,
-    spec: SpectralDecomposition,
-    a_spec: SpectralDecomposition,
-    p: FilterParams,
-    tau_eff: float,
+    hop_bwd: np.ndarray,
+    a_eigvals: np.ndarray,
+    angles: tuple[np.ndarray, np.ndarray],
     r: int,
 ) -> np.ndarray:
     """W^r x for a block x of shape (n, 2, k) held in the eigenbasis of A.
 
-    The axes are (row, ancilla, column), so a frame hop acts on both
-    ancilla blocks as one (n, n) @ (n, 2k) GEMM.  ``x`` is overwritten.
+    ``hop_bwd`` is ``e^{-iH tau_s}`` in that basis and ``angles`` the node
+    angles of :func:`_node_angles`.  The axes are (row, ancilla, column), so
+    a frame hop acts on both ancilla blocks as one (n, n) @ (n, 2k) GEMM.
+    ``x`` is overwritten.
     """
     n, _, k = x.shape
-    q = spec.eigenvectors.conj().T @ a_spec.eigenvectors
-    # e^{-iH tau_s} and e^{+iH tau_s} in the eigenbasis of A
-    hop_bwd = (q.conj().T * np.exp(-1j * spec.eigenvalues * p.tau_s)) @ q
     hop_fwd = hop_bwd.conj().T
-    phis, thetas = _node_angles(p, tau_eff)
-    lam = a_spec.eigenvalues
+    phis, thetas = angles
     last = phis.size - 1
 
     def hop(u: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -278,14 +294,37 @@ def _apply_w(
 
     for _ in range(r):
         for l in range(last):  # (I x e^{-iH tau_s}) Atilde_l, l = -M .. M-1
-            _rotate(x, lam, phis[l], thetas[l])
+            _rotate(x, a_eigvals, phis[l], thetas[l])
             x = hop(hop_bwd, x)
         # the frame hops around the middle node cancel: Atilde_M^2
-        _rotate(x, lam, 2 * phis[last], thetas[last])
+        _rotate(x, a_eigvals, 2 * phis[last], thetas[last])
         for l in range(last - 1, -1, -1):  # Atilde_l (I x e^{+iH tau_s}), l = M-1 .. -M
             x = hop(hop_fwd, x)
-            _rotate(x, lam, phis[l], thetas[l])
+            _rotate(x, a_eigvals, phis[l], thetas[l])
     return x
+
+
+def invariant_blocks(*ops: HermitianOperator) -> list[np.ndarray]:
+    """Connected components of the joint nonzero pattern of ``ops``.
+
+    Each component is an ascending array of basis indices; components are
+    ordered by their first index.  Every operator, and so every function of
+    one, is block-diagonal on them.  The pattern is exact (``!= 0``, no
+    tolerance), so an entry of 1e-300 still links its two indices.
+    """
+    linked = np.logical_or.reduce([op.matrix != 0 for op in ops])
+    unseen = np.ones(linked.shape[0], dtype=bool)
+    blocks = []
+    while unseen.any():
+        block = np.zeros_like(unseen)
+        frontier = block.copy()
+        frontier[np.argmax(unseen)] = True
+        while frontier.any():  # breadth-first: each row is read once
+            block |= frontier
+            frontier = linked[frontier].any(axis=0) & ~block
+        unseen &= ~block
+        blocks.append(np.flatnonzero(block))
+    return blocks
 
 
 def isometry_defect(m0: np.ndarray, m1: np.ndarray) -> float:
@@ -294,6 +333,7 @@ def isometry_defect(m0: np.ndarray, m1: np.ndarray) -> float:
 
 
 def build_kraus_pair(
+    h: HermitianOperator,
     spec: SpectralDecomposition,
     a: HermitianOperator,
     p: FilterParams,
@@ -302,21 +342,29 @@ def build_kraus_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kraus pair ``M_b = U <b| W(sqrt(tau)/r)^r |0>`` of one evolution step.
 
-    ``U`` is ``u_coherent``, which must be ``e^{-iH tau}``, when the coherent
-    part is on and the identity otherwise.  Memory stays O(N^2): only the
-    2N x N block column is formed.
+    ``spec`` is the spectrum of ``h``.  ``U`` is ``u_coherent``, which must
+    be ``e^{-iH tau}``, when the coherent part is on and the identity
+    otherwise.  The pair is built one block of :func:`invariant_blocks`
+    ``(h, a)`` at a time; its entries between blocks are exactly 0.  Memory
+    stays O(N^2): only the 2N x N block column is formed.
     """
-    if spec.dim != a.dim:
-        raise ValueError("dimension mismatch between spectrum and coupling")
+    if not spec.dim == h.dim == a.dim:
+        raise ValueError("dimension mismatch between Hamiltonian, spectrum and coupling")
     if cfg.include_coherent and u_coherent is None:
         raise ChannelError("coherent step requested but no e^{-iH tau} supplied")
-    a_spec = hermitian_eig(a)
-    va = a_spec.eigenvectors
-    x = np.zeros((spec.dim, 2, spec.dim), dtype=complex)
-    x[:, 0] = va.conj().T
-    x = _apply_w(x, spec, a_spec, p, cfg.tau_eff, cfg.r)
-    back = u_coherent @ va if cfg.include_coherent else va
-    m0, m1 = back @ x[:, 0], back @ x[:, 1]
+    angles = _node_angles(p, cfg.tau_eff)
+    m0 = np.zeros((spec.dim, spec.dim), dtype=complex)
+    m1 = np.zeros_like(m0)
+    for idx in invariant_blocks(h, a):
+        block = np.ix_(idx, idx)
+        a_spec = hermitian_eig(HermitianOperator(a.matrix[block]))
+        va = a_spec.eigenvectors
+        x = np.zeros((idx.size, 2, idx.size), dtype=complex)
+        x[:, 0] = va.conj().T
+        hop = _frame_hop(spec, idx, va, p.tau_s)
+        x = _apply_w(x, hop, a_spec.eigenvalues, angles, cfg.r)
+        back = u_coherent[block] @ va if cfg.include_coherent else va
+        m0[block], m1[block] = back @ x[:, 0], back @ x[:, 1]
     defect = isometry_defect(m0, m1)
     if not defect <= 1e-10:
         raise ChannelError(
@@ -349,7 +397,8 @@ def build_w(
     n = spec.dim
     x = np.zeros((n, 2, 2 * n), dtype=complex)
     x[:, 0, :n] = x[:, 1, n:] = va.conj().T
-    x = _apply_w(x, spec, a_spec, p, tau_eff, 1)
+    hop = _frame_hop(spec, slice(None), va, p.tau_s)
+    x = _apply_w(x, hop, a_spec.eigenvalues, _node_angles(p, tau_eff), 1)
     w = np.concatenate([va @ x[:, 0], va @ x[:, 1]])
     defect = max_abs(w.conj().T @ w - np.eye(2 * n))
     if not defect <= 1e-10:
@@ -495,7 +544,7 @@ def run_simulation(
     p = resolve_filter_params(filter_overrides or {}, spec.spectral_norm, spec.gap)
 
     u_coh = evolution_unitary(spec, cfg.tau) if cfg.include_coherent else None
-    kraus = build_kraus_pair(spec, a, p, cfg, u_coh)
+    kraus = build_kraus_pair(h, spec, a, p, cfg, u_coh)
     ground_proj = spec.ground_projector()
     record_steps = _record_steps(cfg.n_steps, cfg.record_stride)
     per_step = step_cost(p, cfg)

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = ["FilterParams", "default_params", "f_hat", "f_time", "quadrature_grid"]
 
@@ -111,6 +110,8 @@ def default_params(norm_h: float, gap: float, *, clamp: bool = False) -> FilterP
 
 def f_hat(omega, p: FilterParams):
     """Frequency-domain filter value; accepts scalars or arrays."""
+    from scipy.special import erf  # kept off the import path of ``run``
+
     w = np.asarray(omega, dtype=float)
     val = 0.5 * (erf((w + p.a) / p.delta_a) - erf((w + p.b) / p.delta_b))
     if p.clamp_nonnegative:

@@ -146,22 +146,6 @@ def build_hubbard_1d(sites: int, t: float, u: float) -> HermitianOperator:
     return HermitianOperator(h)
 
 
-def hubbard_number_operator(sites: int) -> HermitianOperator:
-    """Total particle number, for symmetry checks."""
-    cs = _hubbard_modes(sites)
-    n = sum(c.conj().T @ c for c in cs)
-    return HermitianOperator(n)
-
-
-def hubbard_sz_operator(sites: int) -> HermitianOperator:
-    """Total S_z = sum_j (n_up - n_dn)/2."""
-    cs = _hubbard_modes(sites)
-    sz = np.zeros_like(cs[0])
-    for j in range(sites):
-        sz += (cs[2 * j].conj().T @ cs[2 * j] - cs[2 * j + 1].conj().T @ cs[2 * j + 1]) / 2
-    return HermitianOperator(sz)
-
-
 def coupling_operator(model: ModelSpec) -> HermitianOperator:
     """The system-environment coupling used in the experiments.
 

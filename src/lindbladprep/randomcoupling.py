@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .filters import FilterParams, f_hat
 from .jump import exact_jump  # noqa: F401  unused; perfbench/traced.py still wraps this name
@@ -54,9 +53,9 @@ class RandomCouplingSpec:
         s = np.asarray(self.sigma, dtype=float)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError("variance profile must be a square matrix")
-        if np.any(s <= 0):
-            raise ValueError("variance profile must be strictly positive")
-        if np.max(np.abs(s - s.T)) > 1e-12:
+        if not np.all(np.isfinite(s) & (s > 0)):
+            raise ValueError("variance profile must be finite and strictly positive")
+        if not np.max(np.abs(s - s.T)) <= 1e-12:
             raise ValueError("variance profile must be symmetric")
         s.setflags(write=False)
         object.__setattr__(self, "sigma", s)
@@ -150,6 +149,8 @@ def evolve_populations(t: TransitionMatrix, p0: np.ndarray, time: float) -> np.n
         raise ValueError("p0 must be a probability vector")
     if time < 0:
         raise ValueError("time must be nonnegative")
+    import scipy.linalg  # kept off the import path of ``run``
+
     out = scipy.linalg.expm(t.matrix * time) @ p
     if np.min(out) < -1e-9 or abs(out.sum() - 1.0) > 1e-9:
         raise ValueError("population evolution left the simplex")
@@ -281,8 +282,10 @@ def ergodicity_experiment(
     ``tau`` and integrating the master equation across the interval (one
     RK4 step; the local error is far below the sampling noise).  Per-rep
     RNG streams derive from (seed, rep), so a rep's path does not depend on
-    ``reps``.
+    ``reps``, which must be at least 2 for a standard error.
     """
+    if reps < 2:
+        raise ValueError("reps must be >= 2 (the standard error needs two samples)")
     lam = np.asarray(eigenvalues, dtype=float)
     if not p.clamp_nonnegative:
         raise ValueError("ergodicity experiment expects the clamped filter")
@@ -303,7 +306,7 @@ def ergodicity_experiment(
     # that survives even when the MC variance collapses; the floor keeps
     # the 3-SE comparison meaningful there
     se_floor = 5e-3
-    outside = int(np.sum(dev > np.maximum(3 * mc_se, se_floor)))
+    outside = int(np.sum(~(dev <= np.maximum(3 * mc_se, se_floor))))  # NaN counts
     return ErgodicityReport(
         checkpoints=check_steps * tau,
         mc_mean=mc_mean,
@@ -467,7 +470,10 @@ def concentration_experiment(
     For each ``tau`` the experiment averages ``E || rho_M - E(rho(T)) ||_F``
     over ``reps`` stochastic runs and fits a log-log slope; the sampling
     term scales like sqrt(tau), so the fitted slope should sit near 1/2.
+    ``reps`` must be at least 2 for a standard error.
     """
+    if reps < 2:
+        raise ValueError("reps must be >= 2 (the standard error needs two samples)")
     lam = np.asarray(eigenvalues, dtype=float)
     p0 = np.asarray(p0, dtype=float)
     tmat = transition_matrix(lam, p, spec_r)

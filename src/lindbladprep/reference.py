@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .jump import DilatedJump, JumpOperator, dilate
 from .linalg import (
@@ -134,6 +133,8 @@ def superoperator_expm_step(
     sys: LindbladSystem, rho: DensityMatrix, t: float
 ) -> DensityMatrix:
     """Exact channel ``exp(L t)`` via the dense superoperator exponential."""
+    import scipy.linalg  # kept off the import path of ``run``
+
     m = superoperator_matrix(sys)
     vec = rho.matrix.reshape(-1, order="F")
     out = (scipy.linalg.expm(m * t) @ vec).reshape(rho.matrix.shape, order="F")

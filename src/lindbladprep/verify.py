@@ -171,7 +171,7 @@ def check_lemma1_slope():
 
 
 def check_channel_trotter_slope():
-    _, spec, a, p = _tfim_setup()
+    h, spec, a, p = _tfim_setup()
     kd = dilate(quadrature_jump(spec, a, p))
     rng = np.random.default_rng(11)
     rho = _random_density(rng, 4)
@@ -183,7 +183,7 @@ def check_channel_trotter_slope():
         cfg = ChannelConfig(
             tau=t, total_time=t, r=1, include_coherent=False, backend="density"
         )
-        kraus = build_kraus_pair(spec, a, p, cfg)
+        kraus = build_kraus_pair(h, spec, a, p, cfg)
         out = channel_step_density(rho.matrix, kraus)
         ref = exact_dilated_step(kd, rho_rot, t)
         errs.append(trace_norm(u_g @ out @ u_g.conj().T - ref.matrix))
@@ -202,10 +202,10 @@ def check_cancellation_identity():
 
 
 def check_cptp_invariants():
-    _, spec, a, p = _tfim_setup()
+    h, spec, a, p = _tfim_setup()
     cfg = ChannelConfig(tau=0.5, total_time=0.5, r=1, include_coherent=True, backend="density")
     u_coh = evolution_unitary(spec, cfg.tau)
-    kraus = build_kraus_pair(spec, a, p, cfg, u_coh)
+    kraus = build_kraus_pair(h, spec, a, p, cfg, u_coh)
     rng = np.random.default_rng(9)
     worst_tr, worst_pos, worst_contract = 0.0, 0.0, 0.0
     for _ in range(50):
@@ -310,7 +310,7 @@ def check_global_first_order():
     for t in taus:
         cfg = ChannelConfig(tau=t, total_time=2.0, r=1, include_coherent=True, backend="density")
         u_coh = evolution_unitary(spec, t)
-        kraus = build_kraus_pair(spec, a, p, cfg, u_coh)
+        kraus = build_kraus_pair(h, spec, a, p, cfg, u_coh)
         rho = rho_i.matrix
         for _ in range(cfg.n_steps):
             rho = channel_step_density(rho, kraus)
@@ -321,10 +321,10 @@ def check_global_first_order():
 
 
 def check_discrete_fixed_point():
-    _, spec, a, p = _tfim_setup(4)
+    h, spec, a, p = _tfim_setup(4)
     cfg = ChannelConfig(tau=1.0, total_time=100.0, mode="discrete", r=1, backend="density")
     u_coh = evolution_unitary(spec, cfg.tau)
-    kraus = build_kraus_pair(spec, a, p, cfg, u_coh)
+    kraus = build_kraus_pair(h, spec, a, p, cfg, u_coh)
     rho_g = DensityMatrix.pure(spec.ground_state)
     rho, worst = rho_g.matrix, 0.0
     for _ in range(100):

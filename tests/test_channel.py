@@ -9,6 +9,7 @@ from lindbladprep.channel import (
     build_w,
     build_w_naive,
     channel_step_density,
+    invariant_blocks,
     run_simulation,
     step_cost,
     trajectory_step,
@@ -101,7 +102,7 @@ class TestBuildW:
         assert np.max(np.abs(naive - frame @ w @ frame.conj().T)) <= 1e-10
 
     def test_trotter_slope_against_dilated_step(self):
-        _, _, spec, a, p = tfim_setup(2)
+        _, h, spec, a, p = tfim_setup(2)
         kd = dilate(quadrature_jump(spec, a, p))
         rng = np.random.default_rng(11)
         rho = random_density(rng, 4)
@@ -111,7 +112,7 @@ class TestBuildW:
         errs = []
         for t in taus:
             cfg = ChannelConfig(tau=t, total_time=t, r=1, include_coherent=False, backend="density")
-            kraus = build_kraus_pair(spec, a, p, cfg)
+            kraus = build_kraus_pair(h, spec, a, p, cfg)
             out = channel_step_density(rho.matrix, kraus)
             ref = exact_dilated_step(kd, rho_rot, t)
             errs.append(trace_norm(u_g @ out @ u_g.conj().T - ref.matrix))
@@ -120,7 +121,7 @@ class TestBuildW:
 
     def test_segment_refinement_converges_to_dilated_step(self):
         """W(sqrt(tau)/r)^r approaches exp(-i sqrt(tau) Ktilde) as r grows."""
-        _, _, spec, a, p = tfim_setup(2)
+        _, h, spec, a, p = tfim_setup(2)
         kd = dilate(quadrature_jump(spec, a, p))
         rng = np.random.default_rng(3)
         rho = random_density(rng, 4)
@@ -134,7 +135,7 @@ class TestBuildW:
                 tau=tau, total_time=tau, mode="discrete", r=r,
                 include_coherent=False, backend="density",
             )
-            kraus = build_kraus_pair(spec, a, p, cfg)
+            kraus = build_kraus_pair(h, spec, a, p, cfg)
             out = channel_step_density(rho.matrix, kraus)
             errs.append(trace_norm(u_g @ out @ u_g.conj().T - ref.matrix))
         assert errs[1] < errs[0] and errs[2] < errs[1]
@@ -149,31 +150,66 @@ class TestBuildKrausPair:
             (ModelSpec("tfim", 4, tfim_g=1.2), 1),
             (ModelSpec("tfim", 4, tfim_g=1.2), 2),
             (ModelSpec("hubbard1d", 2, hubbard_t=1.0, hubbard_u=4.0), 2),
+            (ModelSpec("hubbard1d", 3, hubbard_t=1.0, hubbard_u=4.0), 2),
         ],
-        ids=["tfim4-r1", "tfim4-r2", "hubbard2-r2"],
+        ids=["tfim4-r1", "tfim4-r2", "hubbard2-r2", "hubbard3-r2"],
     )
     def test_matches_block_column_of_w_power(self, model, r, coherent):
         """(M0, M1) is the ancilla-|0> block column of W^r, with e^{-iH tau}
         folded in when the coherent part is on."""
-        spec = hermitian_eig(model.hamiltonian())
+        h = model.hamiltonian()
+        spec = hermitian_eig(h)
         a = coupling_operator(model)
-        p = default_params(spec.spectral_norm, spec.gap)
+        # Hubbard-3's ground level is a spin doublet: take the gap above it
+        spacings = np.diff(spec.eigenvalues)
+        p = default_params(spec.spectral_norm, spacings[spacings > 1e-9][0])
         cfg = ChannelConfig(
             tau=0.5, total_time=0.5, mode="discrete", r=r, include_coherent=coherent
         )
         u = evolution_unitary(spec, cfg.tau)
-        m0, m1 = build_kraus_pair(spec, a, p, cfg, u)
+        m0, m1 = build_kraus_pair(h, spec, a, p, cfg, u)
         phi = np.linalg.matrix_power(build_w(spec, a, p, cfg.tau_eff), r)
         n = spec.dim
         fold = u if coherent else np.eye(n)
         assert np.max(np.abs(m0 - fold @ phi[:n, :n])) <= 1e-12
         assert np.max(np.abs(m1 - fold @ phi[n:, :n])) <= 1e-12
 
+    def test_coupling_links_blocks_of_h(self):
+        """A diagonal H alone splits into singletons; A = X x I joins them in
+        pairs, and the pair must follow A across them."""
+        h = HermitianOperator(np.diag([0.0, 0.7, 1.5, 2.6]))
+        a = HermitianOperator(np.kron(PAULI_X, np.eye(2)))
+        assert [list(b) for b in invariant_blocks(h, a)] == [[0, 2], [1, 3]]
+        spec = hermitian_eig(h)
+        p = default_params(spec.spectral_norm, spec.gap)
+        cfg = ChannelConfig(tau=0.5, total_time=0.5, include_coherent=False)
+        m0, m1 = build_kraus_pair(h, spec, a, p, cfg)
+        w = build_w(spec, a, p, cfg.tau_eff)
+        assert np.max(np.abs(m0 - w[:4, :4])) <= 1e-12
+        assert np.max(np.abs(m1 - w[4:, :4])) <= 1e-12
+        assert np.max(np.abs(m1)) >= 1e-2
+
+    def test_off_block_entries_are_exactly_zero(self):
+        model = ModelSpec("hubbard1d", 4, hubbard_t=1.0, hubbard_u=4.0)
+        h, a = model.hamiltonian(), coupling_operator(model)
+        spec = hermitian_eig(h)
+        p = default_params(spec.spectral_norm, spec.gap)
+        cfg = ChannelConfig(tau=0.5, total_time=0.5, mode="discrete", r=1)
+        pair = build_kraus_pair(h, spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
+        label = np.empty(spec.dim, dtype=int)
+        for k, idx in enumerate(invariant_blocks(h, a)):
+            label[idx] = k
+        off_block = label[:, None] != label[None, :]
+        assert off_block.any()
+        for m in pair:
+            assert np.all(m[off_block] == 0)
+            assert np.any(m[~off_block] != 0)
+
     def test_corrupted_factor_trips_isometry_check(self, monkeypatch):
         import lindbladprep.channel as channel
 
         exact = channel._atilde_diagonals
-        _, _, spec, a, p = tfim_setup(2)
+        _, h, spec, a, p = tfim_setup(2)
         cfg = ChannelConfig(tau=0.5, total_time=0.5, include_coherent=False)
         for scale in (1.001, np.nan):  # NaN compares False with any bound
 
@@ -183,26 +219,26 @@ class TestBuildKrausPair:
 
             monkeypatch.setattr(channel, "_atilde_diagonals", corrupted)
             with pytest.raises(ChannelError, match="trace preservation"):
-                build_kraus_pair(spec, a, p, cfg)
+                build_kraus_pair(h, spec, a, p, cfg)
             with pytest.raises(ChannelError, match="unitarity"):
                 build_w(spec, a, p, cfg.tau_eff)
 
 
 class TestChannelStepDensity:
     def test_cptp_per_step(self, rng):
-        _, _, spec, a, p = tfim_setup(2)
+        _, h, spec, a, p = tfim_setup(2)
         cfg = ChannelConfig(tau=0.5, total_time=0.5, backend="density")
         u = evolution_unitary(spec, cfg.tau)
-        kraus = build_kraus_pair(spec, a, p, cfg, u)
+        kraus = build_kraus_pair(h, spec, a, p, cfg, u)
         rho = random_density(rng, 4)
         out = channel_step_density(rho.matrix, kraus)
         assert abs(np.trace(out).real - 1.0) <= 1e-9
         assert np.min(np.linalg.eigvalsh(out)) >= -1e-8
 
     def test_contractive(self, rng):
-        _, _, spec, a, p = tfim_setup(2)
+        _, h, spec, a, p = tfim_setup(2)
         cfg = ChannelConfig(tau=0.5, total_time=0.5, backend="density")
-        kraus = build_kraus_pair(spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
+        kraus = build_kraus_pair(h, spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
         for _ in range(20):
             r1, r2 = random_density(rng, 4), random_density(rng, 4)
             o1 = channel_step_density(r1.matrix, kraus)
@@ -210,26 +246,26 @@ class TestChannelStepDensity:
             assert trace_norm(o1 - o2) <= trace_norm(r1.matrix - r2.matrix) + 1e-9
 
     def test_fixed_point_single_step(self):
-        _, _, spec, a, p = tfim_setup(4)
+        _, h, spec, a, p = tfim_setup(4)
         rho_g = DensityMatrix.pure(spec.ground_state)
         for tau in (0.1, 1.0):
             cfg = ChannelConfig(tau=tau, total_time=tau, backend="density")
-            kraus = build_kraus_pair(spec, a, p, cfg, evolution_unitary(spec, tau))
+            kraus = build_kraus_pair(h, spec, a, p, cfg, evolution_unitary(spec, tau))
             out = channel_step_density(rho_g.matrix, kraus)
             assert trace_norm(out - rho_g.matrix) <= 1e-2
 
     def test_missing_coherent_unitary(self):
         # e^{-iH tau} enters the step through the pair, so the pair refuses to
         # build without it
-        _, _, spec, a, p = tfim_setup(2)
+        _, h, spec, a, p = tfim_setup(2)
         cfg = ChannelConfig(tau=0.5, total_time=0.5, backend="density")
         with pytest.raises(ChannelError, match="coherent step"):
-            build_kraus_pair(spec, a, p, cfg, None)
+            build_kraus_pair(h, spec, a, p, cfg, None)
 
     def test_trace_drift_and_nonfinite_entries_fail(self, rng):
-        _, _, spec, a, p = tfim_setup(2)
+        _, h, spec, a, p = tfim_setup(2)
         cfg = ChannelConfig(tau=0.5, total_time=0.5, include_coherent=False, backend="density")
-        m0, m1 = build_kraus_pair(spec, a, p, cfg)
+        m0, m1 = build_kraus_pair(h, spec, a, p, cfg)
         rho = random_density(rng, 4).matrix
         with pytest.raises(ChannelError, match="trace drifted"):
             channel_step_density(rho, (1.001 * m0, m1))
@@ -273,16 +309,16 @@ class TestTrajectoryStep:
         assert np.allclose(out, u @ psi)
 
     def test_ground_state_rarely_clicks(self):
-        _, _, spec, a, p = tfim_setup(4)
+        _, h, spec, a, p = tfim_setup(4)
         cfg = ChannelConfig(tau=0.1, total_time=0.1)
-        _, m1 = build_kraus_pair(spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
+        _, m1 = build_kraus_pair(h, spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
         branch1 = m1 @ spec.ground_state
         assert np.vdot(branch1, branch1).real <= 1e-2
 
     def test_norm_validation(self, rng):
-        _, _, spec, a, p = tfim_setup(2)
+        _, h, spec, a, p = tfim_setup(2)
         cfg = ChannelConfig(tau=0.3, total_time=0.3)
-        kraus = build_kraus_pair(spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
+        kraus = build_kraus_pair(h, spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
         psi = np.stack([random_state(rng, 4) for _ in range(3)], axis=1)
         psi[:, 1] *= 2.0
         with pytest.raises(ChannelError, match="norm"):
@@ -349,7 +385,7 @@ class TestRunSimulation:
         )
         rec = run_simulation(model, cfg)
         h, spec, a, p = tfim_setup(2)[1:]
-        m0, m1 = build_kraus_pair(spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
+        m0, m1 = build_kraus_pair(h, spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
         obs = np.empty((2, cfg.reps, cfg.n_steps + 1))
         clicks = np.zeros(cfg.n_steps + 1)
         for i in range(cfg.reps):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lindbladprep
 from lindbladprep.channel import ChannelConfig, run_simulation
 from lindbladprep.cli import main
 from lindbladprep.config import ConfigError, load_run_config, parse_run_config, resolve_filter_params
@@ -262,6 +267,21 @@ class TestRunCommand:
         cfg_path.write_text(json.dumps(data))
         assert main(["run", str(cfg_path)]) == 0
         assert (tmp_path / "plots" / "overlap-time.svg").exists()
+
+    def test_cli_import_loads_no_scipy(self):
+        """``run`` calls nothing from scipy, so importing the CLI must not
+        load it; a fresh interpreter sees the import alone."""
+        src = str(Path(lindbladprep.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        code = (
+            "import sys, lindbladprep.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestPlotting:

@@ -3,17 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
-from lindbladprep.linalg import hermitian_eig
+from lindbladprep.channel import invariant_blocks
+from lindbladprep.linalg import HermitianOperator, hermitian_eig
 from lindbladprep.models import (
     PAULI_I,
     PAULI_X,
     PAULI_Z,
     ModelSpec,
+    _hubbard_modes,
     build_hubbard_1d,
     build_tfim,
     coupling_operator,
-    hubbard_number_operator,
-    hubbard_sz_operator,
 )
 
 
@@ -64,6 +64,22 @@ class TestTfim:
             build_tfim(13, 1.0)
         with pytest.raises(ValueError):
             build_tfim(1, 1.0)
+
+
+def hubbard_number_operator(sites: int) -> HermitianOperator:
+    """Total particle number, for symmetry checks."""
+    cs = _hubbard_modes(sites)
+    n = sum(c.conj().T @ c for c in cs)
+    return HermitianOperator(n)
+
+
+def hubbard_sz_operator(sites: int) -> HermitianOperator:
+    """Total S_z = sum_j (n_up - n_dn)/2."""
+    cs = _hubbard_modes(sites)
+    sz = np.zeros_like(cs[0])
+    for j in range(sites):
+        sz += (cs[2 * j].conj().T @ cs[2 * j] - cs[2 * j + 1].conj().T @ cs[2 * j + 1]) / 2
+    return HermitianOperator(sz)
 
 
 def free_fermion_spectrum(sites, t):
@@ -131,6 +147,40 @@ class TestCoupling:
         oracle[1, 3] = oracle[3, 1] = 1.0
         assert np.allclose(a_sub, oracle)
         assert np.allclose(a_sub @ a_sub, np.eye(4))
+
+
+class TestInvariantBlocks:
+    @pytest.mark.parametrize("sites, count, largest", [(2, 9, 4), (4, 25, 36)])
+    def test_hubbard_blocks_are_number_and_sz_sectors(self, sites, count, largest):
+        model = ModelSpec("hubbard1d", sites, hubbard_t=1.0, hubbard_u=4.0)
+        blocks = invariant_blocks(model.hamiltonian(), coupling_operator(model))
+        # both operators are diagonal in the occupation basis
+        n = np.diag(hubbard_number_operator(sites).matrix).real
+        sz = np.diag(hubbard_sz_operator(sites).matrix).real
+        sectors = {}
+        for i, key in enumerate(zip(n, sz)):
+            sectors.setdefault(key, []).append(i)
+        assert sorted(map(tuple, blocks)) == sorted(map(tuple, sectors.values()))
+        assert len(blocks) == count
+        assert max(b.size for b in blocks) == largest
+
+    def test_tfim_is_one_block(self):
+        model = ModelSpec("tfim", 4, tfim_g=1.2)
+        blocks = invariant_blocks(model.hamiltonian(), coupling_operator(model))
+        assert len(blocks) == 1
+        assert np.array_equal(blocks[0], np.arange(16))
+
+    def test_tiny_entry_merges_two_blocks(self):
+        model = ModelSpec("hubbard1d", 2, hubbard_t=1.0, hubbard_u=4.0)
+        h, a = model.hamiltonian(), coupling_operator(model)
+        blocks = invariant_blocks(h, a)
+        i, j = blocks[1][0], blocks[2][-1]
+        linked = h.matrix.copy()
+        linked[i, j] = linked[j, i] = 1e-300  # the pattern has no tolerance
+        merged = invariant_blocks(HermitianOperator(linked), a)
+        assert len(merged) == len(blocks) - 1
+        union = tuple(np.union1d(blocks[1], blocks[2]))
+        assert union in set(map(tuple, merged))
 
 
 class TestModelSpec:

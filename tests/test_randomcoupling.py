@@ -49,6 +49,16 @@ class TestSampleCoupling:
         with pytest.raises(ValueError):
             RandomCouplingSpec(np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_profile_rejected(self, bad):
+        # NaN compares False with any bound, so it must not slip past the checks
+        with pytest.raises(ValueError, match="finite"):
+            RandomCouplingSpec(np.full((3, 3), bad))
+        sigma = np.ones((3, 3))
+        sigma[0, 2] = sigma[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            RandomCouplingSpec(sigma)
+
 
 class TestTransitionMatrix:
     def test_two_level_cascade(self):
@@ -163,6 +173,35 @@ class TestErgodicity:
         # fit the excited-population decay rate from the MC means
         fitted = -np.polyfit(rep.checkpoints, np.log(rep.mc_mean[:, 1]), 1)[0]
         assert fitted == pytest.approx(rate, rel=0.05)
+
+    @pytest.mark.parametrize("reps", [0, 1])
+    def test_too_few_reps_rejected(self, reps):
+        # one rep has no standard error (std with ddof=1 is NaN)
+        lam = synthetic_spectrum("equispaced", 4, span=3.0)
+        with pytest.raises(ValueError, match="reps must be >= 2"):
+            ergodicity_experiment(
+                lam, RandomCouplingSpec.uniform(4, 0.5), clamped_params(3.0, 1.0),
+                np.full(4, 0.25), tau=0.05, t_final=0.5, reps=reps,
+            )
+
+    def test_nan_population_counts_outside(self, monkeypatch):
+        import lindbladprep.randomcoupling as randomcoupling
+
+        exact = randomcoupling._resampled_evolution
+
+        def poisoned(*args):
+            steps, states = exact(*args)
+            states[0, -1, 1, 1] = np.nan
+            return steps, states
+
+        monkeypatch.setattr(randomcoupling, "_resampled_evolution", poisoned)
+        lam = synthetic_spectrum("equispaced", 4, span=3.0)
+        rep = ergodicity_experiment(
+            lam, RandomCouplingSpec.uniform(4, 0.5), clamped_params(3.0, 1.0),
+            np.full(4, 0.25), tau=0.05, t_final=0.5, reps=4, seed=8,
+        )
+        assert rep.n_outside_3se == 1
+        assert not rep.consistent()
 
 
 class TestResampledEvolution:
@@ -306,6 +345,15 @@ class TestConcentration:
         )
         ratio = few.deviation_se[0] / many.deviation_se[0]
         assert ratio == pytest.approx(4.0, rel=0.3)
+
+    @pytest.mark.parametrize("reps", [0, 1])
+    def test_too_few_reps_rejected(self, reps):
+        lam = synthetic_spectrum("equispaced", 4, span=3.0)
+        with pytest.raises(ValueError, match="reps must be >= 2"):
+            concentration_experiment(
+                lam, RandomCouplingSpec.uniform(4, 0.5), clamped_params(3.0, 1.0),
+                np.full(4, 0.25), taus=[0.05], t_final=1.0, reps=reps,
+            )
 
 
 class TestReportOutputs:
