@@ -30,6 +30,14 @@ splits into its (N_up, N_dn) sectors (25 for four sites, the largest of
 size 36).  :func:`build_w` runs the same kernel on the 2N x 2N identity
 over all indices and, with :func:`build_w_naive`, serves as the oracle.
 
+Since ``H`` and ``A`` never link two invariant blocks, neither does the
+dynamics.  :func:`run_simulation` eigensolves ``H`` one block at a time
+(:func:`blocked_eig`, whose eigenvectors are exactly 0 outside their
+block) and then evolves only the blocks the initial eigenstate occupies:
+``H``, ``A``, ``e^{-iH tau}``, the ground projector and the state are
+sliced to them before the pair is built and stepped.  This is exact, not
+an approximation; TFIM is one block and runs the same arithmetic.
+
 Cost accounting: every ``Atilde_l`` counts as one controlled-A gate and
 every ``e^{+/- i H t}`` factor contributes ``|t|`` of Hamiltonian
 simulation time, so one step costs ``r * 2 * (2M + 1)`` gates and
@@ -63,6 +71,7 @@ __all__ = [
     "build_kraus_pair",
     "build_w",
     "build_w_naive",
+    "blocked_eig",
     "invariant_blocks",
     "isometry_defect",
     "step_cost",
@@ -327,6 +336,27 @@ def invariant_blocks(*ops: HermitianOperator) -> list[np.ndarray]:
     return blocks
 
 
+def blocked_eig(h: HermitianOperator, blocks: list[np.ndarray]) -> SpectralDecomposition:
+    """Spectrum of ``h`` solved one block of ``blocks`` at a time.
+
+    ``blocks`` must be invariant under ``h`` (see :func:`invariant_blocks`).
+    Each eigenvector is exactly 0 outside its block.  The eigenvalues are
+    sorted with a stable sort, so levels that tie exactly across blocks keep
+    the order of their blocks.
+    """
+    evals = np.empty(h.dim)
+    vecs = np.zeros((h.dim, h.dim), dtype=complex)
+    start = 0
+    for idx in blocks:
+        block_spec = hermitian_eig(HermitianOperator(h.matrix[np.ix_(idx, idx)]))
+        cols = slice(start, start + idx.size)
+        evals[cols] = block_spec.eigenvalues
+        vecs[idx, cols] = block_spec.eigenvectors
+        start += idx.size
+    order = np.argsort(evals, kind="stable")
+    return SpectralDecomposition(evals[order], vecs[:, order])
+
+
 def isometry_defect(m0: np.ndarray, m1: np.ndarray) -> float:
     """max|M0^dag M0 + M1^dag M1 - I|, zero for a trace-preserving pair."""
     return max_abs(m0.conj().T @ m0 + m1.conj().T @ m1 - np.eye(m0.shape[1]))
@@ -491,13 +521,13 @@ def trajectory_step(
 
 def _initial_vector(spec: SpectralDecomposition, cfg: ChannelConfig) -> np.ndarray:
     if cfg.initial_state == "highest_excited":
-        return spec.eigenvectors[:, -1].copy()
+        return spec.eigenvectors[:, -1]
     if cfg.initial_state == "ground":
-        return spec.eigenvectors[:, 0].copy()
+        return spec.eigenvectors[:, 0]
     idx = cfg.eigenstate_index
     if idx >= spec.dim:
         raise ValueError(f"eigenstate index {idx} out of range for dimension {spec.dim}")
-    return spec.eigenvectors[:, idx].copy()
+    return spec.eigenvectors[:, idx]
 
 
 def _record_steps(n_steps: int, stride: int) -> np.ndarray:
@@ -520,6 +550,15 @@ def run_simulation(
     ``filter_overrides`` (a run config's ``filter`` block) on top; invalid
     overrides raise ``ConfigError``.
 
+    ``H`` is eigensolved one invariant block of ``(H, A)`` at a time
+    (:func:`blocked_eig`), and the run evolves only ``sup``, the union of
+    the blocks where the initial eigenstate is nonzero: ``H``, ``A``,
+    ``e^{-iH tau}``, the ground projector, the state and the eigenpairs
+    living on ``sup`` are sliced to it, and the Kraus pair is built there.
+    No step leaves ``sup``, so this is exact; a ground state in another
+    block has overlap exactly 0.  The filter rule, the spectral-range
+    check and ``meta["spectrum"]`` use the full spectrum.
+
     Both backends run the same record loop: advance to the next recorded
     step, observe, repeat.  The trajectory backend steps all ``cfg.reps``
     trajectories as one (n, reps) block; trajectory ``i`` draws its
@@ -532,20 +571,30 @@ def run_simulation(
         a = coupling_operator(model)
     else:
         h, a = model
-    spec = hermitian_eig(h)
-    if spec.gap <= 1e-9:
+    blocks = invariant_blocks(h, a)
+    spec = blocked_eig(h, blocks)
+    from .config import MIN_GAP, resolve_filter_params  # config imports this module
+
+    # without a gap this raises ConfigError unless every filter field is given
+    p = resolve_filter_params(filter_overrides or {}, spec.spectral_norm, spec.gap)
+    if spec.gap <= MIN_GAP:
         warnings.warn(
-            "ground space is (near-)degenerate (gap <= 1e-9); overlap is "
+            f"ground space is (near-)degenerate (gap <= {MIN_GAP:g}); overlap is "
             "measured against the full ground-space projector",
             stacklevel=2,
         )
-    from .config import resolve_filter_params  # config imports this module
 
-    p = resolve_filter_params(filter_overrides or {}, spec.spectral_norm, spec.gap)
-
-    u_coh = evolution_unitary(spec, cfg.tau) if cfg.include_coherent else None
-    kraus = build_kraus_pair(h, spec, a, p, cfg, u_coh)
-    ground_proj = spec.ground_projector()
+    psi0 = _initial_vector(spec, cfg)
+    sup = np.sort(np.concatenate([idx for idx in blocks if np.any(psi0[idx] != 0)]))
+    on_sup = np.ix_(sup, sup)
+    live = np.any(spec.eigenvectors[sup] != 0, axis=0)  # eigenpairs living on sup
+    h = HermitianOperator(h.matrix[on_sup])
+    a = HermitianOperator(a.matrix[on_sup])
+    spec_sup = SpectralDecomposition(spec.eigenvalues[live], spec.eigenvectors[sup][:, live])
+    u_coh = evolution_unitary(spec, cfg.tau)[on_sup] if cfg.include_coherent else None
+    kraus = build_kraus_pair(h, spec_sup, a, p, cfg, u_coh)
+    ground_proj = spec.ground_projector()[on_sup]
+    psi0 = psi0[sup]
     record_steps = _record_steps(cfg.n_steps, cfg.record_stride)
     per_step = step_cost(p, cfg)
     h_time = record_steps * per_step.hamiltonian_time
@@ -553,7 +602,7 @@ def run_simulation(
     health = {"kraus_isometry_defect": isometry_defect(*kraus)}
 
     if cfg.backend == "density":
-        state = DensityMatrix.pure(_initial_vector(spec, cfg)).matrix
+        state = DensityMatrix.pure(psi0).matrix
 
         def advance(rho: np.ndarray, span: int) -> np.ndarray:
             for _ in range(span):
@@ -565,7 +614,7 @@ def run_simulation(
             return np.vdot(h.matrix, rho).real, np.vdot(ground_proj, rho).real
 
     else:
-        state = np.repeat(_initial_vector(spec, cfg)[:, None], cfg.reps, axis=1)
+        state = np.repeat(psi0[:, None], cfg.reps, axis=1)
         rngs = [
             np.random.default_rng(np.random.SeedSequence([cfg.seed, i])) for i in range(cfg.reps)
         ]

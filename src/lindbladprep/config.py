@@ -21,14 +21,14 @@ outputs alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .channel import ChannelConfig
 from .filters import FilterParams, default_params
 from .models import ModelSpec
 
-__all__ = ["ConfigError", "RunConfig", "load_run_config", "resolve_filter_params"]
+__all__ = ["ConfigError", "MIN_GAP", "RunConfig", "load_run_config", "resolve_filter_params"]
 
 
 class ConfigError(ValueError):
@@ -200,29 +200,26 @@ def load_run_config(path: str | Path) -> RunConfig:
     return parse_run_config(data)
 
 
+# A ground-level spacing at or below this counts as no gap: the rule's
+# ``s_radius = 5 / gap`` would ask for an unbounded quadrature grid.
+MIN_GAP = 1e-9
+
+
 def resolve_filter_params(overrides: dict, norm_h: float, gap: float) -> FilterParams:
-    """Apply the parameter rule, then any explicit overrides."""
-    if not overrides or set(overrides) == {"clamp_nonnegative"}:
-        return default_params(norm_h, gap, clamp=overrides.get("clamp_nonnegative", False))
-    if gap > 0:
-        base = default_params(norm_h, gap)
-        fields = {
-            "a": base.a,
-            "delta_a": base.delta_a,
-            "b": base.b,
-            "delta_b": base.delta_b,
-            "s_radius": base.s_radius,
-            "tau_s": base.tau_s,
-            "clamp_nonnegative": base.clamp_nonnegative,
-        }
+    """Apply the parameter rule, then any explicit overrides.
+
+    Without a gap (``gap <= MIN_GAP``) the rule has no defaults, so every
+    filter parameter must be supplied; otherwise this raises ``ConfigError``.
+    """
+    if gap > MIN_GAP:
+        # m_half = 0: derived again from the final s_radius and tau_s
+        fields = {**asdict(default_params(norm_h, gap)), "m_half": 0}
     else:
-        # Degenerate ground space: no rule-based defaults, everything must
-        # be supplied explicitly.
         needed = {"a", "delta_a", "b", "delta_b", "s_radius", "tau_s"}
         if not needed <= set(overrides):
             raise ConfigError(
-                "spectrum has no gap; supply explicit filter parameters "
-                f"({sorted(needed - set(overrides))} missing)"
+                f"spectrum has no gap (ground-level spacing {gap:.3g} <= {MIN_GAP:g}); "
+                f"supply explicit filter parameters ({sorted(needed - set(overrides))} missing)"
             )
         fields = {"clamp_nonnegative": False}
     fields.update(overrides)

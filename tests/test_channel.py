@@ -5,6 +5,7 @@ import scipy.linalg
 from lindbladprep.channel import (
     ChannelConfig,
     ChannelError,
+    blocked_eig,
     build_kraus_pair,
     build_w,
     build_w_naive,
@@ -14,6 +15,7 @@ from lindbladprep.channel import (
     step_cost,
     trajectory_step,
 )
+from lindbladprep.config import resolve_filter_params
 from lindbladprep.filters import default_params, f_time, quadrature_grid
 from lindbladprep.jump import dilate, quadrature_jump
 from lindbladprep.linalg import (
@@ -35,6 +37,18 @@ def tfim_setup(sites=2, clamp=False):
     spec = hermitian_eig(h)
     p = default_params(spec.spectral_norm, spec.gap, clamp=clamp)
     return model, h, spec, coupling_operator(model), p
+
+
+def hubbard_setup(sites):
+    model = ModelSpec("hubbard1d", sites, hubbard_t=1.0, hubbard_u=4.0)
+    return model, model.hamiltonian(), coupling_operator(model)
+
+
+def block_labels(blocks, dim):
+    label = np.empty(dim, dtype=int)
+    for k, idx in enumerate(blocks):
+        label[idx] = k
+    return label
 
 
 class TestChannelConfig:
@@ -196,9 +210,7 @@ class TestBuildKrausPair:
         p = default_params(spec.spectral_norm, spec.gap)
         cfg = ChannelConfig(tau=0.5, total_time=0.5, mode="discrete", r=1)
         pair = build_kraus_pair(h, spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
-        label = np.empty(spec.dim, dtype=int)
-        for k, idx in enumerate(invariant_blocks(h, a)):
-            label[idx] = k
+        label = block_labels(invariant_blocks(h, a), spec.dim)
         off_block = label[:, None] != label[None, :]
         assert off_block.any()
         for m in pair:
@@ -222,6 +234,32 @@ class TestBuildKrausPair:
                 build_kraus_pair(h, spec, a, p, cfg)
             with pytest.raises(ChannelError, match="unitarity"):
                 build_w(spec, a, p, cfg.tau_eff)
+
+
+class TestBlockedEig:
+    @pytest.mark.parametrize("sites", [2, 4])
+    def test_matches_dense_spectrum(self, sites):
+        _, h, a = hubbard_setup(sites)
+        spec = blocked_eig(h, invariant_blocks(h, a))
+        assert np.max(np.abs(spec.eigenvalues - hermitian_eig(h).eigenvalues)) <= 1e-12
+        assert np.max(np.abs(spec.reconstruct() - h.matrix)) <= 1e-12
+
+    @pytest.mark.parametrize("sites", [2, 4])
+    def test_eigenvectors_vanish_outside_one_block(self, sites):
+        _, h, a = hubbard_setup(sites)
+        blocks = invariant_blocks(h, a)
+        label = block_labels(blocks, h.dim)
+        spec = blocked_eig(h, blocks)
+        for v in spec.eigenvectors.T:
+            assert np.unique(label[v != 0]).size == 1
+
+    def test_tfim_equals_dense_spectrum(self):
+        model = ModelSpec("tfim", 4, tfim_g=1.2)
+        h = model.hamiltonian()
+        blocks = invariant_blocks(h, coupling_operator(model))
+        spec, dense = blocked_eig(h, blocks), hermitian_eig(h)
+        assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
+        assert np.array_equal(spec.eigenvectors, dense.eigenvectors)
 
 
 class TestChannelStepDensity:
@@ -471,6 +509,117 @@ class TestRunSimulation:
         cfg = ChannelConfig(tau=0.5, total_time=0.5, backend="density")
         rec = run_simulation(model, cfg)
         assert rec.overlap_mean[0] <= 1e-15
+
+
+def dense_rows(model, cfg, psi0):
+    """CSV rows and click rates of ``cfg`` (record_stride 1) stepped at full
+    size: a dense eigensolve of H, the pair of the full (H, A), the run's
+    uniforms."""
+    h, a = model.hamiltonian(), coupling_operator(model)
+    spec = hermitian_eig(h)
+    p = resolve_filter_params({}, spec.spectral_norm, spec.gap)
+    kraus = build_kraus_pair(h, spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
+    proj = spec.ground_projector()
+    if cfg.backend == "density":
+        states = [np.outer(psi0, psi0.conj())]
+        for _ in range(cfg.n_steps):
+            states.append(channel_step_density(states[-1], kraus))
+        obs = [[(np.vdot(x, rho).real,) for rho in states] for x in (h.matrix, proj)]
+        click_rate = None
+    else:
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence([cfg.seed, i])) for i in range(cfg.reps)
+        ]
+        states = [np.repeat(psi0[:, None], cfg.reps, axis=1)]
+        click_rate = []
+        for _ in range(cfg.n_steps):
+            psi, clicks = trajectory_step(states[-1], kraus, np.array([g.random() for g in rngs]))
+            states.append(psi)
+            click_rate.append(np.count_nonzero(clicks) / cfg.reps)
+        obs = [
+            [np.einsum("ij,ij->j", psi.conj(), x @ psi).real for psi in states]
+            for x in (h.matrix, proj)
+        ]
+    per = step_cost(p, cfg)
+    rows = []
+    for step in range(cfg.n_steps + 1):
+        row = [step, step * cfg.tau, step * per.hamiltonian_time, step * per.controlled_a_count]
+        for values in (np.asarray(obs[0][step]), np.asarray(obs[1][step])):
+            se = values.std(ddof=1) / np.sqrt(values.size) if values.size > 1 else 0.0
+            row += [values.mean(), se]
+        rows.append(row)
+    return rows, click_rate
+
+
+class TestRestrictedRun:
+    """``run_simulation`` evolves only the invariant blocks of the initial
+    eigenstate; stepping the full space gives the same rows."""
+
+    @pytest.mark.parametrize("backend", ["density", "trajectory"])
+    @pytest.mark.parametrize("initial_state", ["highest_excited", "eigenstate:8"])
+    def test_matches_full_size_steps(self, backend, initial_state):
+        model, h, a = hubbard_setup(2)
+        cfg = ChannelConfig(
+            tau=0.5, total_time=3.0, mode="discrete", r=2, backend=backend, reps=8, seed=5,
+            initial_state=initial_state,
+        )
+        blocks = invariant_blocks(h, a)
+        label = block_labels(blocks, h.dim)
+        spec = blocked_eig(h, blocks)
+        k = cfg.eigenstate_index if cfg.eigenstate_index is not None else h.dim - 1
+        # the run's own initial vector: a degenerate level's dense
+        # eigenvector would mix sectors
+        psi0 = spec.eigenvectors[:, k]
+        home = np.unique(label[psi0 != 0])
+        ground = np.unique(label[spec.ground_state != 0])
+        if initial_state == "highest_excited":
+            dense = hermitian_eig(h).eigenvectors[:, -1]
+            assert abs(abs(np.vdot(dense, psi0)) - 1) <= 1e-12
+        else:
+            assert home.size == 1 and home[0] not in ground
+        rec = run_simulation(model, cfg)
+        rows, click_rate = dense_rows(model, cfg, psi0)
+        got = list(rec.rows())
+        assert len(got) == len(rows)
+        for x_row, y_row in zip(got, rows):
+            for x, y in zip(x_row, y_row):
+                assert abs(x - y) <= 1e-10 + 1e-9 * abs(y)
+        if backend == "trajectory":
+            assert rec.meta["health"]["click_rate"] == click_rate
+        if initial_state == "highest_excited":
+            assert rows[-1][6] >= 0.1  # the shared (1, 1) sector relaxes toward the ground state
+            assert backend == "density" or sum(click_rate) > 0
+        else:
+            # H = -t A + const on a one-particle sector: a dark state, and its
+            # ground overlap is exactly 0
+            assert np.all(rec.overlap_mean == 0)
+
+    @pytest.mark.parametrize("backend", ["density", "trajectory"])
+    @pytest.mark.parametrize(
+        "model, rows",
+        [
+            (ModelSpec("hubbard1d", 4, hubbard_t=1.0, hubbard_u=4.0), 36),
+            (ModelSpec("tfim", 4, tfim_g=1.2), 16),
+        ],
+        ids=["hubbard4", "tfim4"],
+    )
+    def test_steps_see_only_live_blocks(self, monkeypatch, backend, model, rows):
+        import lindbladprep.channel as channel
+
+        shapes = []
+        for name in ("channel_step_density", "trajectory_step"):
+            exact = getattr(channel, name)
+
+            def spy(state, kraus, *rest, exact=exact):
+                shapes.append((state.shape[0], *(m.shape for m in kraus)))
+                return exact(state, kraus, *rest)
+
+            monkeypatch.setattr(channel, name, spy)
+        cfg = ChannelConfig(
+            tau=0.5, total_time=1.0, mode="discrete", r=2, backend=backend, reps=3
+        )
+        run_simulation(model, cfg)
+        assert shapes == [(rows, (rows, rows), (rows, rows))] * cfg.n_steps
 
 
 def rec_params(rec):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lindbladprep
-from lindbladprep.channel import ChannelConfig, run_simulation
+from lindbladprep.channel import ChannelConfig, invariant_blocks, run_simulation
 from lindbladprep.cli import main
 from lindbladprep.config import ConfigError, load_run_config, parse_run_config, resolve_filter_params
 from lindbladprep.models import ModelSpec, coupling_operator
@@ -111,6 +111,14 @@ class TestConfigParsing:
         )
         assert p.b == 0.5
 
+    def test_rounding_gap_counts_as_no_gap(self):
+        for gap in (1e-9, 1.8e-15, 0.0):
+            with pytest.raises(ConfigError, match="no gap"):
+                resolve_filter_params({}, 1.0, gap)
+            with pytest.raises(ConfigError, match="no gap"):
+                resolve_filter_params({"clamp_nonnegative": True}, 1.0, gap)
+        assert resolve_filter_params({}, 1.0, 2e-9).b == 2e-9
+
 
 class TestRunCommand:
     def test_end_to_end_and_determinism(self, tmp_path, capsys):
@@ -212,6 +220,36 @@ class TestRunCommand:
         assert len(solved) == 2
         assert np.array_equal(solved[0], model.hamiltonian().matrix)
         assert np.array_equal(solved[1], coupling_operator(model).matrix)
+
+        # Hubbard-2: H one invariant block at a time, A only on the block
+        # that holds the (non-degenerate) highest eigenstate
+        solved.clear()
+        data = tiny_config(tmp_path)
+        data["model"] = {"kind": "hubbard1d", "sites": 2, "t": 1.0, "u": 4.0}
+        cfg_path.write_text(json.dumps(data))
+        assert main(["run", str(cfg_path)]) == 0
+        model = ModelSpec("hubbard1d", 2, hubbard_t=1.0, hubbard_u=4.0)
+        h, a = model.hamiltonian().matrix, coupling_operator(model).matrix
+        blocks = invariant_blocks(model.hamiltonian(), coupling_operator(model))
+        top = exact(model.hamiltonian()).eigenvectors[:, -1]
+        (live,) = [idx for idx in blocks if np.max(np.abs(top[idx])) > 1e-6]
+        expected = [h[np.ix_(idx, idx)] for idx in blocks] + [a[np.ix_(live, live)]]
+        assert len(blocks) == 9 and len(solved) == len(expected)
+        for got, want in zip(solved, expected):
+            assert np.array_equal(got, want)
+
+    def test_gapless_ground_level_exit_2(self, tmp_path, capsys):
+        """Hubbard-3's ground level is a spin doublet: no filter rule applies."""
+        data = tiny_config(tmp_path)
+        data["model"] = {"kind": "hubbard1d", "sites": 3, "t": 1.0, "u": 4.0}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "spectrum has no gap" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run.csv").exists()
+        assert not (tmp_path / "run.manifest.json").exists()
 
     @pytest.mark.parametrize(
         "initial_state, message",
