@@ -68,6 +68,7 @@ __all__ = [
     "CostLedger",
     "SimulationRecord",
     "ChannelError",
+    "KrausPair",
     "build_kraus_pair",
     "build_w",
     "build_w_naive",
@@ -357,6 +358,13 @@ def blocked_eig(h: HermitianOperator, blocks: list[np.ndarray]) -> SpectralDecom
     return SpectralDecomposition(evals[order], vecs[:, order])
 
 
+class KrausPair(tuple):
+    """``(M0, M1)`` from :func:`build_kraus_pair`, carrying in
+    ``isometry_defect`` the value that its trace-preservation gate checked."""
+
+    isometry_defect: float
+
+
 def isometry_defect(m0: np.ndarray, m1: np.ndarray) -> float:
     """max|M0^dag M0 + M1^dag M1 - I|, zero for a trace-preserving pair."""
     return max_abs(m0.conj().T @ m0 + m1.conj().T @ m1 - np.eye(m0.shape[1]))
@@ -369,14 +377,15 @@ def build_kraus_pair(
     p: FilterParams,
     cfg: ChannelConfig,
     u_coherent: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> KrausPair:
     """Kraus pair ``M_b = U <b| W(sqrt(tau)/r)^r |0>`` of one evolution step.
 
     ``spec`` is the spectrum of ``h``.  ``U`` is ``u_coherent``, which must
     be ``e^{-iH tau}``, when the coherent part is on and the identity
     otherwise.  The pair is built one block of :func:`invariant_blocks`
     ``(h, a)`` at a time; its entries between blocks are exactly 0.  Memory
-    stays O(N^2): only the 2N x N block column is formed.
+    stays O(N^2): only the 2N x N block column is formed.  The pair is
+    refused unless its :func:`isometry_defect` is at most 1e-10.
     """
     if not spec.dim == h.dim == a.dim:
         raise ValueError("dimension mismatch between Hamiltonian, spectrum and coupling")
@@ -400,7 +409,9 @@ def build_kraus_pair(
         raise ChannelError(
             f"Kraus pair lost trace preservation: max|M0^dag M0 + M1^dag M1 - I| = {defect:.3e}"
         )
-    return m0, m1
+    pair = KrausPair((m0, m1))
+    pair.isometry_defect = defect
+    return pair
 
 
 def build_w(
@@ -599,7 +610,7 @@ def run_simulation(
     per_step = step_cost(p, cfg)
     h_time = record_steps * per_step.hamiltonian_time
     a_gates = record_steps * per_step.controlled_a_count
-    health = {"kraus_isometry_defect": isometry_defect(*kraus)}
+    health = {"kraus_isometry_defect": kraus.isometry_defect}
 
     if cfg.backend == "density":
         state = DensityMatrix.pure(psi0).matrix

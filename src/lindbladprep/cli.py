@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -62,14 +64,7 @@ def cmd_run(args) -> int:
     try:
         # the filter overrides are resolved against the spectrum the run computes
         record = run_simulation(run.model, run.channel, run.filter_overrides)
-        write_timeseries_csv(record, run.csv_path)
-        manifest = manifest_dict(run, record.meta)
-        path = Path(run.manifest_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        if run.plots_dir is not None:
-            for kind in PLOT_KINDS:
-                render_plot([run.csv_path], kind, Path(run.plots_dir) / f"{kind}.svg")
+        _write_run_outputs(run, record)
         print(f"wrote {run.csv_path} and {run.manifest_path}")
         return EXIT_OK
     except ConfigError as exc:
@@ -78,6 +73,33 @@ def cmd_run(args) -> int:
     except (ChannelError, LinalgError, PlotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+
+
+def _write_run_outputs(run, record) -> None:
+    """Write the CSV, the manifest and the SVGs of a run under temporary
+    names in their target directories, and rename them into place only
+    after all of them were written; on a failure the temporary files are
+    removed, so a failed run leaves no new output file."""
+    csv_path, manifest_path = Path(run.csv_path), Path(run.manifest_path)
+    svgs = [] if run.plots_dir is None else [Path(run.plots_dir) / f"{k}.svg" for k in PLOT_KINDS]
+    temps = {}
+    try:
+        for target in [csv_path, manifest_path, *svgs]:
+            if target.is_dir():  # the one target the renames below could not replace
+                raise IsADirectoryError(errno.EISDIR, "output path is a directory", str(target))
+            target.parent.mkdir(parents=True, exist_ok=True)
+            temps[target] = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        write_timeseries_csv(record, temps[csv_path])
+        manifest = manifest_dict(run, record.meta)
+        temps[manifest_path].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        for kind, svg in zip(PLOT_KINDS, svgs):
+            # the legend label is the stem of the CSV's final name
+            render_plot([temps[csv_path]], kind, temps[svg], labels=[csv_path.stem])
+        for target, temp in temps.items():
+            temp.replace(target)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
 
 
 def cmd_verify(args) -> int:

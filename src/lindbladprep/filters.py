@@ -30,6 +30,10 @@ __all__ = ["FilterParams", "default_params", "f_hat", "f_time", "quadrature_grid
 # second-order Taylor expansion around s = 0 takes over.
 _TINY_S = 1e-8
 
+# elementwise math.erf: scipy.special.erf would put the scipy import on the
+# path of every caller of f_hat
+_erf = np.vectorize(math.erf, otypes=[float])
+
 
 @dataclass(frozen=True)
 class FilterParams:
@@ -109,11 +113,10 @@ def default_params(norm_h: float, gap: float, *, clamp: bool = False) -> FilterP
 
 
 def f_hat(omega, p: FilterParams):
-    """Frequency-domain filter value; accepts scalars or arrays."""
-    from scipy.special import erf  # kept off the import path of ``run``
-
+    """Frequency-domain filter value; accepts scalars (returns a ``float``)
+    or arrays.  The error function is ``math.erf`` applied elementwise."""
     w = np.asarray(omega, dtype=float)
-    val = 0.5 * (erf((w + p.a) / p.delta_a) - erf((w + p.b) / p.delta_b))
+    val = 0.5 * (_erf((w + p.a) / p.delta_a) - _erf((w + p.b) / p.delta_b))
     if p.clamp_nonnegative:
         val = np.where(w >= 0, 0.0, val)
     if np.ndim(omega) == 0:

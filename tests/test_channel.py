@@ -236,6 +236,22 @@ class TestBuildKrausPair:
                 build_w(spec, a, p, cfg.tau_eff)
 
 
+    def test_run_records_the_gated_defect(self, monkeypatch):
+        import lindbladprep.channel as channel
+
+        checked = []
+        exact = channel.isometry_defect
+
+        def recorded(m0, m1):
+            checked.append(exact(m0, m1))
+            return checked[-1]
+
+        monkeypatch.setattr(channel, "isometry_defect", recorded)
+        cfg = ChannelConfig(tau=0.5, total_time=1.0, backend="density")
+        rec = run_simulation(ModelSpec("tfim", 2, tfim_g=1.2), cfg)
+        assert checked == [rec.meta["health"]["kraus_isometry_defect"]]
+
+
 class TestBlockedEig:
     @pytest.mark.parametrize("sites", [2, 4])
     def test_matches_dense_spectrum(self, sites):

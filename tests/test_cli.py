@@ -40,6 +40,21 @@ def tiny_config(tmp_path, **channel_overrides):
     }
 
 
+def scipy_modules_after(code: str) -> list:
+    """The ``scipy*`` modules loaded after a fresh interpreter runs ``code``."""
+    src = str(Path(lindbladprep.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    code += (
+        "\nimport json, sys"
+        "\nprint(json.dumps([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 # (block, key, value) of a config field given a JSON value of the wrong type
 MISTYPED = [
     ("channel", "include_coherent", "false"),
@@ -306,20 +321,69 @@ class TestRunCommand:
         assert main(["run", str(cfg_path)]) == 0
         assert (tmp_path / "plots" / "overlap-time.svg").exists()
 
+    @pytest.mark.parametrize("blocker", ["plots", "plots/overlap-time.svg"])
+    def test_failed_plot_leaves_no_outputs(self, tmp_path, capsys, blocker):
+        """Outputs are renamed into place only once all of them are written.
+        The plots directory is a regular file, or one SVG path a directory."""
+        if blocker == "plots":
+            (tmp_path / blocker).write_text("a regular file, not a directory\n")
+        else:
+            (tmp_path / blocker).mkdir(parents=True)
+        data = tiny_config(tmp_path)
+        data["output"]["plots"] = str(tmp_path / "plots")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["run", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        left = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+        assert left == sorted({"cfg.json", "plots", blocker})
+
+    def test_failed_render_removes_temporary_files(self, tmp_path, monkeypatch):
+        import lindbladprep.cli as cli
+
+        def broken(*args, **kwargs):
+            raise PlotError("render failed")
+
+        monkeypatch.setattr(cli, "render_plot", broken)
+        data = tiny_config(tmp_path)
+        data["output"]["plots"] = str(tmp_path / "plots")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["run", str(cfg_path)]) == 1
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "plots"]
+
     def test_cli_import_loads_no_scipy(self):
         """``run`` calls nothing from scipy, so importing the CLI must not
         load it; a fresh interpreter sees the import alone."""
-        src = str(Path(lindbladprep.__file__).resolve().parents[1])
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = {**os.environ, "PYTHONPATH": path}
-        code = (
-            "import sys, lindbladprep.cli; "
-            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "[]"
+        assert scipy_modules_after("import lindbladprep.cli") == []
+
+    def test_random_coupling_and_aux_commands_load_no_scipy(self, tmp_path):
+        """The random-coupling experiments, ``exact_jump``, ``filter-table``
+        and ``jump-report`` use ``math.erf`` and a numpy ``expm``."""
+        code = f"""
+import numpy as np
+from lindbladprep import randomcoupling as rc
+from lindbladprep.cli import main
+from lindbladprep.filters import default_params
+from lindbladprep.jump import exact_jump
+from lindbladprep.linalg import hermitian_eig
+from lindbladprep.models import ModelSpec, coupling_operator
+
+lam = rc.synthetic_spectrum("equispaced", 3)
+p = default_params(4.0, 2.0, clamp=True)
+sigma = rc.RandomCouplingSpec.uniform(3)
+p0 = np.full(3, 1 / 3)
+rc.ergodicity_experiment(lam, sigma, p, p0, tau=0.5, t_final=1.0, reps=2, n_checkpoints=2)
+rc.concentration_experiment(lam, sigma, p, p0, taus=[0.5], t_final=1.0, reps=2)
+rc.mixing_layers_experiment(lam, sigma, p, [2, 0], n_times=3)
+model = ModelSpec("tfim", 2, tfim_g=1.2)
+spec = hermitian_eig(model.hamiltonian())
+exact_jump(spec, coupling_operator(model), default_params(spec.spectral_norm, spec.gap))
+out = {str(tmp_path)!r}
+assert main(["filter-table", "--out-dir", out, "--points", "5"]) == 0
+assert main(["jump-report", "--sites", "2", "--sparsity-out", out + "/k.csv"]) == 0
+"""
+        assert scipy_modules_after(code) == []
 
 
 class TestPlotting:

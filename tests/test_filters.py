@@ -58,6 +58,18 @@ class TestFHat:
         assert f_hat(0.0, p) == pytest.approx(oracle, abs=1e-15)
         assert f_hat(0.0, p) == pytest.approx(F_HAT_AT_ZERO, abs=1e-12)
 
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_matches_scipy_erf_formula(self, clamp):
+        from scipy.special import erf
+
+        p = default_params(4.0, 1.0, clamp=clamp)
+        w = np.linspace(-30.0, 30.0, 6001)
+        oracle = 0.5 * (erf((w + p.a) / p.delta_a) - erf((w + p.b) / p.delta_b))
+        if clamp:
+            oracle = np.where(w >= 0, 0.0, oracle)
+        assert np.max(np.abs(f_hat(w, p) - oracle)) <= 1e-15
+        assert type(f_hat(-1.3, p)) is float
+
     def test_clamp(self):
         p = default_params(1.0, 1.0, clamp=True)
         assert f_hat(0.0, p) == 0.0

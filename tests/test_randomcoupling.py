@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lindbladprep.filters import FilterParams, default_params, f_hat
 from lindbladprep.jump import exact_jump
@@ -7,6 +8,7 @@ from lindbladprep.linalg import DensityMatrix, HermitianOperator, LinalgError, h
 from lindbladprep.randomcoupling import (
     RandomCouplingSpec,
     TransitionMatrix,
+    _expm,
     _resampled_evolution,
     concentration_experiment,
     ergodicity_experiment,
@@ -135,6 +137,15 @@ class TestEvolvePopulations:
             k4 = m @ (q + dt * k3)
             q = q + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         assert np.max(np.abs(evolve_populations(self.t, p0, t_final) - q)) <= 1e-8
+
+
+    @pytest.mark.parametrize("kind", ["equispaced", "clustered", "random"])
+    def test_expm_matches_scipy_oracle(self, kind):
+        lam = synthetic_spectrum(kind, 8, seed=3)
+        p = clamped_params(4.0, float(lam[1] - lam[0]))
+        tmat = transition_matrix(lam, p, RandomCouplingSpec.uniform(8)).matrix
+        for t in (0.0, 0.01, 0.3, 3.0, 30.0, 300.0):
+            assert np.max(np.abs(_expm(tmat * t) - scipy.linalg.expm(tmat * t))) <= 1e-13
 
 
 class TestErgodicity:
