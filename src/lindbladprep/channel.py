@@ -68,7 +68,6 @@ __all__ = [
     "CostLedger",
     "SimulationRecord",
     "ChannelError",
-    "KrausPair",
     "build_kraus_pair",
     "build_w",
     "build_w_naive",
@@ -358,11 +357,14 @@ def blocked_eig(h: HermitianOperator, blocks: list[np.ndarray]) -> SpectralDecom
     return SpectralDecomposition(evals[order], vecs[:, order])
 
 
-class KrausPair(tuple):
-    """``(M0, M1)`` from :func:`build_kraus_pair`, carrying in
-    ``isometry_defect`` the value that its trace-preservation gate checked."""
+class _KrausPair(tuple):
+    """``(M0, M1)`` that also carries, as ``isometry_defect``, the value its
+    trace-preservation gate checked."""
 
-    isometry_defect: float
+    def __new__(cls, m0: np.ndarray, m1: np.ndarray, defect: float):
+        pair = super().__new__(cls, (m0, m1))
+        pair.isometry_defect = defect
+        return pair
 
 
 def isometry_defect(m0: np.ndarray, m1: np.ndarray) -> float:
@@ -377,7 +379,7 @@ def build_kraus_pair(
     p: FilterParams,
     cfg: ChannelConfig,
     u_coherent: np.ndarray | None = None,
-) -> KrausPair:
+) -> tuple[np.ndarray, np.ndarray]:
     """Kraus pair ``M_b = U <b| W(sqrt(tau)/r)^r |0>`` of one evolution step.
 
     ``spec`` is the spectrum of ``h``.  ``U`` is ``u_coherent``, which must
@@ -385,7 +387,8 @@ def build_kraus_pair(
     otherwise.  The pair is built one block of :func:`invariant_blocks`
     ``(h, a)`` at a time; its entries between blocks are exactly 0.  Memory
     stays O(N^2): only the 2N x N block column is formed.  The pair is
-    refused unless its :func:`isometry_defect` is at most 1e-10.
+    refused unless its :func:`isometry_defect` is at most 1e-10; the
+    returned pair carries the checked value as ``isometry_defect``.
     """
     if not spec.dim == h.dim == a.dim:
         raise ValueError("dimension mismatch between Hamiltonian, spectrum and coupling")
@@ -409,9 +412,7 @@ def build_kraus_pair(
         raise ChannelError(
             f"Kraus pair lost trace preservation: max|M0^dag M0 + M1^dag M1 - I| = {defect:.3e}"
         )
-    pair = KrausPair((m0, m1))
-    pair.isometry_defect = defect
-    return pair
+    return _KrausPair(m0, m1, defect)
 
 
 def build_w(

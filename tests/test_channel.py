@@ -235,7 +235,6 @@ class TestBuildKrausPair:
             with pytest.raises(ChannelError, match="unitarity"):
                 build_w(spec, a, p, cfg.tau_eff)
 
-
     def test_run_records_the_gated_defect(self, monkeypatch):
         import lindbladprep.channel as channel
 

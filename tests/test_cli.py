@@ -359,7 +359,7 @@ class TestRunCommand:
 
     def test_random_coupling_and_aux_commands_load_no_scipy(self, tmp_path):
         """The random-coupling experiments, ``exact_jump``, ``filter-table``
-        and ``jump-report`` use ``math.erf`` and a numpy ``expm``."""
+        and ``jump-report`` use a numpy erf and a numpy ``expm``."""
         code = f"""
 import numpy as np
 from lindbladprep import randomcoupling as rc
