@@ -152,15 +152,14 @@ def cmd_filter_table(args) -> int:
     with open(out_dir / "filter_freq.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["omega", "f_hat"])
-        for w in omegas:
-            writer.writerow([repr(float(w)), repr(float(f_hat(float(w), p)))])
+        for w, v in zip(omegas.tolist(), f_hat(omegas, p).tolist()):
+            writer.writerow([repr(w), repr(v)])
     ss = np.linspace(-p.grid_radius, p.grid_radius, args.points)
     with open(out_dir / "filter_time.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s", "re_f", "im_f"])
-        for s in ss:
-            v = f_time(float(s), p)
-            writer.writerow([repr(float(s)), repr(v.real), repr(v.imag)])
+        for s, v in zip(ss.tolist(), f_time(ss, p).tolist()):
+            writer.writerow([repr(s), repr(v.real), repr(v.imag)])
     print(f"wrote {out_dir / 'filter_freq.csv'} and {out_dir / 'filter_time.csv'}")
     return EXIT_OK
 
