@@ -107,8 +107,15 @@ def quadrature_jump(
     fvals = f_time(nodes, p)
     omega = spec.eigenvalues[:, None] - spec.eigenvalues[None, :]
     filt = np.zeros(omega.shape, dtype=complex)
+    # one buffer for every node's term: a fresh n^2 temporary per node is
+    # mmapped and faulted in anew once it passes malloc's mmap threshold
+    term = np.empty(omega.shape, dtype=complex)
     for s_l, w_l, f_l in zip(nodes, weights, fvals):
-        filt += (w_l * f_l) * np.exp(1j * omega * s_l)
+        np.multiply(omega, 1j * s_l, out=term)
+        np.exp(term, out=term)
+        np.multiply(w_l * f_l, term, out=term)
+        filt += term
+    del term  # freed before the n^2 products below
     v = spec.eigenvectors
     k = v @ (filt * a_eig) @ v.conj().T
     jump = JumpOperator(k, "quadrature", p)
