@@ -224,7 +224,7 @@ class SimulationRecord:
 
 
 def _atilde_diagonals(
-    a_eigvals: np.ndarray, phi: float, theta: float
+    a_eigvals: np.ndarray, phi: float | np.ndarray, theta: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Blocks of exp(-i phi P(theta) x A), P = cos(theta) X + sin(theta) Y,
     in the eigenbasis of A, where each block is diagonal.
@@ -232,12 +232,15 @@ def _atilde_diagonals(
     Returns the diagonals (c, off01, off10) of the blocks of
     [[C, off01], [off10, C]]: c = cos(phi a), off01 = -i e^{-i theta}
     sin(phi a), off10 = -i e^{i theta} sin(phi a), for eigenvalues a of A.
+    ``phi`` and ``theta`` may be arrays of one angle per node; the node
+    axis then leads.
     """
-    sin_d = np.sin(phi * a_eigvals)
+    phi_a = np.multiply.outer(phi, a_eigvals)
+    sin_d = np.sin(phi_a)
     return (
-        np.cos(phi * a_eigvals),
-        -1j * np.exp(-1j * theta) * sin_d,
-        -1j * np.exp(1j * theta) * sin_d,
+        np.cos(phi_a),
+        (-1j * np.exp(-1j * theta))[..., None] * sin_d,
+        (-1j * np.exp(1j * theta))[..., None] * sin_d,
     )
 
 
@@ -256,15 +259,6 @@ def _node_angles(p: FilterParams, tau_eff: float) -> tuple[np.ndarray, np.ndarra
     nodes, weights = quadrature_grid(p)
     fvals = f_time(nodes, p)
     return 0.5 * np.sqrt(tau_eff) * weights * np.abs(fvals), np.angle(fvals)
-
-
-def _rotate(x: np.ndarray, a_eigvals: np.ndarray, phi: float, theta: float) -> None:
-    """x <- Atilde(phi, theta) x in place, for x of shape (n, 2, k) in the
-    eigenbasis of A: x_b <- c x_b + off_b x_{1-b}."""
-    c, o01, o10 = _atilde_diagonals(a_eigvals, phi, theta)
-    crossed = np.stack([o01, o10], axis=1)[:, :, None] * x[:, ::-1]
-    x *= c[:, None, None]
-    x += crossed
 
 
 def _frame_hop(
@@ -291,25 +285,37 @@ def _apply_w(
     ``hop_bwd`` is ``e^{-iH tau_s}`` in that basis and ``angles`` the node
     angles of :func:`_node_angles`.  The axes are (row, ancilla, column), so
     a frame hop acts on both ancilla blocks as one (n, n) @ (n, 2k) GEMM.
-    ``x`` is overwritten.
+    Every node's diagonals are computed once, up front; the hops alternate
+    between ``x`` and one more buffer, so ``x`` is overwritten.
     """
     n, _, k = x.shape
     hop_fwd = hop_bwd.conj().T
     phis, thetas = angles
     last = phis.size - 1
+    # the frame hops around the middle node cancel: Atilde_M^2
+    phis = np.concatenate([phis[:last], 2 * phis[last:]])
+    cos_d, o01, o10 = _atilde_diagonals(a_eigvals, phis, thetas)
+    off = np.stack([o01, o10], axis=2)[..., None]  # (node, n, 2, 1)
+    spare = np.empty_like(x)
+    crossed = np.empty_like(x)
 
-    def hop(u: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return (u @ x.reshape(n, 2 * k)).reshape(n, 2, k)
+    def rotate(x: np.ndarray, l: int) -> None:  # x_b <- c x_b + off_b x_{1-b}, in place
+        np.multiply(off[l], x[:, ::-1], out=crossed)
+        x *= cos_d[l, :, None, None]
+        x += crossed
+
+    def hop(u: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.matmul(u, x.reshape(n, 2 * k), out=out.reshape(n, 2 * k))
+        return out
 
     for _ in range(r):
         for l in range(last):  # (I x e^{-iH tau_s}) Atilde_l, l = -M .. M-1
-            _rotate(x, a_eigvals, phis[l], thetas[l])
-            x = hop(hop_bwd, x)
-        # the frame hops around the middle node cancel: Atilde_M^2
-        _rotate(x, a_eigvals, 2 * phis[last], thetas[last])
+            rotate(x, l)
+            x, spare = hop(hop_bwd, x, spare), x
+        rotate(x, last)
         for l in range(last - 1, -1, -1):  # Atilde_l (I x e^{+iH tau_s}), l = M-1 .. -M
-            x = hop(hop_fwd, x)
-            _rotate(x, a_eigvals, phis[l], thetas[l])
+            x, spare = hop(hop_fwd, x, spare), x
+            rotate(x, l)
     return x
 
 

@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 runtime failure / failed verification,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import errno
 import json
@@ -79,15 +80,20 @@ def _write_run_outputs(run, record) -> None:
     """Write the CSV, the manifest and the SVGs of a run under temporary
     names in their target directories, and rename them into place only
     after all of them were written; on a failure the temporary files are
-    removed, so a failed run leaves no new output file."""
+    removed, and so are the directories made here that are left empty, so
+    a failed run leaves no new output file or directory."""
     csv_path, manifest_path = Path(run.csv_path), Path(run.manifest_path)
     svgs = [] if run.plots_dir is None else [Path(run.plots_dir) / f"{k}.svg" for k in PLOT_KINDS]
     temps = {}
+    made = []  # directories made here, parents first
     try:
         for target in [csv_path, manifest_path, *svgs]:
             if target.is_dir():  # the one target the renames below could not replace
                 raise IsADirectoryError(errno.EISDIR, "output path is a directory", str(target))
-            target.parent.mkdir(parents=True, exist_ok=True)
+            for directory in reversed([target.parent, *target.parent.parents]):
+                if not directory.is_dir():  # a regular file in the way fails here
+                    directory.mkdir()
+                    made.append(directory)
             temps[target] = target.with_name(f".{target.name}.{os.getpid()}.tmp")
         write_timeseries_csv(record, temps[csv_path])
         manifest = manifest_dict(run, record.meta)
@@ -97,9 +103,13 @@ def _write_run_outputs(run, record) -> None:
             render_plot([temps[csv_path]], kind, temps[svg], labels=[csv_path.stem])
         for target, temp in temps.items():
             temp.replace(target)
-    finally:
+    except BaseException:
         for temp in temps.values():
             temp.unlink(missing_ok=True)
+        for directory in reversed(made):  # deepest first
+            with contextlib.suppress(OSError):  # a directory that is not empty stays
+                directory.rmdir()
+        raise
 
 
 def cmd_verify(args) -> int:
@@ -141,6 +151,9 @@ def _resolved_params(args):
 
 
 def cmd_filter_table(args) -> int:
+    if args.points < 0:
+        print(f"error: --points must be non-negative, got {args.points}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         _, spec, p = _resolved_params(args)
     except (ConfigError, ValueError) as exc:

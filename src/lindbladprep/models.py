@@ -11,6 +11,23 @@ Two families are provided as dense matrices:
 Spin-orbital ordering for the Hubbard chain: mode ``q = 2 (j - 1) + s``
 with ``s = 0`` for spin-up and ``1`` for spin-down; Jordan-Wigner strings
 act on all lower mode indices.  Site 1 is the leading tensor factor.
+
+Bit convention: in basis state ``i`` of ``n`` qubits, qubit (or mode)
+``q`` is bit ``n - 1 - q`` of ``i``, so qubit 0 is the most significant
+bit.  A qubit reads 0 for ``Z = +1`` and a mode reads 1 when occupied.
+
+Every operator here is filled straight from the table of these bits
+(:func:`_bits`, ``n x 2^n`` small integers), never from Kronecker
+products.  Diagonal terms (``Z_i Z_{i+1}``, ``Z_1``, the Hubbard
+interaction) are sums over the table.  Off-diagonal terms flip a fixed set
+of bits, so each is one scatter of its coefficient to ``(i ^ mask, i)``:
+``X_q`` flips bit ``q`` of every state, and the hopping
+``c^dag_p c_q + c^dag_q c_p`` flips modes ``p < q`` of the states where
+they differ, with the Jordan-Wigner sign ``(-1)`` to the number of
+occupied modes strictly between ``p`` and ``q``.  Each entry receives the
+same exact ``+/-1``, ``+/-t``, ``+/-g`` or ``+/-U/4`` terms, in the same
+order, as the Kronecker-product sums, so the matrices agree bit for bit;
+the only ``dim x dim`` array is the returned one.
 """
 
 from __future__ import annotations
@@ -80,11 +97,22 @@ class ModelSpec:
         return build_hubbard_1d(self.sites, self.hubbard_t, self.hubbard_u)
 
 
-def _embed(op: np.ndarray, site: int, n_qubits: int) -> np.ndarray:
-    """Place a single-qubit operator at tensor position ``site`` (0-based)."""
-    left = np.eye(2**site, dtype=complex)
-    right = np.eye(2 ** (n_qubits - site - 1), dtype=complex)
-    return np.kron(np.kron(left, op), right)
+def _bits(n_qubits: int) -> np.ndarray:
+    """``bits[q, i]``: bit of qubit ``q`` in basis state ``i`` (qubit 0 leads)."""
+    shifts = np.arange(n_qubits - 1, -1, -1)
+    return (np.arange(2**n_qubits) >> shifts[:, None]) & 1
+
+
+def _mask(n_qubits: int, *qubits: int) -> int:
+    """Basis-index mask that flips ``qubits``."""
+    return sum(1 << (n_qubits - 1 - q) for q in qubits)
+
+
+def _add_hopping(out: np.ndarray, bits: np.ndarray, p: int, q: int, coeff: float) -> None:
+    """``out += coeff (c^dag_p c_q + c^dag_q c_p)`` for modes ``p < q``."""
+    moved = np.flatnonzero(bits[p] != bits[q])
+    parity = bits[p + 1 : q, moved].sum(axis=0) & 1
+    out[moved ^ _mask(bits.shape[0], p, q), moved] += coeff * (1 - 2 * parity)
 
 
 def build_tfim(sites: int, g: float) -> HermitianOperator:
@@ -93,33 +121,16 @@ def build_tfim(sites: int, g: float) -> HermitianOperator:
         raise ValueError("TFIM needs at least 2 sites")
     if sites > MAX_QUBITS:
         raise ValueError(f"TFIM with {sites} sites exceeds dense-storage ceiling")
-    dim = 2**sites
-    h = np.zeros((dim, dim), dtype=complex)
+    z = 1 - 2 * _bits(sites)
+    diag = np.zeros(2**sites)
     for i in range(sites - 1):
-        h -= _embed(PAULI_Z, i, sites) @ _embed(PAULI_Z, i + 1, sites)
+        diag -= z[i] * z[i + 1]
+    h = np.zeros((diag.size, diag.size), dtype=complex)
+    np.fill_diagonal(h, diag)
+    states = np.arange(diag.size)
     for i in range(sites):
-        h -= g * _embed(PAULI_X, i, sites)
+        h[states ^ _mask(sites, i), states] -= g
     return HermitianOperator(h)
-
-
-def _jw_annihilation(mode: int, n_modes: int) -> np.ndarray:
-    """Jordan-Wigner annihilation operator c_mode (|1> = occupied)."""
-    lower = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
-    ops = [PAULI_Z] * mode + [lower] + [PAULI_I] * (n_modes - mode - 1)
-    out = ops[0]
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
-
-
-def _hubbard_modes(sites: int) -> list[np.ndarray]:
-    n_modes = 2 * sites
-    if n_modes > MAX_QUBITS:
-        raise ValueError(
-            f"Hubbard chain with {sites} sites needs {n_modes} qubits "
-            f"(ceiling {MAX_QUBITS})"
-        )
-    return [_jw_annihilation(q, n_modes) for q in range(n_modes)]
 
 
 def build_hubbard_1d(sites: int, t: float, u: float) -> HermitianOperator:
@@ -130,19 +141,22 @@ def build_hubbard_1d(sites: int, t: float, u: float) -> HermitianOperator:
     """
     if sites < 2:
         raise ValueError("Hubbard chain needs at least 2 sites")
-    cs = _hubbard_modes(sites)
-    dim = cs[0].shape[0]
-    eye = np.eye(dim, dtype=complex)
-    h = np.zeros((dim, dim), dtype=complex)
+    n_modes = 2 * sites
+    if n_modes > MAX_QUBITS:
+        raise ValueError(
+            f"Hubbard chain with {sites} sites needs {n_modes} qubits "
+            f"(ceiling {MAX_QUBITS})"
+        )
+    bits = _bits(n_modes)
+    h = np.zeros((bits.shape[1], bits.shape[1]), dtype=complex)
     for j in range(sites - 1):
         for s in (0, 1):
-            q, qn = 2 * j + s, 2 * (j + 1) + s
-            hop = cs[q].conj().T @ cs[qn]
-            h -= t * (hop + hop.conj().T)
+            _add_hopping(h, bits, 2 * j + s, 2 * (j + 1) + s, -t)
+    half = bits - 0.5
+    diag = np.zeros(bits.shape[1])
     for j in range(sites):
-        n_up = cs[2 * j].conj().T @ cs[2 * j]
-        n_dn = cs[2 * j + 1].conj().T @ cs[2 * j + 1]
-        h += u * (n_up - eye / 2) @ (n_dn - eye / 2)
+        diag += u * (half[2 * j] * half[2 * j + 1])
+    np.fill_diagonal(h, diag)
     return HermitianOperator(h)
 
 
@@ -151,13 +165,14 @@ def coupling_operator(model: ModelSpec) -> HermitianOperator:
 
     TFIM: ``A = Z`` on the first site.  Hubbard: the Hermitian hopping
     between sites 1 and 2 for both spins,
-    ``A = sum_s (c^dag_{1,s} c_{2,s} - c_{1,s} c^dag_{2,s})``.
+    ``A = sum_s (c^dag_{1,s} c_{2,s} - c_{1,s} c^dag_{2,s})
+        = sum_s (c^dag_{1,s} c_{2,s} + c^dag_{2,s} c_{1,s})``.
     """
+    bits = _bits(model.n_qubits)
+    a = np.zeros((model.dim, model.dim), dtype=complex)
     if model.kind == "tfim":
-        return HermitianOperator(_embed(PAULI_Z, 0, model.sites))
-    cs = _hubbard_modes(model.sites)
-    a = np.zeros_like(cs[0])
-    for s in (0, 1):
-        q1, q2 = s, 2 + s
-        a += cs[q1].conj().T @ cs[q2] - cs[q1] @ cs[q2].conj().T
+        np.fill_diagonal(a, 1 - 2 * bits[0])
+    else:
+        for s in (0, 1):
+            _add_hopping(a, bits, s, 2 + s, 1.0)
     return HermitianOperator(a)

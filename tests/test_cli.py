@@ -40,19 +40,23 @@ def tiny_config(tmp_path, **channel_overrides):
     }
 
 
-def scipy_modules_after(code: str) -> list:
-    """The ``scipy*`` modules loaded after a fresh interpreter runs ``code``."""
+def fresh_python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports this package."""
     src = str(Path(lindbladprep.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=check
+    )
+
+
+def scipy_modules_after(code: str) -> list:
+    """The ``scipy*`` modules loaded after a fresh interpreter runs ``code``."""
     code += (
         "\nimport json, sys"
         "\nprint(json.dumps([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    return json.loads(out.stdout.splitlines()[-1])
+    return json.loads(fresh_python("-c", code).stdout.splitlines()[-1])
 
 
 # (block, key, value) of a config field given a JSON value of the wrong type
@@ -350,7 +354,26 @@ class TestRunCommand:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(data))
         assert main(["run", str(cfg_path)]) == 1
-        assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "plots"]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json"]
+
+    def test_failed_run_removes_the_directories_it_made(self, tmp_path, capsys):
+        """CSV and manifest under new directories, the manifest's inside an
+        existing empty one, the plots directory a regular file: the run
+        fails and leaves the tree as it found it."""
+        (tmp_path / "plots").write_text("a regular file, not a directory\n")
+        (tmp_path / "kept").mkdir()
+        data = tiny_config(tmp_path)
+        data["output"] = {
+            "csv": str(tmp_path / "new" / "sub" / "run.csv"),
+            "manifest": str(tmp_path / "kept" / "m" / "run.manifest.json"),
+            "plots": str(tmp_path / "plots"),
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["run", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_cli_import_loads_no_scipy(self):
         """``run`` calls nothing from scipy, so importing the CLI must not
@@ -467,6 +490,16 @@ class TestAuxCommands:
         assert len(freq) == 51
         time_tab = (tmp_path / "filter_time.csv").read_text().splitlines()
         assert time_tab[0] == "s,re_f,im_f"
+
+    def test_filter_table_negative_points_exit_2(self, tmp_path):
+        out = fresh_python(
+            "-m", "lindbladprep.cli", "filter-table", "--sites", "2",
+            "--out-dir", str(tmp_path), "--points", "-1", check=False,
+        )
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert out.stderr.count("\n") == 1 and out.stderr.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_jump_report(self, capsys, tmp_path):
         rc = main(

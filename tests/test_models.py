@@ -10,7 +10,6 @@ from lindbladprep.models import (
     PAULI_X,
     PAULI_Z,
     ModelSpec,
-    _hubbard_modes,
     build_hubbard_1d,
     build_tfim,
     coupling_operator,
@@ -59,6 +58,15 @@ class TestTfim:
         flip = pauli_chain([PAULI_X] * 3)
         assert np.max(np.abs(flip @ h @ flip - h)) <= 1e-12
 
+    @pytest.mark.parametrize("sites", range(2, 11))
+    def test_bit_identical_to_kronecker_oracle(self, sites):
+        """Every entry is a sum of exact +/-1 and +/-g terms, so the index
+        construction and the Kronecker products agree bit for bit."""
+        assert np.array_equal(build_tfim(sites, 1.2).matrix, tfim_oracle(sites, 1.2))
+        z_first = pauli_chain([PAULI_Z] + [PAULI_I] * (sites - 1))
+        a = coupling_operator(ModelSpec("tfim", sites, tfim_g=1.2)).matrix
+        assert np.array_equal(a, z_first)
+
     def test_site_ceiling(self):
         with pytest.raises(ValueError):
             build_tfim(13, 1.0)
@@ -66,19 +74,56 @@ class TestTfim:
             build_tfim(1, 1.0)
 
 
+def jw_annihilation(mode: int, n_modes: int) -> np.ndarray:
+    """Jordan-Wigner annihilation operator c_mode (|1> = occupied) as a
+    Kronecker product, mode 0 the leading factor.  Real: every entry is 0
+    or +/-1, and the real products below are as exact as complex ones."""
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])  # |0><1|
+    ops = [PAULI_Z.real] * mode + [lower] + [PAULI_I.real] * (n_modes - mode - 1)
+    return pauli_chain(ops)
+
+
+def hubbard_modes(sites: int) -> list[np.ndarray]:
+    return [jw_annihilation(q, 2 * sites) for q in range(2 * sites)]
+
+
+def hubbard_oracle(sites, t, u):
+    """Kronecker-product assembly of the Hubbard chain, summed in the
+    builder's order."""
+    cs = hubbard_modes(sites)
+    eye = np.eye(cs[0].shape[0])
+    h = np.zeros_like(cs[0])
+    for j in range(sites - 1):
+        for s in (0, 1):
+            hop = cs[2 * j + s].T @ cs[2 * (j + 1) + s]
+            h -= t * (hop + hop.T)
+    for j in range(sites):
+        n_up = cs[2 * j].T @ cs[2 * j]
+        n_dn = cs[2 * j + 1].T @ cs[2 * j + 1]
+        h += u * (n_up - eye / 2) @ (n_dn - eye / 2)
+    return h
+
+
+def hubbard_coupling_oracle(sites):
+    """``sum_s (c^dag_{1,s} c_{2,s} - c_{1,s} c^dag_{2,s})`` from Kronecker
+    products."""
+    cs = hubbard_modes(sites)
+    return sum(cs[s].T @ cs[2 + s] - cs[s] @ cs[2 + s].T for s in (0, 1))
+
+
 def hubbard_number_operator(sites: int) -> HermitianOperator:
     """Total particle number, for symmetry checks."""
-    cs = _hubbard_modes(sites)
-    n = sum(c.conj().T @ c for c in cs)
+    cs = hubbard_modes(sites)
+    n = sum(c.T @ c for c in cs)
     return HermitianOperator(n)
 
 
 def hubbard_sz_operator(sites: int) -> HermitianOperator:
     """Total S_z = sum_j (n_up - n_dn)/2."""
-    cs = _hubbard_modes(sites)
+    cs = hubbard_modes(sites)
     sz = np.zeros_like(cs[0])
     for j in range(sites):
-        sz += (cs[2 * j].conj().T @ cs[2 * j] - cs[2 * j + 1].conj().T @ cs[2 * j + 1]) / 2
+        sz += (cs[2 * j].T @ cs[2 * j] - cs[2 * j + 1].T @ cs[2 * j + 1]) / 2
     return HermitianOperator(sz)
 
 
@@ -119,6 +164,17 @@ class TestHubbard:
         sz = hubbard_sz_operator(4).matrix
         assert np.max(np.abs(h @ n - n @ h)) <= 1e-12
         assert np.max(np.abs(h @ sz - sz @ h)) <= 1e-12
+
+    @pytest.mark.parametrize("sites", range(2, 6))
+    def test_bit_identical_to_kronecker_oracle(self, sites):
+        """Every entry is a sum of exact +/-1, +/-t and +/-U/4 terms, so the
+        index construction and the Kronecker products agree bit for bit,
+        Jordan-Wigner signs included.  U = 0.1 is not dyadic: three or more
+        U/4 terms round, and agree only when summed in the same order."""
+        h = build_hubbard_1d(sites, 0.3, 0.1).matrix
+        assert np.array_equal(h, hubbard_oracle(sites, 0.3, 0.1))
+        a = coupling_operator(ModelSpec("hubbard1d", sites, hubbard_t=1.0, hubbard_u=4.0))
+        assert np.array_equal(a.matrix, hubbard_coupling_oracle(sites))
 
     def test_qubit_ceiling(self):
         with pytest.raises(ValueError):
