@@ -350,17 +350,15 @@ def blocked_eig(h: HermitianOperator, blocks: list[np.ndarray]) -> SpectralDecom
     sorted with a stable sort, so levels that tie exactly across blocks keep
     the order of their blocks.
     """
-    evals = np.empty(h.dim)
-    vecs = np.zeros((h.dim, h.dim), dtype=complex)
-    start = 0
-    for idx in blocks:
-        block_spec = hermitian_eig(HermitianOperator(h.matrix[np.ix_(idx, idx)]))
-        cols = slice(start, start + idx.size)
-        evals[cols] = block_spec.eigenvalues
-        vecs[idx, cols] = block_spec.eigenvectors
-        start += idx.size
+    specs = [hermitian_eig(HermitianOperator(h.matrix[np.ix_(idx, idx)])) for idx in blocks]
+    evals = np.concatenate([s.eigenvalues for s in specs])
     order = np.argsort(evals, kind="stable")
-    return SpectralDecomposition(evals[order], vecs[:, order])
+    # the sorted column of every eigenpair, split by block
+    columns = np.split(np.argsort(order), np.cumsum([idx.size for idx in blocks])[:-1])
+    vecs = np.zeros((h.dim, h.dim), dtype=complex)
+    for idx, cols, block_spec in zip(blocks, columns, specs):
+        vecs[np.ix_(idx, cols)] = block_spec.eigenvectors
+    return SpectralDecomposition(evals[order], vecs)
 
 
 class _KrausPair(tuple):
@@ -570,9 +568,9 @@ def run_simulation(
 
     ``H`` is eigensolved one invariant block of ``(H, A)`` at a time
     (:func:`blocked_eig`), and the run evolves only ``sup``, the union of
-    the blocks where the initial eigenstate is nonzero: ``H``, ``A``,
-    ``e^{-iH tau}``, the ground projector, the state and the eigenpairs
-    living on ``sup`` are sliced to it, and the Kraus pair is built there.
+    the blocks where the initial eigenstate is nonzero: ``H``, ``A``, the
+    state and the eigenpairs living on ``sup`` are sliced to it, and
+    ``e^{-iH tau}``, the ground projector and the Kraus pair are built there.
     No step leaves ``sup``, so this is exact; a ground state in another
     block has overlap exactly 0.  The filter rule, the spectral-range
     check and ``meta["spectrum"]`` use the full spectrum.
@@ -609,9 +607,10 @@ def run_simulation(
     h = HermitianOperator(h.matrix[on_sup])
     a = HermitianOperator(a.matrix[on_sup])
     spec_sup = SpectralDecomposition(spec.eigenvalues[live], spec.eigenvectors[sup][:, live])
-    u_coh = evolution_unitary(spec, cfg.tau)[on_sup] if cfg.include_coherent else None
+    u_coh = evolution_unitary(spec_sup, cfg.tau) if cfg.include_coherent else None
     kraus = build_kraus_pair(h, spec_sup, a, p, cfg, u_coh)
-    ground_proj = spec.ground_projector()[on_sup]
+    vg = spec.ground_space()[sup]  # degeneracy judged on the full spectrum
+    ground_proj = vg @ vg.conj().T
     psi0 = psi0[sup]
     record_steps = _record_steps(cfg.n_steps, cfg.record_stride)
     per_step = step_cost(p, cfg)

@@ -7,9 +7,8 @@ Two routes to the same operator:
   ``F_ij = fhat(lam_i - lam_j)``;
 * ``quadrature_jump`` evaluates the trapezoid sum
   ``K_s = sum_l w_l f(s_l) e^{iHs_l} A e^{-iHs_l}`` in the eigenbasis,
-  where each node reduces to an entrywise phase multiply, so the whole sum
-  is an "effective filter" ``F_s(w) = sum_l w_l f(s_l) e^{i w s_l}``
-  applied to the same matrix.
+  where it is the filter ``F_s = E diag(c) E^dag``, ``E_il = e^{i lam_i s_l}``,
+  ``c_l = w_l f(s_l)``, applied to the same matrix.
 
 With the clamp on, the exact form annihilates the ground state and is
 strictly lower triangular in energy order (transitions only lower energy).
@@ -24,16 +23,17 @@ import numpy as np
 from .filters import FilterParams, f_hat, f_l1_estimate, f_time, quadrature_grid
 from .linalg import HermitianOperator, SpectralDecomposition, max_abs
 
-__all__ = ["JumpOperator", "DilatedJump", "exact_jump", "quadrature_jump", "dilate", "ground_residual"]
+__all__ = [
+    "JumpOperator", "DilatedJump", "coupling_in_eigenbasis", "exact_filter", "quadrature_filter",
+    "check_l1_bound", "exact_jump", "quadrature_jump", "dilate", "ground_residual",
+]
 
 
 @dataclass(frozen=True)
 class JumpOperator:
-    """Jump matrix plus provenance (how it was built)."""
+    """Jump matrix: finite, read-only."""
 
     matrix: np.ndarray
-    provenance: str  # "exact_frequency" | "quadrature"
-    params: FilterParams
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -71,23 +71,43 @@ class DilatedJump:
         return self.matrix.shape[0]
 
 
-def _coupling_in_eigenbasis(spec: SpectralDecomposition, a: HermitianOperator) -> np.ndarray:
+def coupling_in_eigenbasis(spec: SpectralDecomposition, a: HermitianOperator) -> np.ndarray:
+    """``V^dag A V``: the coupling in the energy basis of ``spec``."""
     if spec.dim != a.dim:
         raise ValueError("spectral decomposition and coupling dimension mismatch")
     v = spec.eigenvectors
     return v.conj().T @ a.matrix @ v
 
 
-def exact_jump(
-    spec: SpectralDecomposition, a: HermitianOperator, p: FilterParams
-) -> JumpOperator:
-    """Frequency-domain jump operator (honors ``p.clamp_nonnegative``)."""
-    a_eig = _coupling_in_eigenbasis(spec, a)
-    omega = spec.eigenvalues[:, None] - spec.eigenvalues[None, :]
-    fmat = f_hat(omega, p)
+def exact_filter(lam: np.ndarray, p: FilterParams) -> np.ndarray:
+    """``F_ij = fhat(lam_i - lam_j)``."""
+    return f_hat(lam[:, None] - lam[None, :], p)
+
+
+def quadrature_filter(lam: np.ndarray, p: FilterParams, grid=None) -> np.ndarray:
+    """``F_s = E diag(c) E^dag``, ``E_il = e^{i lam_i s_l}``, ``c_l = w_l f(s_l)``
+    over ``grid`` (default: the rule's): one ``(n, L) @ (L, n)`` product."""
+    nodes, weights = quadrature_grid(p) if grid is None else grid
+    e = np.exp(1j * np.multiply.outer(lam, nodes))
+    return (e * (weights * f_time(nodes, p))) @ e.conj().T
+
+
+def check_l1_bound(norm_k: float, norm_a: float, p: FilterParams) -> None:
+    """Refuse a quadrature jump whose norm exceeds ``1.1 |f|_1 |A|``."""
+    bound = 1.1 * f_l1_estimate(p) * norm_a
+    if norm_k > bound + 1e-12:
+        raise ValueError(f"quadrature jump norm {norm_k:.3e} exceeds L1 bound {bound:.3e}")
+
+
+def _jump(spec: SpectralDecomposition, a: HermitianOperator, filt: np.ndarray) -> JumpOperator:
+    """``V (filt o V^dag A V) V^dag``: the path both jumps share."""
     v = spec.eigenvectors
-    k = v @ (fmat * a_eig) @ v.conj().T
-    return JumpOperator(k, "exact_frequency", p)
+    return JumpOperator(v @ (filt * coupling_in_eigenbasis(spec, a)) @ v.conj().T)
+
+
+def exact_jump(spec: SpectralDecomposition, a: HermitianOperator, p: FilterParams) -> JumpOperator:
+    """Frequency-domain jump operator (honors ``p.clamp_nonnegative``)."""
+    return _jump(spec, a, exact_filter(spec.eigenvalues, p))
 
 
 def quadrature_jump(
@@ -102,28 +122,8 @@ def quadrature_jump(
     ``grid`` overrides the (nodes, weights) pair, used by the verification
     harness to inject deliberately corrupted weights.
     """
-    a_eig = _coupling_in_eigenbasis(spec, a)
-    nodes, weights = quadrature_grid(p) if grid is None else grid
-    fvals = f_time(nodes, p)
-    omega = spec.eigenvalues[:, None] - spec.eigenvalues[None, :]
-    filt = np.zeros(omega.shape, dtype=complex)
-    # one buffer for every node's term: a fresh n^2 temporary per node is
-    # mmapped and faulted in anew once it passes malloc's mmap threshold
-    term = np.empty(omega.shape, dtype=complex)
-    for s_l, w_l, f_l in zip(nodes, weights, fvals):
-        np.multiply(omega, 1j * s_l, out=term)
-        np.exp(term, out=term)
-        np.multiply(w_l * f_l, term, out=term)
-        filt += term
-    del term  # freed before the n^2 products below
-    v = spec.eigenvectors
-    k = v @ (filt * a_eig) @ v.conj().T
-    jump = JumpOperator(k, "quadrature", p)
-    bound = 1.1 * f_l1_estimate(p) * a.norm()
-    if jump.norm() > bound + 1e-12:
-        raise ValueError(
-            f"quadrature jump norm {jump.norm():.3e} exceeds L1 bound {bound:.3e}"
-        )
+    jump = _jump(spec, a, quadrature_filter(spec.eigenvalues, p, grid))
+    check_l1_bound(jump.norm(), a.norm(), p)
     return jump
 
 

@@ -28,6 +28,7 @@ __all__ = [
 
 # Relative tolerance for Hermiticity at construction.
 _HERM_RTOL = 1e-12
+_HERM_BLOCK_ROWS = 64  # rows per block of the Hermiticity checks
 
 
 class LinalgError(RuntimeError):
@@ -42,6 +43,16 @@ def frob(m: np.ndarray) -> float:
 def max_abs(m: np.ndarray) -> float:
     """Entrywise max-abs norm."""
     return float(np.max(np.abs(m))) if m.size else 0.0
+
+
+def _hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(M + M^dag)/2`` and ``max|M - M^dag|``, in row blocks: temporaries stay block-sized."""
+    out, defect = np.empty_like(m), 0.0
+    for r in range(0, m.shape[0], _HERM_BLOCK_ROWS):
+        rows, rows_dag = m[r : r + _HERM_BLOCK_ROWS], m[:, r : r + _HERM_BLOCK_ROWS].conj().T
+        defect = max(defect, max_abs(rows - rows_dag))
+        out[r : r + _HERM_BLOCK_ROWS] = (rows + rows_dag) / 2
+    return out, defect
 
 
 def _as_complex_matrix(m) -> np.ndarray:
@@ -70,13 +81,12 @@ class HermitianOperator:
         if m.shape[0] != m.shape[1]:
             raise LinalgError(f"Hermitian operator must be square, got {m.shape}")
         scale = max(max_abs(m), 1.0)
-        defect = max_abs(m - m.conj().T)
+        m, defect = _hermitian_part(m)
         if defect > _HERM_RTOL * scale:
             raise LinalgError(
                 f"matrix is not Hermitian: max|M - M^dag| = {defect:.3e} "
                 f"(allowed {_HERM_RTOL * scale:.3e})"
             )
-        m = (m + m.conj().T) / 2
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -126,12 +136,10 @@ class SpectralDecomposition:
     def spectral_norm(self) -> float:
         return float(np.max(np.abs(self.eigenvalues)))
 
-    def ground_projector(self, degeneracy_tol: float = 1e-9) -> np.ndarray:
-        """Projector onto the span of all eigenvectors within
-        ``degeneracy_tol`` of the lowest eigenvalue."""
-        mask = self.eigenvalues <= self.eigenvalues[0] + degeneracy_tol
-        vg = self.eigenvectors[:, mask]
-        return vg @ vg.conj().T
+    def ground_space(self, degeneracy_tol: float = 1e-9) -> np.ndarray:
+        """The eigenvectors (columns) within ``degeneracy_tol`` of the lowest
+        eigenvalue."""
+        return self.eigenvectors[:, self.eigenvalues <= self.eigenvalues[0] + degeneracy_tol]
 
     def reconstruct(self) -> np.ndarray:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
@@ -148,9 +156,9 @@ class DensityMatrix:
         if m.shape[0] != m.shape[1]:
             raise LinalgError("density matrix must be square")
         scale = max(max_abs(m), 1.0)
-        if max_abs(m - m.conj().T) > 1e-9 * scale:
+        m, defect = _hermitian_part(m)
+        if defect > 1e-9 * scale:
             raise LinalgError("density matrix is not Hermitian")
-        m = (m + m.conj().T) / 2
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > 1e-9:
             raise LinalgError(f"density matrix trace {tr} deviates from 1")

@@ -43,16 +43,7 @@ __all__ = [
     "build_tfim",
     "build_hubbard_1d",
     "coupling_operator",
-    "PAULI_I",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
 ]
-
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # Dense storage ceiling: 12 qubits = 4096 x 4096.
 MAX_QUBITS = 12

@@ -221,9 +221,8 @@ def _resampled_evolution(
     n_steps = int(round(t_final / tau))
     if abs(n_steps * tau - t_final) > 1e-9:
         raise ValueError("t_final must be a multiple of tau")
-    steps = np.array([n_steps]) if record is None else np.unique(
-        np.linspace(1, n_steps, record).round().astype(int)
-    )
+    steps = np.array([n_steps]) if record is None else np.linspace(1, n_steps, record).round()
+    steps = steps[np.diff(steps, prepend=0) > 0].astype(int)  # np.unique would import numpy.ma
     f = f_hat(lam[:, None] - lam[None, :], p)
     coherent = -1j * np.diag(lam) if include_coherent else 0.0
     rho = np.repeat(np.diag(p0.astype(complex))[None], len(rngs), axis=0)

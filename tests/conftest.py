@@ -3,6 +3,11 @@ import pytest
 
 from lindbladprep.linalg import DensityMatrix, HermitianOperator
 
+PAULI_I = np.eye(2, dtype=complex)
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
 
 def random_hermitian(rng, dim: int) -> HermitianOperator:
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -13,6 +18,11 @@ def random_density(rng, dim: int) -> DensityMatrix:
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = x @ x.conj().T
     return DensityMatrix(rho / np.trace(rho).real)
+
+
+def ground_projector(spec) -> np.ndarray:
+    vg = spec.ground_space()
+    return vg @ vg.conj().T
 
 
 def random_state(rng, dim: int) -> np.ndarray:

@@ -25,10 +25,10 @@ from lindbladprep.linalg import (
     hermitian_eig,
     trace_norm,
 )
-from lindbladprep.models import PAULI_X, PAULI_Y, ModelSpec, coupling_operator
+from lindbladprep.models import ModelSpec, coupling_operator
 from lindbladprep.reference import exact_dilated_step
 
-from conftest import random_density, random_state
+from conftest import PAULI_X, PAULI_Y, ground_projector, random_density, random_state
 
 
 def tfim_setup(sites=2, clamp=False):
@@ -268,6 +268,22 @@ class TestBlockedEig:
         for v in spec.eigenvectors.T:
             assert np.unique(label[v != 0]).size == 1
 
+    def test_equals_block_order_then_sort(self):
+        """Scattering into the sorted columns is bit-identical to filling the
+        columns in block order and permuting them afterwards."""
+        _, h, a = hubbard_setup(4)
+        blocks = invariant_blocks(h, a)
+        evals, vecs, start = np.empty(h.dim), np.zeros((h.dim, h.dim), dtype=complex), 0
+        for idx in blocks:
+            block = hermitian_eig(HermitianOperator(h.matrix[np.ix_(idx, idx)]))
+            evals[start : start + idx.size] = block.eigenvalues
+            vecs[idx, start : start + idx.size] = block.eigenvectors
+            start += idx.size
+        order = np.argsort(evals, kind="stable")
+        spec = blocked_eig(h, blocks)
+        assert np.array_equal(spec.eigenvalues, evals[order])
+        assert np.array_equal(spec.eigenvectors, vecs[:, order])
+
     def test_tfim_equals_dense_spectrum(self):
         model = ModelSpec("tfim", 4, tfim_g=1.2)
         h = model.hamiltonian()
@@ -451,7 +467,7 @@ class TestRunSimulation:
                     psi = branch1 if click else m0 @ psi
                     psi = psi / np.linalg.norm(psi)
                     clicks[step] += click
-                for k, x in enumerate((h.matrix, spec.ground_projector())):
+                for k, x in enumerate((h.matrix, ground_projector(spec))):
                     obs[k, i, step] = np.vdot(psi, x @ psi).real
         assert clicks.sum() > 0
         for name, ref in zip(("energy", "overlap"), obs[:, :, rec.steps]):
@@ -534,7 +550,7 @@ def dense_rows(model, cfg, psi0):
     spec = hermitian_eig(h)
     p = resolve_filter_params({}, spec.spectral_norm, spec.gap)
     kraus = build_kraus_pair(h, spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
-    proj = spec.ground_projector()
+    proj = ground_projector(spec)
     if cfg.backend == "density":
         states = [np.outer(psi0, psi0.conj())]
         for _ in range(cfg.n_steps):

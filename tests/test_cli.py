@@ -513,6 +513,51 @@ class TestAuxCommands:
         assert lines[0] == "i,j,abs_k"
         assert len(lines) == 17  # 4x4 entries + header
 
+    @pytest.mark.parametrize(
+        "argv, model",
+        [
+            (["--sites", "4"], ModelSpec("tfim", 4, tfim_g=1.2)),
+            (["--model", "hubbard1d", "--sites", "2"], ModelSpec("hubbard1d", 2, hubbard_t=1.0, hubbard_u=4.0)),
+        ],
+    )
+    def test_jump_report_matches_back_transformed_operators(self, capsys, tmp_path, argv, model):
+        """The eigenbasis rows and table equal the same quantities taken on
+        the jump operators in the computational basis."""
+        from lindbladprep.filters import default_params
+        from lindbladprep.jump import exact_jump, ground_residual, quadrature_jump
+        from lindbladprep.linalg import hermitian_eig
+
+        assert main(["jump-report", *argv, "--sparsity-out", str(tmp_path / "k.csv")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = {name: float(value) for name, value in (line.split(",") for line in lines[1:])}
+        spec = hermitian_eig(model.hamiltonian())
+        a = coupling_operator(model)
+        p = default_params(spec.spectral_norm, spec.gap)
+        k, k_quad = exact_jump(spec, a, p), quadrature_jump(spec, a, p)
+        k_clamped = exact_jump(spec, a, p.with_clamp(True))
+        expect = {
+            "dim": spec.dim,
+            "gap": spec.gap,
+            "norm_a": a.norm(),
+            "norm_k_exact": k.norm(),
+            "norm_k_quadrature": k_quad.norm(),
+            "k_minus_ks": np.linalg.norm(k.matrix - k_quad.matrix, 2),
+            "ground_residual_clamped": ground_residual(k_clamped, spec),
+            "ground_residual_unclamped": ground_residual(k, spec),
+        }
+        assert rows.keys() == expect.keys()
+        for name, value in expect.items():
+            assert abs(rows[name] - value) <= 1e-12, name
+        v = spec.eigenvectors
+        table = np.loadtxt(tmp_path / "k.csv", delimiter=",", skiprows=1)
+        n = spec.dim
+        assert np.array_equal(table[:, :2], np.argwhere(np.ones((n, n))))
+        assert np.max(np.abs(table[:, 2] - np.abs(v.conj().T @ k_clamped.matrix @ v).ravel())) <= 1e-12
+        # the text is what one csv row per entry with repr'd floats writes
+        with open(tmp_path / "k.csv", newline="") as fh:
+            text = fh.read()
+        assert text == "i,j,abs_k\r\n" + "".join(f"{int(i)},{int(j)},{x!r}\r\n" for i, j, x in table.tolist())
+
     def test_verify_fast_cli(self, tmp_path):
         report = tmp_path / "report.json"
         assert main(["verify", "fast", "--report", str(report)]) == 0

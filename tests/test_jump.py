@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from lindbladprep.filters import default_params, f_hat, f_l1_estimate
+from lindbladprep.filters import default_params, f_hat, f_l1_estimate, f_time, quadrature_grid
 from lindbladprep.jump import dilate, exact_jump, ground_residual, quadrature_jump
 from lindbladprep.linalg import HermitianOperator, hermitian_eig
-from lindbladprep.models import PAULI_X, PAULI_Z, ModelSpec, build_tfim, coupling_operator
+from lindbladprep.models import ModelSpec, build_tfim, coupling_operator
+
+from conftest import PAULI_X, PAULI_Z
 
 
 def tfim_setup(sites, clamp=False):
@@ -13,6 +15,19 @@ def tfim_setup(sites, clamp=False):
     spec = hermitian_eig(h)
     p = default_params(spec.spectral_norm, spec.gap, clamp=clamp)
     return spec, coupling_operator(model), p
+
+
+def node_loop_quadrature(spec, a, p, grid=None):
+    """The trapezoid sum one node at a time, n^2 phases per node: the
+    oracle for the one-GEMM filter of ``quadrature_jump``."""
+    v = spec.eigenvectors
+    a_eig = v.conj().T @ a.matrix @ v
+    nodes, weights = quadrature_grid(p) if grid is None else grid
+    omega = spec.eigenvalues[:, None] - spec.eigenvalues[None, :]
+    filt = np.zeros(omega.shape, dtype=complex)
+    for s_l, w_l, f_l in zip(nodes, weights, f_time(nodes, p)):
+        filt += w_l * f_l * np.exp(1j * s_l * omega)
+    return v @ (filt * a_eig) @ v.conj().T
 
 
 class TestExactJump:
@@ -113,10 +128,30 @@ class TestQuadratureJump:
         r_quad = ground_residual(quadrature_jump(spec, a, p), spec)
         assert abs(r_exact - r_quad) <= 2e-3 * a.norm()
 
+    @pytest.mark.parametrize(
+        "model, corrupt",
+        [
+            (ModelSpec("tfim", 4, tfim_g=1.2), False),
+            (ModelSpec("tfim", 6, tfim_g=1.2), False),
+            (ModelSpec("hubbard1d", 2, hubbard_t=1.0, hubbard_u=4.0), False),
+            (ModelSpec("tfim", 4, tfim_g=1.2), True),
+        ],
+    )
+    def test_matches_node_loop_oracle(self, model, corrupt):
+        spec = hermitian_eig(model.hamiltonian())
+        a = coupling_operator(model)
+        p = default_params(spec.spectral_norm, spec.gap)
+        grid = None
+        if corrupt:  # the verify harness's sign-flipped weights
+            nodes, weights = quadrature_grid(p)
+            grid = (nodes, np.where(nodes < 0, -weights, weights))
+        oracle = node_loop_quadrature(spec, a, p, grid)
+        k = quadrature_jump(spec, a, p, grid=grid).matrix
+        assert np.max(np.abs(k - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
     def test_operator_form_oracle(self):
         """Eigenbasis phase evaluation equals the literal sum of Heisenberg
         conjugations (the O(N^3)-per-node form)."""
-        from lindbladprep.filters import f_time, quadrature_grid
         from lindbladprep.linalg import evolution_unitary
 
         spec, a, p = tfim_setup(2)

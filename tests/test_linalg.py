@@ -11,9 +11,9 @@ from lindbladprep.linalg import (
     partial_trace_ancilla,
     trace_norm,
 )
-from lindbladprep.models import PAULI_Z, build_tfim
+from lindbladprep.models import build_tfim
 
-from conftest import random_density, random_hermitian
+from conftest import PAULI_Z, random_density, random_hermitian
 
 
 class TestHermitianOperator:
@@ -29,6 +29,21 @@ class TestHermitianOperator:
         m = np.eye(2, dtype=complex)
         m[0, 0] = np.nan
         with pytest.raises(LinalgError):
+            HermitianOperator(m)
+
+    @pytest.mark.parametrize("dim", [5, 64, 300, 1024])
+    def test_blockwise_symmetrization_equals_whole_matrix(self, rng, dim):
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m = x + x.conj().T
+        m[np.triu_indices(dim, 1)] *= 1 + 1e-14  # a defect below the tolerance
+        assert np.array_equal(HermitianOperator(m).matrix, (m + m.conj().T) / 2)
+
+    @pytest.mark.parametrize("entry", [(299, 299), (298, 299)])
+    def test_defect_in_last_row_block_rejected(self, entry):
+        # M - M^dag is nonzero only in rows 298-299, in the last (partial) row block
+        m = np.eye(300, dtype=complex)
+        m[entry] += 1e-6j
+        with pytest.raises(LinalgError, match="not Hermitian"):
             HermitianOperator(m)
 
     def test_immutable(self, rng):

@@ -5,15 +5,9 @@ import pytest
 
 from lindbladprep.channel import invariant_blocks
 from lindbladprep.linalg import HermitianOperator, hermitian_eig
-from lindbladprep.models import (
-    PAULI_I,
-    PAULI_X,
-    PAULI_Z,
-    ModelSpec,
-    build_hubbard_1d,
-    build_tfim,
-    coupling_operator,
-)
+from lindbladprep.models import ModelSpec, build_hubbard_1d, build_tfim, coupling_operator
+
+from conftest import PAULI_I, PAULI_X, PAULI_Z
 
 
 def pauli_chain(ops):

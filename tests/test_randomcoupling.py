@@ -253,6 +253,13 @@ class TestResampledEvolution:
         assert list(steps6) == list(steps_k) == [1, 6, 10]
         assert np.array_equal(states6[:k], states_k)
 
+    def test_repeated_checkpoints_kept_once(self):
+        # 5 evenly spaced checkpoints over 3 steps round to steps 1, 2, 2, 2, 3
+        spec_r = RandomCouplingSpec.uniform(4, 0.5)
+        steps, states = self.evolve([np.random.default_rng(0)], spec_r, 0.05, 0.15, record=5)
+        assert list(steps) == [1, 2, 3]
+        assert states.shape[:2] == (1, 3)
+
     def test_trace_drift_fails(self):
         # RK4 preserves the trace exactly; roundoff in a wildly unstable
         # step is what shows up as drift

@@ -11,7 +11,7 @@ from lindbladprep.linalg import (
     hermitian_eig,
     trace_norm,
 )
-from lindbladprep.models import PAULI_Z, ModelSpec, build_tfim, coupling_operator
+from lindbladprep.models import ModelSpec, build_tfim, coupling_operator
 from lindbladprep.reference import (
     LindbladSystem,
     discrete_map_exact,
@@ -23,7 +23,7 @@ from lindbladprep.reference import (
     superoperator_matrix,
 )
 
-from conftest import random_density
+from conftest import PAULI_Z, random_density
 
 
 def tfim2_system(clamp=False, coherent=True):
