@@ -20,23 +20,19 @@ column ``<b| W^r |0>`` (b = 0, 1): the Kraus pair ``(M0, M1)``, with
 ``e^{-iH tau}`` folded in.  :func:`build_kraus_pair` streams the factors
 onto that 2N x N block in the eigenbasis of ``A``, where every ``Atilde_l``
 is 2 x 2-block diagonal (O(N^2) work) and every frame hop is one GEMM, so
-neither ``W`` nor its factors are ever formed.  It does so one invariant
-block of ``(H, A)`` at a time: every factor of ``W`` is block-diagonal on
-the connected components of the joint nonzero pattern of ``H`` and ``A``
-(:func:`invariant_blocks`), so a block of size ``d_k`` costs
-``r * 2 * (2M + 1)`` hops of ``(d_k, d_k) @ (d_k, 2 d_k)`` and the pair's
-off-block entries are exactly 0.  TFIM is one block; the Hubbard chain
-splits into its (N_up, N_dn) sectors (25 for four sites, the largest of
-size 36).  :func:`build_w` runs the same kernel on the 2N x 2N identity
-over all indices and, with :func:`build_w_naive`, serves as the oracle.
+neither ``W`` nor its factors are ever formed.  :func:`build_w` runs the
+same kernel on the 2N x 2N identity and, with :func:`build_w_naive`,
+serves as the oracle.
 
-Since ``H`` and ``A`` never link two invariant blocks, neither does the
-dynamics.  :func:`run_simulation` eigensolves ``H`` one block at a time
-(:func:`blocked_eig`, whose eigenvectors are exactly 0 outside their
-block) and then evolves only the blocks the initial eigenstate occupies:
-``H``, ``A``, ``e^{-iH tau}``, the ground projector and the state are
-sliced to them before the pair is built and stepped.  This is exact, not
-an approximation; TFIM is one block and runs the same arithmetic.
+Every factor of ``W`` is block-diagonal on the connected components of the
+joint nonzero pattern of ``H`` and ``A`` (:func:`invariant_blocks`), so
+neither the channel nor the dynamics ever links two blocks.
+:func:`run_simulation` partitions ``(H, A)`` once, eigensolves ``H`` one
+block at a time (:func:`blocked_eig`) and then builds and steps only the
+block that holds the initial eigenstate: a block of size ``d`` costs
+``r * 2 * (2M + 1)`` hops of ``(d, d) @ (d, 2d)``.  This is exact, not an
+approximation.  TFIM is one block; the Hubbard chain splits into its
+(N_up, N_dn) sectors (25 for four sites, the largest of size 36).
 
 Cost accounting: every ``Atilde_l`` counts as one controlled-A gate and
 every ``e^{+/- i H t}`` factor contributes ``|t|`` of Hamiltonian
@@ -46,6 +42,7 @@ simulation time, so one step costs ``r * 2 * (2M + 1)`` gates and
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -113,11 +110,15 @@ class ChannelConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.backend not in ("trajectory", "density"):
             raise ValueError(f"unknown backend {self.backend!r}")
+        if not (math.isfinite(self.tau) and math.isfinite(self.total_time)):
+            raise ValueError("tau and total_time must be finite")
         if self.tau <= 0 or self.total_time <= 0:
             raise ValueError("tau and total_time must be positive")
         if self.r < 1:
             raise ValueError("segment count r must be >= 1")
         steps = self.total_time / self.tau
+        if not steps < 2**63:
+            raise ValueError(f"total_time / tau = {steps:.3g} steps does not fit a 64-bit count")
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("total_time must be an integer multiple of tau")
         if self.reps < 1:
@@ -261,15 +262,9 @@ def _node_angles(p: FilterParams, tau_eff: float) -> tuple[np.ndarray, np.ndarra
     return 0.5 * np.sqrt(tau_eff) * weights * np.abs(fvals), np.angle(fvals)
 
 
-def _frame_hop(
-    spec: SpectralDecomposition, rows, va: np.ndarray, tau_s: float
-) -> np.ndarray:
-    """``e^{-iH tau_s}`` on the basis states ``rows`` of an invariant block,
-    in the eigenbasis ``va`` of ``A`` on that block.
-
-    Every eigenpair of ``H`` enters, so the result is exact even where a
-    degenerate level spans several blocks and its eigenvectors mix them."""
-    q = spec.eigenvectors[rows].conj().T @ va
+def _frame_hop(spec: SpectralDecomposition, va: np.ndarray, tau_s: float) -> np.ndarray:
+    """``e^{-iH tau_s}`` in the eigenbasis ``va`` of ``A``."""
+    q = spec.eigenvectors.conj().T @ va
     return (q.conj().T * np.exp(-1j * spec.eigenvalues * tau_s)) @ q
 
 
@@ -342,23 +337,13 @@ def invariant_blocks(*ops: HermitianOperator) -> list[np.ndarray]:
     return blocks
 
 
-def blocked_eig(h: HermitianOperator, blocks: list[np.ndarray]) -> SpectralDecomposition:
-    """Spectrum of ``h`` solved one block of ``blocks`` at a time.
+def blocked_eig(h: HermitianOperator, blocks: list[np.ndarray]) -> list[SpectralDecomposition]:
+    """Spectrum of ``h`` on each block of ``blocks``, one eigensolve per block.
 
-    ``blocks`` must be invariant under ``h`` (see :func:`invariant_blocks`).
-    Each eigenvector is exactly 0 outside its block.  The eigenvalues are
-    sorted with a stable sort, so levels that tie exactly across blocks keep
-    the order of their blocks.
+    ``blocks`` must be invariant under ``h`` (see :func:`invariant_blocks`);
+    entry ``k`` is the spectrum of ``h`` restricted to ``blocks[k]``.
     """
-    specs = [hermitian_eig(HermitianOperator(h.matrix[np.ix_(idx, idx)])) for idx in blocks]
-    evals = np.concatenate([s.eigenvalues for s in specs])
-    order = np.argsort(evals, kind="stable")
-    # the sorted column of every eigenpair, split by block
-    columns = np.split(np.argsort(order), np.cumsum([idx.size for idx in blocks])[:-1])
-    vecs = np.zeros((h.dim, h.dim), dtype=complex)
-    for idx, cols, block_spec in zip(blocks, columns, specs):
-        vecs[np.ix_(idx, cols)] = block_spec.eigenvectors
-    return SpectralDecomposition(evals[order], vecs)
+    return [hermitian_eig(HermitianOperator(h.matrix[np.ix_(idx, idx)])) for idx in blocks]
 
 
 class _KrausPair(tuple):
@@ -377,40 +362,30 @@ def isometry_defect(m0: np.ndarray, m1: np.ndarray) -> float:
 
 
 def build_kraus_pair(
-    h: HermitianOperator,
     spec: SpectralDecomposition,
     a: HermitianOperator,
     p: FilterParams,
     cfg: ChannelConfig,
-    u_coherent: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kraus pair ``M_b = U <b| W(sqrt(tau)/r)^r |0>`` of one evolution step.
 
-    ``spec`` is the spectrum of ``h``.  ``U`` is ``u_coherent``, which must
-    be ``e^{-iH tau}``, when the coherent part is on and the identity
-    otherwise.  The pair is built one block of :func:`invariant_blocks`
-    ``(h, a)`` at a time; its entries between blocks are exactly 0.  Memory
-    stays O(N^2): only the 2N x N block column is formed.  The pair is
-    refused unless its :func:`isometry_defect` is at most 1e-10; the
+    ``spec`` is the spectrum of ``H``.  ``U`` is ``e^{-iH tau}``, formed
+    from ``spec``, when the coherent part is on and the identity otherwise.
+    Memory stays O(N^2): only the 2N x N block column is formed.  The pair
+    is refused unless its :func:`isometry_defect` is at most 1e-10; the
     returned pair carries the checked value as ``isometry_defect``.
     """
-    if not spec.dim == h.dim == a.dim:
-        raise ValueError("dimension mismatch between Hamiltonian, spectrum and coupling")
-    if cfg.include_coherent and u_coherent is None:
-        raise ChannelError("coherent step requested but no e^{-iH tau} supplied")
-    angles = _node_angles(p, cfg.tau_eff)
-    m0 = np.zeros((spec.dim, spec.dim), dtype=complex)
-    m1 = np.zeros_like(m0)
-    for idx in invariant_blocks(h, a):
-        block = np.ix_(idx, idx)
-        a_spec = hermitian_eig(HermitianOperator(a.matrix[block]))
-        va = a_spec.eigenvectors
-        x = np.zeros((idx.size, 2, idx.size), dtype=complex)
-        x[:, 0] = va.conj().T
-        hop = _frame_hop(spec, idx, va, p.tau_s)
-        x = _apply_w(x, hop, a_spec.eigenvalues, angles, cfg.r)
-        back = u_coherent[block] @ va if cfg.include_coherent else va
-        m0[block], m1[block] = back @ x[:, 0], back @ x[:, 1]
+    if spec.dim != a.dim:
+        raise ValueError("dimension mismatch between spectrum and coupling")
+    a_spec = hermitian_eig(a)
+    va = a_spec.eigenvectors
+    n = spec.dim
+    x = np.zeros((n, 2, n), dtype=complex)
+    x[:, 0] = va.conj().T
+    hop = _frame_hop(spec, va, p.tau_s)
+    x = _apply_w(x, hop, a_spec.eigenvalues, _node_angles(p, cfg.tau_eff), cfg.r)
+    back = evolution_unitary(spec, cfg.tau) @ va if cfg.include_coherent else va
+    m0, m1 = back @ x[:, 0], back @ x[:, 1]
     defect = isometry_defect(m0, m1)
     if not defect <= 1e-10:
         raise ChannelError(
@@ -443,7 +418,7 @@ def build_w(
     n = spec.dim
     x = np.zeros((n, 2, 2 * n), dtype=complex)
     x[:, 0, :n] = x[:, 1, n:] = va.conj().T
-    hop = _frame_hop(spec, slice(None), va, p.tau_s)
+    hop = _frame_hop(spec, va, p.tau_s)
     x = _apply_w(x, hop, a_spec.eigenvalues, _node_angles(p, tau_eff), 1)
     w = np.concatenate([va @ x[:, 0], va @ x[:, 1]])
     defect = max_abs(w.conj().T @ w - np.eye(2 * n))
@@ -535,15 +510,16 @@ def trajectory_step(
     return collapsed / weight, clicks
 
 
-def _initial_vector(spec: SpectralDecomposition, cfg: ChannelConfig) -> np.ndarray:
+def _initial_level(cfg: ChannelConfig, dim: int) -> int:
+    """Index of the initial eigenstate among the ``dim`` ascending levels."""
     if cfg.initial_state == "highest_excited":
-        return spec.eigenvectors[:, -1]
+        return dim - 1
     if cfg.initial_state == "ground":
-        return spec.eigenvectors[:, 0]
+        return 0
     idx = cfg.eigenstate_index
-    if idx >= spec.dim:
-        raise ValueError(f"eigenstate index {idx} out of range for dimension {spec.dim}")
-    return spec.eigenvectors[:, idx]
+    if idx >= dim:
+        raise ValueError(f"eigenstate index {idx} out of range for dimension {dim}")
+    return idx
 
 
 def _record_steps(n_steps: int, stride: int) -> np.ndarray:
@@ -554,26 +530,27 @@ def _record_steps(n_steps: int, stride: int) -> np.ndarray:
 
 
 def run_simulation(
-    model: ModelSpec | tuple[HermitianOperator, HermitianOperator],
+    model: ModelSpec,
     cfg: ChannelConfig,
     filter_overrides: dict | None = None,
 ) -> SimulationRecord:
     """Full time series for one configuration.
 
-    ``model`` is either a :class:`ModelSpec` or an explicit
-    ``(hamiltonian, coupling)`` pair.  The filter is the parameter rule
-    applied to the computed spectral norm and gap, with
-    ``filter_overrides`` (a run config's ``filter`` block) on top; invalid
-    overrides raise ``ConfigError``.
+    The filter is the parameter rule applied to the computed spectral norm
+    and gap, with ``filter_overrides`` (a run config's ``filter`` block) on
+    top; invalid overrides raise ``ConfigError``.
 
-    ``H`` is eigensolved one invariant block of ``(H, A)`` at a time
-    (:func:`blocked_eig`), and the run evolves only ``sup``, the union of
-    the blocks where the initial eigenstate is nonzero: ``H``, ``A``, the
-    state and the eigenpairs living on ``sup`` are sliced to it, and
-    ``e^{-iH tau}``, the ground projector and the Kraus pair are built there.
-    No step leaves ``sup``, so this is exact; a ground state in another
-    block has overlap exactly 0.  The filter rule, the spectral-range
-    check and ``meta["spectrum"]`` use the full spectrum.
+    ``(H, A)`` is partitioned once into its invariant blocks
+    (:func:`invariant_blocks`) and ``H`` eigensolved one block at a time
+    (:func:`blocked_eig`).  All levels are ordered with a stable sort, so
+    levels that tie exactly across blocks keep the order of their blocks;
+    that order feeds the filter rule, the choice of the initial eigenstate,
+    the spectral-range check and ``meta["spectrum"]``.  The run then
+    evolves only the block that holds the initial eigenstate: the state,
+    the Kraus pair and the ground projector are built from that block's own
+    spectrum, the projector onto its levels within 1e-9 of the global
+    ground energy.  No step leaves the block, so this is exact; a ground
+    state in another block has overlap exactly 0.
 
     Both backends run the same record loop: advance to the next recorded
     step, observe, repeat.  The trajectory backend steps all ``cfg.reps``
@@ -582,36 +559,35 @@ def run_simulation(
     path does not depend on ``cfg.reps``, and a run is byte-identical at a
     fixed BLAS thread count.
     """
-    if isinstance(model, ModelSpec):
-        h = model.hamiltonian()
-        a = coupling_operator(model)
-    else:
-        h, a = model
+    h, a = model.hamiltonian(), coupling_operator(model)
     blocks = invariant_blocks(h, a)
-    spec = blocked_eig(h, blocks)
+    specs = blocked_eig(h, blocks)
+    levels = np.concatenate([s.eigenvalues for s in specs])
+    order = np.argsort(levels, kind="stable")
+    levels = levels[order]
+    gap = float(levels[1] - levels[0]) if levels.size > 1 else 0.0
+    norm_h = float(np.max(np.abs(levels)))
     from .config import MIN_GAP, resolve_filter_params  # config imports this module
 
     # without a gap this raises ConfigError unless every filter field is given
-    p = resolve_filter_params(filter_overrides or {}, spec.spectral_norm, spec.gap)
-    if spec.gap <= MIN_GAP:
+    p = resolve_filter_params(filter_overrides or {}, norm_h, gap)
+    if gap <= MIN_GAP:
         warnings.warn(
             f"ground space is (near-)degenerate (gap <= {MIN_GAP:g}); overlap is "
             "measured against the full ground-space projector",
             stacklevel=2,
         )
 
-    psi0 = _initial_vector(spec, cfg)
-    sup = np.sort(np.concatenate([idx for idx in blocks if np.any(psi0[idx] != 0)]))
-    on_sup = np.ix_(sup, sup)
-    live = np.any(spec.eigenvectors[sup] != 0, axis=0)  # eigenpairs living on sup
-    h = HermitianOperator(h.matrix[on_sup])
-    a = HermitianOperator(a.matrix[on_sup])
-    spec_sup = SpectralDecomposition(spec.eigenvalues[live], spec.eigenvectors[sup][:, live])
-    u_coh = evolution_unitary(spec_sup, cfg.tau) if cfg.include_coherent else None
-    kraus = build_kraus_pair(h, spec_sup, a, p, cfg, u_coh)
-    vg = spec.ground_space()[sup]  # degeneracy judged on the full spectrum
+    # (block, column) of every level, in ascending order
+    where = [(b, j) for b, s in enumerate(specs) for j in range(s.dim)]
+    b, j = where[order[_initial_level(cfg, levels.size)]]
+    idx, spec = blocks[b], specs[b]
+    on_block = np.ix_(idx, idx)
+    h_block = h.matrix[on_block]
+    kraus = build_kraus_pair(spec, HermitianOperator(a.matrix[on_block]), p, cfg)
+    vg = spec.eigenvectors[:, spec.eigenvalues <= levels[0] + 1e-9]
     ground_proj = vg @ vg.conj().T
-    psi0 = psi0[sup]
+    psi0 = spec.eigenvectors[:, j]
     record_steps = _record_steps(cfg.n_steps, cfg.record_stride)
     per_step = step_cost(p, cfg)
     h_time = record_steps * per_step.hamiltonian_time
@@ -628,7 +604,7 @@ def run_simulation(
 
         def observe(rho: np.ndarray) -> tuple[float, float]:
             # Tr(X rho) = vdot(X, rho) for Hermitian X: O(n^2), no product formed
-            return np.vdot(h.matrix, rho).real, np.vdot(ground_proj, rho).real
+            return np.vdot(h_block, rho).real, np.vdot(ground_proj, rho).real
 
     else:
         state = np.repeat(psi0[:, None], cfg.reps, axis=1)
@@ -650,7 +626,7 @@ def run_simulation(
             def expect(x):
                 return np.einsum("ij,ij->j", psi.conj(), x @ psi).real
 
-            return expect(h.matrix), expect(ground_proj)
+            return expect(h_block), expect(ground_proj)
 
     observed = [observe(state)]
     for span in np.diff(record_steps):
@@ -669,8 +645,7 @@ def run_simulation(
 
     if np.any(o_mean < -1e-9) or np.any(o_mean > 1 + 1e-9):
         raise ChannelError("recorded overlap left [0, 1]")
-    lo, hi = spec.eigenvalues[0], spec.eigenvalues[-1]
-    if np.any(e_mean < lo - 1e-6) or np.any(e_mean > hi + 1e-6):
+    if np.any(e_mean < levels[0] - 1e-6) or np.any(e_mean > levels[-1] + 1e-6):
         raise ChannelError("recorded energy left the spectral range")
 
     meta = {
@@ -678,11 +653,11 @@ def run_simulation(
         "channel": {**asdict(cfg), "n_steps": cfg.n_steps},
         "health": health,
         "spectrum": {
-            "ground_energy": float(spec.eigenvalues[0]),
-            "max_energy": float(spec.eigenvalues[-1]),
-            "gap": spec.gap,
-            "spectral_norm": spec.spectral_norm,
-            "dim": spec.dim,
+            "ground_energy": float(levels[0]),
+            "max_energy": float(levels[-1]),
+            "gap": gap,
+            "spectral_norm": norm_h,
+            "dim": h.dim,
         },
     }
     return SimulationRecord(

@@ -8,8 +8,8 @@ Subcommands::
     filter-table  tabulate the filter in frequency and time domain
     jump-report   numeric diagnostics of the jump operator for a model
 
-Exit codes: 0 success, 1 runtime failure / failed verification,
-2 invalid configuration or arguments.
+Exit codes: 0 success, 1 runtime failure / failed verification / a path
+that cannot be read or written, 2 invalid configuration or arguments.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ChannelError, LinalgError, PlotError, OSError) as exc:
+    except (ChannelError, LinalgError, PlotError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
@@ -209,19 +209,12 @@ def cmd_jump_report(args) -> int:
     if args.sparsity_out:
         path = Path(args.sparsity_out)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fh = open(path, "w", newline="")
-    else:
-        print()  # separate the two tables on stdout
-        fh = sys.stdout
-    try:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "abs_k"])
-        k_abs = np.abs(m_clamped)
-        w.writerows((i, j, x) for i, row in enumerate(k_abs) for j, x in enumerate(row.tolist()))
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
-            print(f"sparsity pattern written to {args.sparsity_out}", file=sys.stderr)
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["i", "j", "abs_k"])
+            k_abs = np.abs(m_clamped)
+            w.writerows((i, j, x) for i, row in enumerate(k_abs) for j, x in enumerate(row.tolist()))
+        print(f"sparsity pattern written to {path}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -256,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_jr = sub.add_parser("jump-report", help="jump-operator diagnostics as CSV")
     _add_model_args(p_jr)
-    p_jr.add_argument("--sparsity-out", help="write the energy-basis |K| table here")
+    p_jr.add_argument("--sparsity-out", help="write the n^2-row energy-basis |K| table here")
     p_jr.set_defaults(fn=cmd_jump_report)
 
     return parser
@@ -269,7 +262,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on bad arguments, which matches our contract
         return int(exc.code or 0)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as exc:  # an unreadable input or an unwritable output path
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ the only ``dim x dim`` array is the returned one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,8 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.sites < 2:
             raise ValueError("need at least 2 sites")
+        if not all(math.isfinite(x) for x in (self.tfim_g, self.hubbard_t, self.hubbard_u)):
+            raise ValueError("model couplings must be finite")
         if self.n_qubits > MAX_QUBITS:
             raise ValueError(
                 f"{self.n_qubits} qubits exceeds the dense-storage ceiling of {MAX_QUBITS}"

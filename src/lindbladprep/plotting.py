@@ -59,7 +59,8 @@ def _fmt(v) -> str:
 
 
 def read_timeseries(path: str | Path, columns=SimulationRecord.COLUMNS) -> dict:
-    """Load a run CSV; missing columns or an empty table are errors."""
+    """Load a run CSV; missing columns, an empty table, and a short row or a
+    non-numeric cell are errors."""
     path = Path(path)
     if not path.exists():
         raise PlotError(f"no such CSV: {path}")
@@ -75,7 +76,10 @@ def read_timeseries(path: str | Path, columns=SimulationRecord.COLUMNS) -> dict:
         raise PlotError(f"{path}: no data rows")
     out = {}
     for c in reader.fieldnames:
-        out[c] = np.array([float(r[c]) for r in rows])
+        try:
+            out[c] = np.array([float(r[c]) for r in rows])
+        except (TypeError, ValueError):  # a short row reads None
+            raise PlotError(f"{path}: column {c!r} has a missing or non-numeric cell") from None
     return out
 
 

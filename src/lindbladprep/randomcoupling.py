@@ -355,25 +355,6 @@ class MixingLayersReport:
     times: np.ndarray
     tail_mass: np.ndarray  # (n_layers, n_times)
 
-    def write_csv(self, path) -> None:
-        """Tail mass vs time, one column per layer."""
-        n_layers = self.tail_mass.shape[0]
-        with _open_csv(path) as writer:
-            writer.writerow(["time"] + [f"tail_mass_layer_{l + 1}" for l in range(n_layers)])
-            for i, t in enumerate(self.times):
-                writer.writerow(
-                    [repr(float(t))] + [repr(float(self.tail_mass[l, i])) for l in range(n_layers)]
-                )
-
-    def summary(self) -> dict:
-        return {
-            "thresholds": self.thresholds,
-            "min_weight_out_rates": self.rates,
-            "violated_layers": self.violated_layers,
-            "crossing_times": self.crossing_times,
-            "tail_monotone": self.tail_monotone,
-        }
-
 
 def mixing_layers_experiment(
     eigenvalues: np.ndarray,
@@ -442,24 +423,10 @@ class ConcentrationReport:
     deviation_se: np.ndarray
     slope: float
 
-    def write_csv(self, path) -> None:
-        """Deviation vs resampling step."""
-        with _open_csv(path) as writer:
-            writer.writerow(["tau", "deviation", "deviation_se"])
-            for t, d, s in zip(self.taus, self.deviations, self.deviation_se):
-                writer.writerow([repr(float(t)), repr(float(d)), repr(float(s))])
-
-    def summary(self) -> dict:
-        return {
-            "slope": self.slope,
-            "taus": [float(t) for t in self.taus],
-            "deviations": [float(d) for d in self.deviations],
-        }
-
 
 def write_summary_json(path, **named_reports) -> None:
-    """Combined JSON summary (fitted slopes, consistency flags) of any mix
-    of experiment reports."""
+    """Combined JSON summary of named reports, each with a ``summary()``
+    (such as the consistency flags of an :class:`ErgodicityReport`)."""
     out = {name: rep.summary() for name, rep in named_reports.items()}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

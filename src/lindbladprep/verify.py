@@ -171,7 +171,7 @@ def check_lemma1_slope():
 
 
 def check_channel_trotter_slope():
-    h, spec, a, p = _tfim_setup()
+    _, spec, a, p = _tfim_setup()
     kd = dilate(quadrature_jump(spec, a, p))
     rng = np.random.default_rng(11)
     rho = _random_density(rng, 4)
@@ -183,7 +183,7 @@ def check_channel_trotter_slope():
         cfg = ChannelConfig(
             tau=t, total_time=t, r=1, include_coherent=False, backend="density"
         )
-        kraus = build_kraus_pair(h, spec, a, p, cfg)
+        kraus = build_kraus_pair(spec, a, p, cfg)
         out = channel_step_density(rho.matrix, kraus)
         ref = exact_dilated_step(kd, rho_rot, t)
         errs.append(trace_norm(u_g @ out @ u_g.conj().T - ref.matrix))
@@ -202,10 +202,9 @@ def check_cancellation_identity():
 
 
 def check_cptp_invariants():
-    h, spec, a, p = _tfim_setup()
+    _, spec, a, p = _tfim_setup()
     cfg = ChannelConfig(tau=0.5, total_time=0.5, r=1, include_coherent=True, backend="density")
-    u_coh = evolution_unitary(spec, cfg.tau)
-    kraus = build_kraus_pair(h, spec, a, p, cfg, u_coh)
+    kraus = build_kraus_pair(spec, a, p, cfg)
     rng = np.random.default_rng(9)
     worst_tr, worst_pos, worst_contract = 0.0, 0.0, 0.0
     for _ in range(50):
@@ -248,18 +247,17 @@ def check_trajectory_density_consistency():
 
 
 def check_tfim4_continuous():
-    model = ModelSpec("tfim", 4, tfim_g=1.2)
-    spec = hermitian_eig(model.hamiltonian())
     cfg = ChannelConfig(
         tau=0.1, total_time=80.0, mode="continuous", backend="trajectory", reps=100, seed=7,
         record_stride=10,
     )
-    rec = run_simulation(model, cfg)
-    e_err = abs(rec.final_energy - spec.eigenvalues[0])
-    ok = rec.final_overlap >= 0.9 and e_err <= 0.1 * spec.gap
+    rec = run_simulation(ModelSpec("tfim", 4, tfim_g=1.2), cfg)
+    spectrum = rec.meta["spectrum"]
+    e_err = abs(rec.final_energy - spectrum["ground_energy"])
+    ok = rec.final_overlap >= 0.9 and e_err <= 0.1 * spectrum["gap"]
     return ok, (
         f"final overlap {rec.final_overlap:.3f} (>= 0.9), "
-        f"energy error {e_err:.3f} (<= {0.1 * spec.gap:.3f})"
+        f"energy error {e_err:.3f} (<= {0.1 * spectrum['gap']:.3f})"
     )
 
 
@@ -309,8 +307,7 @@ def check_global_first_order():
     taus = [0.2, 0.1, 0.05, 0.025]
     for t in taus:
         cfg = ChannelConfig(tau=t, total_time=2.0, r=1, include_coherent=True, backend="density")
-        u_coh = evolution_unitary(spec, t)
-        kraus = build_kraus_pair(h, spec, a, p, cfg, u_coh)
+        kraus = build_kraus_pair(spec, a, p, cfg)
         rho = rho_i.matrix
         for _ in range(cfg.n_steps):
             rho = channel_step_density(rho, kraus)
@@ -321,10 +318,9 @@ def check_global_first_order():
 
 
 def check_discrete_fixed_point():
-    h, spec, a, p = _tfim_setup(4)
+    _, spec, a, p = _tfim_setup(4)
     cfg = ChannelConfig(tau=1.0, total_time=100.0, mode="discrete", r=1, backend="density")
-    u_coh = evolution_unitary(spec, cfg.tau)
-    kraus = build_kraus_pair(h, spec, a, p, cfg, u_coh)
+    kraus = build_kraus_pair(spec, a, p, cfg)
     rho_g = DensityMatrix.pure(spec.ground_state)
     rho, worst = rho_g.matrix, 0.0
     for _ in range(100):

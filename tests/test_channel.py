@@ -44,13 +44,6 @@ def hubbard_setup(sites):
     return model, model.hamiltonian(), coupling_operator(model)
 
 
-def block_labels(blocks, dim):
-    label = np.empty(dim, dtype=int)
-    for k, idx in enumerate(blocks):
-        label[idx] = k
-    return label
-
-
 class TestChannelConfig:
     def test_step_count(self):
         cfg = ChannelConfig(tau=0.1, total_time=8.0)
@@ -116,7 +109,7 @@ class TestBuildW:
         assert np.max(np.abs(naive - frame @ w @ frame.conj().T)) <= 1e-10
 
     def test_trotter_slope_against_dilated_step(self):
-        _, h, spec, a, p = tfim_setup(2)
+        _, _, spec, a, p = tfim_setup(2)
         kd = dilate(quadrature_jump(spec, a, p))
         rng = np.random.default_rng(11)
         rho = random_density(rng, 4)
@@ -126,7 +119,7 @@ class TestBuildW:
         errs = []
         for t in taus:
             cfg = ChannelConfig(tau=t, total_time=t, r=1, include_coherent=False, backend="density")
-            kraus = build_kraus_pair(h, spec, a, p, cfg)
+            kraus = build_kraus_pair(spec, a, p, cfg)
             out = channel_step_density(rho.matrix, kraus)
             ref = exact_dilated_step(kd, rho_rot, t)
             errs.append(trace_norm(u_g @ out @ u_g.conj().T - ref.matrix))
@@ -135,7 +128,7 @@ class TestBuildW:
 
     def test_segment_refinement_converges_to_dilated_step(self):
         """W(sqrt(tau)/r)^r approaches exp(-i sqrt(tau) Ktilde) as r grows."""
-        _, h, spec, a, p = tfim_setup(2)
+        _, _, spec, a, p = tfim_setup(2)
         kd = dilate(quadrature_jump(spec, a, p))
         rng = np.random.default_rng(3)
         rho = random_density(rng, 4)
@@ -149,7 +142,7 @@ class TestBuildW:
                 tau=tau, total_time=tau, mode="discrete", r=r,
                 include_coherent=False, backend="density",
             )
-            kraus = build_kraus_pair(h, spec, a, p, cfg)
+            kraus = build_kraus_pair(spec, a, p, cfg)
             out = channel_step_density(rho.matrix, kraus)
             errs.append(trace_norm(u_g @ out @ u_g.conj().T - ref.matrix))
         assert errs[1] < errs[0] and errs[2] < errs[1]
@@ -180,11 +173,10 @@ class TestBuildKrausPair:
         cfg = ChannelConfig(
             tau=0.5, total_time=0.5, mode="discrete", r=r, include_coherent=coherent
         )
-        u = evolution_unitary(spec, cfg.tau)
-        m0, m1 = build_kraus_pair(h, spec, a, p, cfg, u)
+        m0, m1 = build_kraus_pair(spec, a, p, cfg)
         phi = np.linalg.matrix_power(build_w(spec, a, p, cfg.tau_eff), r)
         n = spec.dim
-        fold = u if coherent else np.eye(n)
+        fold = evolution_unitary(spec, cfg.tau) if coherent else np.eye(n)
         assert np.max(np.abs(m0 - fold @ phi[:n, :n])) <= 1e-12
         assert np.max(np.abs(m1 - fold @ phi[n:, :n])) <= 1e-12
 
@@ -197,31 +189,17 @@ class TestBuildKrausPair:
         spec = hermitian_eig(h)
         p = default_params(spec.spectral_norm, spec.gap)
         cfg = ChannelConfig(tau=0.5, total_time=0.5, include_coherent=False)
-        m0, m1 = build_kraus_pair(h, spec, a, p, cfg)
+        m0, m1 = build_kraus_pair(spec, a, p, cfg)
         w = build_w(spec, a, p, cfg.tau_eff)
         assert np.max(np.abs(m0 - w[:4, :4])) <= 1e-12
         assert np.max(np.abs(m1 - w[4:, :4])) <= 1e-12
         assert np.max(np.abs(m1)) >= 1e-2
 
-    def test_off_block_entries_are_exactly_zero(self):
-        model = ModelSpec("hubbard1d", 4, hubbard_t=1.0, hubbard_u=4.0)
-        h, a = model.hamiltonian(), coupling_operator(model)
-        spec = hermitian_eig(h)
-        p = default_params(spec.spectral_norm, spec.gap)
-        cfg = ChannelConfig(tau=0.5, total_time=0.5, mode="discrete", r=1)
-        pair = build_kraus_pair(h, spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
-        label = block_labels(invariant_blocks(h, a), spec.dim)
-        off_block = label[:, None] != label[None, :]
-        assert off_block.any()
-        for m in pair:
-            assert np.all(m[off_block] == 0)
-            assert np.any(m[~off_block] != 0)
-
     def test_corrupted_factor_trips_isometry_check(self, monkeypatch):
         import lindbladprep.channel as channel
 
         exact = channel._atilde_diagonals
-        _, h, spec, a, p = tfim_setup(2)
+        _, _, spec, a, p = tfim_setup(2)
         cfg = ChannelConfig(tau=0.5, total_time=0.5, include_coherent=False)
         for scale in (1.001, np.nan):  # NaN compares False with any bound
 
@@ -231,7 +209,7 @@ class TestBuildKrausPair:
 
             monkeypatch.setattr(channel, "_atilde_diagonals", corrupted)
             with pytest.raises(ChannelError, match="trace preservation"):
-                build_kraus_pair(h, spec, a, p, cfg)
+                build_kraus_pair(spec, a, p, cfg)
             with pytest.raises(ChannelError, match="unitarity"):
                 build_w(spec, a, p, cfg.tau_eff)
 
@@ -255,59 +233,36 @@ class TestBlockedEig:
     @pytest.mark.parametrize("sites", [2, 4])
     def test_matches_dense_spectrum(self, sites):
         _, h, a = hubbard_setup(sites)
-        spec = blocked_eig(h, invariant_blocks(h, a))
-        assert np.max(np.abs(spec.eigenvalues - hermitian_eig(h).eigenvalues)) <= 1e-12
-        assert np.max(np.abs(spec.reconstruct() - h.matrix)) <= 1e-12
-
-    @pytest.mark.parametrize("sites", [2, 4])
-    def test_eigenvectors_vanish_outside_one_block(self, sites):
-        _, h, a = hubbard_setup(sites)
         blocks = invariant_blocks(h, a)
-        label = block_labels(blocks, h.dim)
-        spec = blocked_eig(h, blocks)
-        for v in spec.eigenvectors.T:
-            assert np.unique(label[v != 0]).size == 1
-
-    def test_equals_block_order_then_sort(self):
-        """Scattering into the sorted columns is bit-identical to filling the
-        columns in block order and permuting them afterwards."""
-        _, h, a = hubbard_setup(4)
-        blocks = invariant_blocks(h, a)
-        evals, vecs, start = np.empty(h.dim), np.zeros((h.dim, h.dim), dtype=complex), 0
-        for idx in blocks:
-            block = hermitian_eig(HermitianOperator(h.matrix[np.ix_(idx, idx)]))
-            evals[start : start + idx.size] = block.eigenvalues
-            vecs[idx, start : start + idx.size] = block.eigenvectors
-            start += idx.size
-        order = np.argsort(evals, kind="stable")
-        spec = blocked_eig(h, blocks)
-        assert np.array_equal(spec.eigenvalues, evals[order])
-        assert np.array_equal(spec.eigenvectors, vecs[:, order])
+        specs = blocked_eig(h, blocks)
+        levels = np.sort(np.concatenate([s.eigenvalues for s in specs]))
+        assert np.max(np.abs(levels - hermitian_eig(h).eigenvalues)) <= 1e-12
+        for idx, spec in zip(blocks, specs, strict=True):
+            assert np.max(np.abs(spec.reconstruct() - h.matrix[np.ix_(idx, idx)])) <= 1e-12
 
     def test_tfim_equals_dense_spectrum(self):
         model = ModelSpec("tfim", 4, tfim_g=1.2)
         h = model.hamiltonian()
-        blocks = invariant_blocks(h, coupling_operator(model))
-        spec, dense = blocked_eig(h, blocks), hermitian_eig(h)
+        (spec,) = blocked_eig(h, invariant_blocks(h, coupling_operator(model)))
+        dense = hermitian_eig(h)
         assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
         assert np.array_equal(spec.eigenvectors, dense.eigenvectors)
 
 
 class TestChannelStepDensity:
     def test_cptp_per_step(self, rng):
-        _, h, spec, a, p = tfim_setup(2)
+        _, _, spec, a, p = tfim_setup(2)
         cfg = ChannelConfig(tau=0.5, total_time=0.5, backend="density")
-        u = evolution_unitary(spec, cfg.tau)
-        kraus = build_kraus_pair(h, spec, a, p, cfg, u)
+        kraus = build_kraus_pair(spec, a, p, cfg)
         rho = random_density(rng, 4)
         out = channel_step_density(rho.matrix, kraus)
         assert abs(np.trace(out).real - 1.0) <= 1e-9
         assert np.min(np.linalg.eigvalsh(out)) >= -1e-8
 
     def test_contractive(self, rng):
-        _, h, spec, a, p = tfim_setup(2)
+        _, _, spec, a, p = tfim_setup(2)
         cfg = ChannelConfig(tau=0.5, total_time=0.5, backend="density")
-        kraus = build_kraus_pair(h, spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
+        kraus = build_kraus_pair(spec, a, p, cfg)
         for _ in range(20):
             r1, r2 = random_density(rng, 4), random_density(rng, 4)
             o1 = channel_step_density(r1.matrix, kraus)
@@ -315,26 +270,18 @@ class TestChannelStepDensity:
             assert trace_norm(o1 - o2) <= trace_norm(r1.matrix - r2.matrix) + 1e-9
 
     def test_fixed_point_single_step(self):
-        _, h, spec, a, p = tfim_setup(4)
+        _, _, spec, a, p = tfim_setup(4)
         rho_g = DensityMatrix.pure(spec.ground_state)
         for tau in (0.1, 1.0):
             cfg = ChannelConfig(tau=tau, total_time=tau, backend="density")
-            kraus = build_kraus_pair(h, spec, a, p, cfg, evolution_unitary(spec, tau))
+            kraus = build_kraus_pair(spec, a, p, cfg)
             out = channel_step_density(rho_g.matrix, kraus)
             assert trace_norm(out - rho_g.matrix) <= 1e-2
 
-    def test_missing_coherent_unitary(self):
-        # e^{-iH tau} enters the step through the pair, so the pair refuses to
-        # build without it
-        _, h, spec, a, p = tfim_setup(2)
-        cfg = ChannelConfig(tau=0.5, total_time=0.5, backend="density")
-        with pytest.raises(ChannelError, match="coherent step"):
-            build_kraus_pair(h, spec, a, p, cfg, None)
-
     def test_trace_drift_and_nonfinite_entries_fail(self, rng):
-        _, h, spec, a, p = tfim_setup(2)
+        _, _, spec, a, p = tfim_setup(2)
         cfg = ChannelConfig(tau=0.5, total_time=0.5, include_coherent=False, backend="density")
-        m0, m1 = build_kraus_pair(h, spec, a, p, cfg)
+        m0, m1 = build_kraus_pair(spec, a, p, cfg)
         rho = random_density(rng, 4).matrix
         with pytest.raises(ChannelError, match="trace drifted"):
             channel_step_density(rho, (1.001 * m0, m1))
@@ -378,16 +325,16 @@ class TestTrajectoryStep:
         assert np.allclose(out, u @ psi)
 
     def test_ground_state_rarely_clicks(self):
-        _, h, spec, a, p = tfim_setup(4)
+        _, _, spec, a, p = tfim_setup(4)
         cfg = ChannelConfig(tau=0.1, total_time=0.1)
-        _, m1 = build_kraus_pair(h, spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
+        _, m1 = build_kraus_pair(spec, a, p, cfg)
         branch1 = m1 @ spec.ground_state
         assert np.vdot(branch1, branch1).real <= 1e-2
 
     def test_norm_validation(self, rng):
-        _, h, spec, a, p = tfim_setup(2)
+        _, _, spec, a, p = tfim_setup(2)
         cfg = ChannelConfig(tau=0.3, total_time=0.3)
-        kraus = build_kraus_pair(h, spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
+        kraus = build_kraus_pair(spec, a, p, cfg)
         psi = np.stack([random_state(rng, 4) for _ in range(3)], axis=1)
         psi[:, 1] *= 2.0
         with pytest.raises(ChannelError, match="norm"):
@@ -454,7 +401,7 @@ class TestRunSimulation:
         )
         rec = run_simulation(model, cfg)
         h, spec, a, p = tfim_setup(2)[1:]
-        m0, m1 = build_kraus_pair(h, spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
+        m0, m1 = build_kraus_pair(spec, a, p, cfg)
         obs = np.empty((2, cfg.reps, cfg.n_steps + 1))
         clicks = np.zeros(cfg.n_steps + 1)
         for i in range(cfg.reps):
@@ -549,7 +496,7 @@ def dense_rows(model, cfg, psi0):
     h, a = model.hamiltonian(), coupling_operator(model)
     spec = hermitian_eig(h)
     p = resolve_filter_params({}, spec.spectral_norm, spec.gap)
-    kraus = build_kraus_pair(h, spec, a, p, cfg, evolution_unitary(spec, cfg.tau))
+    kraus = build_kraus_pair(spec, a, p, cfg)
     proj = ground_projector(spec)
     if cfg.backend == "density":
         states = [np.outer(psi0, psi0.conj())]
@@ -583,8 +530,35 @@ def dense_rows(model, cfg, psi0):
 
 
 class TestRestrictedRun:
-    """``run_simulation`` evolves only the invariant blocks of the initial
+    """``run_simulation`` evolves only the invariant block of the initial
     eigenstate; stepping the full space gives the same rows."""
+
+    def test_partitions_once_and_eigensolves_only_blocks(self, monkeypatch):
+        """Hubbard-4: one partition of the model's (H, A), and no eigensolve
+        larger than the largest block (36 states)."""
+        import lindbladprep.channel as channel
+
+        model = ModelSpec("hubbard1d", 4, hubbard_t=1.0, hubbard_u=4.0)
+        partitions, solved = [], []
+        exact_blocks, exact_eig = channel.invariant_blocks, channel.hermitian_eig
+
+        def blocks_spy(*ops):
+            partitions.append([op.matrix for op in ops])
+            return exact_blocks(*ops)
+
+        def eig_spy(op):
+            solved.append(op.dim)
+            return exact_eig(op)
+
+        monkeypatch.setattr(channel, "invariant_blocks", blocks_spy)
+        monkeypatch.setattr(channel, "hermitian_eig", eig_spy)
+        cfg = ChannelConfig(tau=0.5, total_time=1.0, mode="discrete", r=2, backend="density")
+        run_simulation(model, cfg)
+        assert len(partitions) == 1
+        h, a = partitions[0]
+        assert np.array_equal(h, model.hamiltonian().matrix)
+        assert np.array_equal(a, coupling_operator(model).matrix)
+        assert len(solved) == 26 and max(solved) == 36  # 25 blocks of H, then A on one
 
     @pytest.mark.parametrize("backend", ["density", "trajectory"])
     @pytest.mark.parametrize("initial_state", ["highest_excited", "eigenstate:8"])
@@ -595,19 +569,21 @@ class TestRestrictedRun:
             initial_state=initial_state,
         )
         blocks = invariant_blocks(h, a)
-        label = block_labels(blocks, h.dim)
-        spec = blocked_eig(h, blocks)
+        specs = blocked_eig(h, blocks)
+        # block and column of every level in the run's stable ascending order
+        order = np.argsort(np.concatenate([s.eigenvalues for s in specs]), kind="stable")
+        home = np.repeat(np.arange(len(specs)), [s.dim for s in specs])[order]
+        column = np.concatenate([np.arange(s.dim) for s in specs])[order]
         k = cfg.eigenstate_index if cfg.eigenstate_index is not None else h.dim - 1
-        # the run's own initial vector: a degenerate level's dense
-        # eigenvector would mix sectors
-        psi0 = spec.eigenvectors[:, k]
-        home = np.unique(label[psi0 != 0])
-        ground = np.unique(label[spec.ground_state != 0])
+        # the run's own initial vector at full size: a degenerate level's
+        # dense eigenvector would mix sectors
+        psi0 = np.zeros(h.dim, dtype=complex)
+        psi0[blocks[home[k]]] = specs[home[k]].eigenvectors[:, column[k]]
         if initial_state == "highest_excited":
             dense = hermitian_eig(h).eigenvectors[:, -1]
             assert abs(abs(np.vdot(dense, psi0)) - 1) <= 1e-12
         else:
-            assert home.size == 1 and home[0] not in ground
+            assert home[k] != home[0]  # the ground state lies in another block
         rec = run_simulation(model, cfg)
         rows, click_rate = dense_rows(model, cfg, psi0)
         got = list(rec.rows())

@@ -78,6 +78,24 @@ MISTYPED = [
 ]
 
 
+# (block, key, value) of a config field whose value is not finite or whose
+# step count overflows
+NON_FINITE = [
+    ("model", "g", float("nan")),
+    ("channel", "total_time", float("inf")),
+    ("channel", "total_time", 1e300),
+    ("channel", "tau", 1e-320),
+]
+
+
+def assert_one_error_line(capsys, argv, code):
+    """The CLI on ``argv`` exits ``code`` with one ``error:`` line on stderr."""
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 class TestConfigParsing:
     def test_round_trip(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -206,6 +224,17 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert f"{block}.{key} must be a JSON" in err
         assert err.count("\n") == 1
+        assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize(
+        "block, key, value", NON_FINITE, ids=[f"{key}-{value}" for _, key, value in NON_FINITE]
+    )
+    def test_non_finite_or_overflowing_number_exit_2(self, tmp_path, capsys, block, key, value):
+        data = tiny_config(tmp_path)
+        data[block][key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))  # NaN and Infinity as Python's json writes them
+        assert_one_error_line(capsys, ["run", str(cfg_path)], 2)
         assert not (tmp_path / "run.csv").exists()
 
     def test_invalid_filter_override_exit_2(self, tmp_path, capsys):
@@ -501,6 +530,17 @@ class TestAuxCommands:
         assert out.stderr.count("\n") == 1 and out.stderr.startswith("error:")
         assert list(tmp_path.iterdir()) == []
 
+    def test_jump_report_stdout_is_the_metric_table(self, capsys):
+        """Without ``--sparsity-out`` the n^2-row |K| table is not written."""
+        assert main(["jump-report", "--sites", "2"]) == 0
+        out, err = capsys.readouterr()
+        names = [line.split(",")[0] for line in out.splitlines()]
+        assert names == [
+            "metric", "dim", "gap", "norm_a", "norm_k_exact", "norm_k_quadrature",
+            "k_minus_ks", "ground_residual_clamped", "ground_residual_unclamped",
+        ]
+        assert err == ""
+
     def test_jump_report(self, capsys, tmp_path):
         rc = main(
             ["jump-report", "--model", "tfim", "--sites", "2", "--g", "1.2",
@@ -565,6 +605,42 @@ class TestAuxCommands:
         assert data["passed"] is True
         assert data["n_failed"] == 0
         assert all("detail" in c for c in data["checks"])
+
+
+# argv of an auxiliary command on a bad number, CSV or path, and its exit code;
+# {tmp} holds dir/ (a directory), file (a regular file), good.csv, bad.csv
+# (a non-numeric cell) and short.csv (a short row)
+BAD_AUX = [
+    ("filter-table --sites 2 --g nan --out-dir {tmp}/tables", 2),
+    ("jump-report --sites 2 --g inf", 2),
+    ("plot {tmp}/bad.csv --kind energy-time --out {tmp}/p.svg", 2),
+    ("plot {tmp}/short.csv --kind energy-time --out {tmp}/p.svg", 2),
+    ("plot {tmp}/dir --kind energy-time --out {tmp}/p.svg", 1),
+    ("plot {tmp}/good.csv --kind energy-time --out {tmp}/dir", 1),
+    ("filter-table --sites 2 --out-dir {tmp}/file", 1),
+    ("jump-report --sites 2 --sparsity-out {tmp}/dir", 1),
+]
+
+
+class TestBadAuxInput:
+    @pytest.mark.parametrize(
+        "argv, code",
+        BAD_AUX,
+        ids=[
+            "filter-table-g-nan", "jump-report-g-inf", "plot-non-numeric-cell",
+            "plot-short-row", "plot-csv-is-directory", "plot-out-is-directory",
+            "filter-table-out-dir-is-file", "jump-report-sparsity-out-is-directory",
+        ],
+    )
+    def test_one_error_line(self, tmp_path, capsys, argv, code):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("a regular file\n")
+        header = ",".join(read_columns())
+        (tmp_path / "good.csv").write_text(f"{header}\n0,0.0,0.0,0,1.0,0.0,0.5,0.0\n")
+        (tmp_path / "bad.csv").write_text(f"{header}\n0,0.0,0.0,0,x,0.0,0.5,0.0\n")
+        (tmp_path / "short.csv").write_text(f"{header}\n0,0.0,0.0,0\n")
+        assert_one_error_line(capsys, argv.format(tmp=tmp_path).split(), code)
+        assert not (tmp_path / "p.svg").exists()
 
 
 class TestMutationHarness:

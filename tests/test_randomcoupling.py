@@ -383,29 +383,14 @@ class TestReportOutputs:
         lam = synthetic_spectrum("equispaced", 4, span=3.0)
         p = clamped_params(3.0, 1.0)
         sig = RandomCouplingSpec.uniform(4, 0.5)
-        conc = concentration_experiment(
-            lam, sig, p, np.full(4, 0.25), taus=[0.1, 0.05], t_final=0.5, reps=20, seed=2
-        )
-        mix = mixing_layers_experiment(lam, sig, p, [3, 1, 0], t_max=5.0, n_times=50)
         erg = ergodicity_experiment(
             lam, sig, p, np.full(4, 0.25), tau=0.05, t_final=0.5, reps=20, seed=2
         )
-        conc.write_csv(tmp_path / "deviation_vs_tau.csv")
-        mix.write_csv(tmp_path / "tail_mass.csv")
         erg.write_csv(tmp_path / "populations.csv")
-        lines = (tmp_path / "deviation_vs_tau.csv").read_text().splitlines()
-        assert lines[0] == "tau,deviation,deviation_se"
-        assert len(lines) == 3
-        head = (tmp_path / "tail_mass.csv").read_text().splitlines()[0]
-        assert head == "time,tail_mass_layer_1,tail_mass_layer_2"
         pop_head = (tmp_path / "populations.csv").read_text().splitlines()[0]
         assert pop_head == "time,level,mc_mean,mc_se,rate_equation"
-        write_summary_json(
-            tmp_path / "summary.json", concentration=conc, mixing=mix, ergodicity=erg
-        )
+        write_summary_json(tmp_path / "summary.json", ergodicity=erg)
         data = json.loads((tmp_path / "summary.json").read_text())
-        assert "slope" in data["concentration"]
-        assert data["mixing"]["tail_monotone"] is True
         assert "consistent" in data["ergodicity"]
 
 
