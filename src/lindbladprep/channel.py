@@ -121,6 +121,8 @@ class ChannelConfig:
             raise ValueError(f"total_time / tau = {steps:.3g} steps does not fit a 64-bit count")
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("total_time must be an integer multiple of tau")
+        if round(steps) < 1:
+            raise ValueError(f"total_time / tau = {steps:.3g} is less than one step")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.record_stride < 1:

@@ -30,7 +30,7 @@ from .config import ConfigError, load_run_config, manifest_dict, resolve_filter_
 from .filters import f_hat, f_time
 from .jump import check_l1_bound, coupling_in_eigenbasis, exact_filter, quadrature_filter
 from .linalg import LinalgError, hermitian_eig
-from .models import ModelSpec, coupling_operator
+from .models import MODEL_PARAMS, ModelSpec, coupling_operator
 from .plotting import PLOT_KINDS, PlotError, render_plot, write_timeseries_csv
 
 EXIT_OK = 0
@@ -39,7 +39,7 @@ EXIT_CONFIG = 2
 
 
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=["tfim", "hubbard1d"], default="tfim")
+    parser.add_argument("--model", choices=list(MODEL_PARAMS), default="tfim")
     parser.add_argument("--sites", type=int, default=4)
     parser.add_argument("--g", type=float, default=1.2, help="TFIM transverse field")
     parser.add_argument("--t", type=float, default=1.0, help="Hubbard hopping")
@@ -48,9 +48,8 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _model_from_args(args) -> ModelSpec:
-    if args.model == "tfim":
-        return ModelSpec("tfim", args.sites, tfim_g=args.g)
-    return ModelSpec("hubbard1d", args.sites, hubbard_t=args.t, hubbard_u=args.u)
+    couplings = {name: getattr(args, key) for key, name in MODEL_PARAMS[args.model].items()}
+    return ModelSpec(args.model, args.sites, **couplings)
 
 
 def cmd_run(args) -> int:
@@ -82,8 +81,7 @@ def _write_run_outputs(run, record) -> None:
     after all of them were written; on a failure the temporary files are
     removed, and so are the directories made here that are left empty, so
     a failed run leaves no new output file or directory."""
-    csv_path, manifest_path = Path(run.csv_path), Path(run.manifest_path)
-    svgs = [] if run.plots_dir is None else [Path(run.plots_dir) / f"{k}.svg" for k in PLOT_KINDS]
+    csv_path, manifest_path, *svgs = run.output_paths
     temps = {}
     made = []  # directories made here, parents first
     try:

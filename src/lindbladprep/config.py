@@ -12,6 +12,10 @@ A run config has three blocks plus output paths::
       "output":  {"csv": "run.csv", "manifest": "run.json", "plots": null}
     }
 
+The accepted keys, JSON types, required keys and defaults of the
+``channel`` and ``filter`` blocks are the fields of ``ChannelConfig`` and
+``FilterParams``; the model couplings of each kind are ``MODEL_PARAMS``.
+
 Validation is strict: unknown keys anywhere are rejected, and every
 physical default the run resolves (filter shape, quadrature grid, spectrum
 data) is echoed back in the manifest so a run can be reproduced from its
@@ -21,12 +25,13 @@ outputs alone.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from .channel import ChannelConfig
 from .filters import FilterParams, default_params
-from .models import ModelSpec
+from .models import MODEL_PARAMS, ModelSpec
+from .plotting import PLOT_KINDS
 
 __all__ = ["ConfigError", "MIN_GAP", "RunConfig", "load_run_config", "resolve_filter_params"]
 
@@ -35,22 +40,8 @@ class ConfigError(ValueError):
     """Invalid configuration; maps to CLI exit code 2."""
 
 
-_MODEL_KEYS = {"kind", "sites", "g", "t", "u"}
-_FILTER_KEYS = {"a", "delta_a", "b", "delta_b", "s_radius", "tau_s", "clamp_nonnegative"}
-_CHANNEL_KEYS = {
-    "mode",
-    "tau",
-    "total_time",
-    "r",
-    "include_coherent",
-    "backend",
-    "reps",
-    "seed",
-    "initial_state",
-    "record_stride",
-}
-_OUTPUT_KEYS = {"csv", "manifest", "plots"}
-_TOP_KEYS = {"model", "filter", "channel", "output"}
+# JSON kind of a dataclass field by its annotation; a str is left to the class
+_JSON_KINDS = {"int": "integer", "float": "number", "bool": "boolean"}
 
 
 def _reject_unknown(block: dict, allowed: set, where: str) -> None:
@@ -74,52 +65,17 @@ class RunConfig:
     manifest_path: str
     plots_dir: str | None
 
-
-def _parse_model(block) -> ModelSpec:
-    if not isinstance(block, dict):
-        raise ConfigError("'model' must be an object")
-    _reject_unknown(block, _MODEL_KEYS, "model")
-    kind = _require(block, "kind", "model")
-    sites = _typed("model.sites", _require(block, "sites", "model"), "integer")
-
-    def number(key: str) -> float:
-        return float(_typed(f"model.{key}", _require(block, key, "model"), "number"))
-
-    try:
-        if kind == "tfim":
-            if "t" in block or "u" in block:
-                raise ConfigError("model keys 't'/'u' only apply to hubbard1d")
-            return ModelSpec("tfim", sites, tfim_g=number("g"))
-        if kind == "hubbard1d":
-            if "g" in block:
-                raise ConfigError("model key 'g' only applies to tfim")
-            return ModelSpec("hubbard1d", sites, hubbard_t=number("t"), hubbard_u=number("u"))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid model block: {exc}") from exc
-    raise ConfigError(f"unknown model kind {kind!r}")
-
-
-def _parse_filter(block) -> dict:
-    if block is None:
-        return {}
-    if not isinstance(block, dict):
-        raise ConfigError("'filter' must be an object")
-    _reject_unknown(block, _FILTER_KEYS, "filter")
-    out = {}
-    for key, val in block.items():
-        if key == "clamp_nonnegative":
-            out[key] = _typed(f"filter.{key}", val, "boolean")
-        else:
-            out[key] = float(_typed(f"filter.{key}", val, "number"))
-    return out
+    @property
+    def output_paths(self) -> list[Path]:
+        """The CSV, the manifest and one SVG per plot kind, in that order."""
+        svgs = [] if self.plots_dir is None else [Path(self.plots_dir) / f"{k}.svg" for k in PLOT_KINDS]
+        return [Path(self.csv_path), Path(self.manifest_path), *svgs]
 
 
 def _typed(name: str, val, kind: str):
     """``val``, the value of the config field ``name`` ("block.key"), if it
     is a JSON value of ``kind``: "integer" or "number" (a bool is neither)
-    or "boolean"."""
+    or "boolean"; a number is returned as a ``float``."""
     if kind == "boolean":
         ok = isinstance(val, bool)
     else:
@@ -127,42 +83,56 @@ def _typed(name: str, val, kind: str):
         ok = isinstance(val, types) and not isinstance(val, bool)
     if not ok:
         raise ConfigError(f"{name} must be a JSON {kind}, got {json.dumps(val)}")
-    return val
-
-
-def _parse_channel(block) -> ChannelConfig:
-    if not isinstance(block, dict):
-        raise ConfigError("'channel' must be an object")
-    _reject_unknown(block, _CHANNEL_KEYS, "channel")
     try:
-        return ChannelConfig(
-            tau=float(_typed("channel.tau", _require(block, "tau", "channel"), "number")),
-            total_time=float(
-                _typed("channel.total_time", _require(block, "total_time", "channel"), "number")
-            ),
-            mode=block.get("mode", "continuous"),
-            r=_typed("channel.r", block.get("r", 1), "integer"),
-            include_coherent=_typed(
-                "channel.include_coherent", block.get("include_coherent", True), "boolean"
-            ),
-            backend=block.get("backend", "trajectory"),
-            reps=_typed("channel.reps", block.get("reps", 1), "integer"),
-            seed=_typed("channel.seed", block.get("seed", 0), "integer"),
-            initial_state=block.get("initial_state", "highest_excited"),
-            record_stride=_typed(
-                "channel.record_stride", block.get("record_stride", 1), "integer"
-            ),
-        )
-    except ConfigError:
-        raise
+        return float(val) if kind == "number" else val
+    except OverflowError:  # an integer literal beyond the float range
+        raise ConfigError(f"{name} is out of the float range") from None
+
+
+def _required(cls) -> list[str]:
+    """The fields of dataclass ``cls`` that its constructor needs."""
+    return [f.name for f in fields(cls) if f.init and f.default is MISSING]
+
+
+def _dataclass_block(cls, block, where: str, *, partial: bool = False) -> dict:
+    """The keyword arguments for dataclass ``cls`` in config block ``where``:
+    its keys, JSON types and required keys (unless ``partial``) are those
+    of ``cls``'s fields, and a key left out keeps the field's default."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where!r} must be an object")
+    kinds = {f.name: _JSON_KINDS.get(f.type) for f in fields(cls) if f.init}
+    _reject_unknown(block, set(kinds), where)
+    for key in [] if partial else _required(cls):
+        _require(block, key, where)
+    return {k: _typed(f"{where}.{k}", v, kinds[k]) if kinds[k] else v for k, v in block.items()}
+
+
+def _parse_model(block) -> ModelSpec:
+    if not isinstance(block, dict):
+        raise ConfigError("'model' must be an object")
+    _reject_unknown(block, {"kind", "sites"}.union(*MODEL_PARAMS.values()), "model")
+    kind = _require(block, "kind", "model")
+    sites = _typed("model.sites", _require(block, "sites", "model"), "integer")
+    if not isinstance(kind, str) or kind not in MODEL_PARAMS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    for other, keys in MODEL_PARAMS.items():
+        if other != kind and keys.keys() & block.keys():
+            noun, verb = ("keys", "apply") if len(keys) > 1 else ("key", "applies")
+            raise ConfigError(f"model {noun} {'/'.join(map(repr, keys))} only {verb} to {other}")
+    couplings = {
+        name: _typed(f"model.{key}", _require(block, key, "model"), "number")
+        for key, name in MODEL_PARAMS[kind].items()
+    }
+    try:
+        return ModelSpec(kind, sites, **couplings)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid channel block: {exc}") from exc
+        raise ConfigError(f"invalid model block: {exc}") from exc
 
 
 def _parse_output(block) -> tuple[str, str, str | None]:
     if not isinstance(block, dict):
         raise ConfigError("'output' must be an object")
-    _reject_unknown(block, _OUTPUT_KEYS, "output")
+    _reject_unknown(block, {"csv", "manifest", "plots"}, "output")
     csv_path = _require(block, "csv", "output")
     manifest = _require(block, "manifest", "output")
     plots = block.get("plots")
@@ -176,17 +146,27 @@ def _parse_output(block) -> tuple[str, str, str | None]:
 def parse_run_config(data) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    _reject_unknown(data, _TOP_KEYS, "top-level")
+    _reject_unknown(data, {"model", "filter", "channel", "output"}, "top-level")
     model = _parse_model(_require(data, "model", "top-level"))
-    filt = _parse_filter(data.get("filter"))
-    channel = _parse_channel(_require(data, "channel", "top-level"))
+    filt = data.get("filter")
+    filt = {} if filt is None else _dataclass_block(FilterParams, filt, "filter", partial=True)
+    channel = _dataclass_block(ChannelConfig, _require(data, "channel", "top-level"), "channel")
+    try:
+        channel = ChannelConfig(**channel)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid channel block: {exc}") from exc
     csv_path, manifest, plots = _parse_output(_require(data, "output", "top-level"))
     if channel.eigenstate_index is not None and channel.eigenstate_index >= model.dim:
         raise ConfigError(
             f"channel.initial_state {channel.initial_state!r} is out of range: "
             f"the model has {model.dim} eigenstates (indices 0..{model.dim - 1})"
         )
-    return RunConfig(model, filt, channel, csv_path, manifest, plots)
+    run = RunConfig(model, filt, channel, csv_path, manifest, plots)
+    real = [path.resolve() for path in run.output_paths]
+    for path in real:
+        if real.count(path) > 1:
+            raise ConfigError(f"two outputs of the run resolve to the same path {str(path)!r}")
+    return run
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -211,34 +191,24 @@ def resolve_filter_params(overrides: dict, norm_h: float, gap: float) -> FilterP
     Without a gap (``gap <= MIN_GAP``) the rule has no defaults, so every
     filter parameter must be supplied; otherwise this raises ``ConfigError``.
     """
-    if gap > MIN_GAP:
-        # m_half = 0: derived again from the final s_radius and tau_s
-        fields = {**asdict(default_params(norm_h, gap)), "m_half": 0}
-    else:
-        needed = {"a", "delta_a", "b", "delta_b", "s_radius", "tau_s"}
-        if not needed <= set(overrides):
-            raise ConfigError(
-                f"spectrum has no gap (ground-level spacing {gap:.3g} <= {MIN_GAP:g}); "
-                f"supply explicit filter parameters ({sorted(needed - set(overrides))} missing)"
-            )
-        fields = {"clamp_nonnegative": False}
-    fields.update(overrides)
+    missing = [key for key in _required(FilterParams) if key not in overrides]
+    if gap <= MIN_GAP and missing:
+        raise ConfigError(
+            f"spectrum has no gap (ground-level spacing {gap:.3g} <= {MIN_GAP:g}); "
+            f"supply explicit filter parameters ({sorted(missing)} missing)"
+        )
     try:
-        return FilterParams(**fields)
+        if gap > MIN_GAP:
+            return replace(default_params(norm_h, gap), **overrides)
+        return FilterParams(**overrides)
     except ValueError as exc:
         raise ConfigError(f"invalid filter parameters: {exc}") from exc
 
 
 def manifest_dict(run: RunConfig, record_meta: dict) -> dict:
     """Everything needed to reproduce the run, with all defaults resolved."""
-    model = {"kind": run.model.kind, "sites": run.model.sites}
-    if run.model.kind == "tfim":
-        model["g"] = run.model.tfim_g
-    else:
-        model["t"] = run.model.hubbard_t
-        model["u"] = run.model.hubbard_u
     return {
-        "model": model,
+        "model": {"kind": run.model.kind, "sites": run.model.sites, **run.model.params},
         "filter_overrides": dict(run.filter_overrides),
         "resolved": record_meta,
         "output": {

@@ -20,7 +20,7 @@ approximate ``int f(s) A(s) ds`` over ``[-M tau_s, M tau_s]``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,10 +87,12 @@ class FilterParams:
     ``a > b > 0`` locate the pass band; ``delta_a``/``delta_b`` its edge
     widths.  ``s_radius`` is the requested truncation radius of the time
     integral, ``tau_s`` the grid spacing, and ``m_half = ceil(s_radius /
-    tau_s)`` the node half-count, so the realized grid reaches
+    tau_s)`` (derived) the node half-count, so the realized grid reaches
     ``grid_radius = m_half * tau_s >= s_radius``.  With
     ``clamp_nonnegative`` set, the frequency profile is forced to 0 for
-    ``w >= 0`` (exact energy-decrease condition).
+    ``w >= 0`` (exact energy-decrease condition).  Values that are not
+    finite, overflow ``f``'s small-``s`` expansion or need 2^63 or more
+    grid nodes are refused.
     """
 
     a: float
@@ -99,24 +101,25 @@ class FilterParams:
     delta_b: float
     s_radius: float
     tau_s: float
-    m_half: int = 0
+    m_half: int = field(init=False)
     clamp_nonnegative: bool = False
 
     def __post_init__(self):
+        shape = (self.a, self.delta_a, self.b, self.delta_b, self.s_radius, self.tau_s)
+        if not all(math.isfinite(x) for x in shape):
+            raise ValueError("filter values must be finite")
         if not (self.a > self.b > 0):
             raise ValueError("filter requires a > b > 0")
         if self.delta_a <= 0 or self.delta_b <= 0:
             raise ValueError("filter edge widths must be positive")
         if self.tau_s <= 0 or self.s_radius <= 0:
             raise ValueError("quadrature parameters must be positive")
-        m = math.ceil(self.s_radius / self.tau_s - 1e-12)
-        m = max(m, 1)
-        if self.m_half == 0:
-            object.__setattr__(self, "m_half", m)
-        elif self.m_half != m:
-            raise ValueError(
-                f"m_half={self.m_half} inconsistent with ceil(s_radius/tau_s)={m}"
-            )
+        if not all(math.isfinite(c) for c in _taylor_coefficients(self)):
+            raise ValueError("filter too large: the small-s expansion of f overflows")
+        ratio = self.s_radius / self.tau_s
+        if not 2 * ratio + 1 < 2**63:
+            raise ValueError(f"s_radius / tau_s = {ratio:.3g} needs 2^63 or more grid nodes")
+        object.__setattr__(self, "m_half", max(math.ceil(ratio - 1e-12), 1))
 
     @property
     def grid_radius(self) -> float:
@@ -128,7 +131,7 @@ class FilterParams:
 
     def with_s_radius(self, s_radius: float) -> "FilterParams":
         """Same filter shape, different truncation radius (rebuilds m_half)."""
-        return replace(self, s_radius=s_radius, m_half=0)
+        return replace(self, s_radius=s_radius)
 
 
 def default_params(norm_h: float, gap: float, *, clamp: bool = False) -> FilterParams:
@@ -188,10 +191,20 @@ def f_time(s, p: FilterParams):
     out[~tiny] = num / (2j * np.pi * st)
     if np.any(tiny):
         s0 = sv[tiny]
+        c0, c1, c2 = _taylor_coefficients(p)
+        out[tiny] = (c0 + 1j * c1 * s0 - c2 * s0**2) / (2 * np.pi)
+    return complex(out[0]) if scalar else out
+
+
+def _taylor_coefficients(p: FilterParams) -> tuple[float, float, float]:
+    """``(c0, c1, c2)`` with ``2 pi f(s) = c0 + i c1 s - c2 s^2 + O(s^3)``;
+    all ``inf`` when a power leaves the float range."""
+    try:
         c1 = (p.delta_a**2 - p.delta_b**2) / 4 + (p.a**2 - p.b**2) / 2
         c2 = (p.a * p.delta_a**2 - p.b * p.delta_b**2) / 4 + (p.a**3 - p.b**3) / 6
-        out[tiny] = ((p.a - p.b) + 1j * c1 * s0 - c2 * s0**2) / (2 * np.pi)
-    return complex(out[0]) if scalar else out
+    except OverflowError:
+        return math.inf, math.inf, math.inf
+    return p.a - p.b, c1, c2
 
 
 def quadrature_grid(p: FilterParams) -> tuple[np.ndarray, np.ndarray]:

@@ -36,8 +36,12 @@ class LinalgError(RuntimeError):
 
 
 def frob(m: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(m))
+    """Frobenius norm; finite entries whose squares overflow are scaled down first."""
+    with np.errstate(over="ignore"):
+        out = float(np.linalg.norm(m))
+    if np.isinf(out) and np.isfinite(big := max_abs(m)):
+        out = big * float(np.linalg.norm(m / big))
+    return out
 
 
 def max_abs(m: np.ndarray) -> float:

@@ -40,6 +40,7 @@ import numpy as np
 from .linalg import HermitianOperator
 
 __all__ = [
+    "MODEL_PARAMS",
     "ModelSpec",
     "build_tfim",
     "build_hubbard_1d",
@@ -48,6 +49,9 @@ __all__ = [
 
 # Dense storage ceiling: 12 qubits = 4096 x 4096.
 MAX_QUBITS = 12
+
+# The couplings of each model kind: config key (and CLI flag) -> ModelSpec field.
+MODEL_PARAMS = {"tfim": {"g": "tfim_g"}, "hubbard1d": {"t": "hubbard_t", "u": "hubbard_u"}}
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,7 @@ class ModelSpec:
     hubbard_u: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("tfim", "hubbard1d"):
+        if self.kind not in MODEL_PARAMS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.sites < 2:
             raise ValueError("need at least 2 sites")
@@ -76,6 +80,11 @@ class ModelSpec:
             raise ValueError(
                 f"{self.n_qubits} qubits exceeds the dense-storage ceiling of {MAX_QUBITS}"
             )
+
+    @property
+    def params(self) -> dict:
+        """The couplings of this kind by config key, e.g. ``{"g": 1.2}``."""
+        return {key: getattr(self, name) for key, name in MODEL_PARAMS[self.kind].items()}
 
     @property
     def n_qubits(self) -> int:

@@ -633,8 +633,9 @@ def rec_params(rec):
     f = rec.meta["filter"]
     from lindbladprep.filters import FilterParams
 
-    return FilterParams(
+    p = FilterParams(
         a=f["a"], delta_a=f["delta_a"], b=f["b"], delta_b=f["delta_b"],
-        s_radius=f["s_radius"], tau_s=f["tau_s"], m_half=f["m_half"],
-        clamp_nonnegative=f["clamp_nonnegative"],
+        s_radius=f["s_radius"], tau_s=f["tau_s"], clamp_nonnegative=f["clamp_nonnegative"],
     )
+    assert p.m_half == f["m_half"]
+    return p

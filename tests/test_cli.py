@@ -78,13 +78,20 @@ MISTYPED = [
 ]
 
 
-# (block, key, value) of a config field whose value is not finite or whose
-# step count overflows
+# (block, key, value) of a config field whose value is not finite, overflows
+# the filter's small-s expansion, or makes a step or grid-node count that
+# does not fit 64 bits or a run of zero steps
 NON_FINITE = [
     ("model", "g", float("nan")),
     ("channel", "total_time", float("inf")),
     ("channel", "total_time", 1e300),
     ("channel", "tau", 1e-320),
+    ("model", "g", 1e300),
+    ("filter", "a", 1e300),
+    ("filter", "s_radius", float("inf")),
+    ("filter", "s_radius", 1e300),
+    ("filter", "tau_s", 1e-300),
+    ("channel", "total_time", 1e-12),
 ]
 
 
@@ -130,6 +137,39 @@ class TestConfigParsing:
         data = tiny_config(tmp_path)
         data["model"]["t"] = 1.0
         with pytest.raises(ConfigError):
+            parse_run_config(data)
+
+    def test_channel_defaults_are_the_dataclass_defaults(self, tmp_path):
+        data = tiny_config(tmp_path)
+        data["channel"] = {"tau": 0.5, "total_time": 2.0}
+        assert parse_run_config(data).channel == ChannelConfig(tau=0.5, total_time=2.0)
+
+    def test_filter_m_half_is_unknown(self, tmp_path):
+        data = tiny_config(tmp_path)
+        data["filter"] = {"m_half": 5}
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) \['m_half'\] in 'filter'"):
+            parse_run_config(data)
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ({"kind": "tfim", "sites": 2, "g": 1.0, "u": 4.0}, "model keys 't'/'u' only apply to hubbard1d"),
+            ({"kind": "hubbard1d", "sites": 2, "t": 1.0, "u": 4.0, "g": 1.0}, "model key 'g' only applies to tfim"),
+            ({"kind": "ising", "sites": 2}, "unknown model kind 'ising'"),
+            ({"kind": "hubbard1d", "sites": 2, "t": 1.0}, "missing required key 'u' in 'model' block"),
+        ],
+    )
+    def test_model_block_messages(self, tmp_path, model, message):
+        data = tiny_config(tmp_path)
+        data["model"] = model
+        with pytest.raises(ConfigError) as info:
+            parse_run_config(data)
+        assert str(info.value) == message
+
+    def test_integer_beyond_float_range(self, tmp_path):
+        data = tiny_config(tmp_path)
+        data["channel"]["tau"] = 10**400
+        with pytest.raises(ConfigError, match="channel.tau is out of the float range"):
             parse_run_config(data)
 
     def test_filter_overrides_applied(self):
@@ -231,11 +271,32 @@ class TestRunCommand:
     )
     def test_non_finite_or_overflowing_number_exit_2(self, tmp_path, capsys, block, key, value):
         data = tiny_config(tmp_path)
-        data[block][key] = value
+        data.setdefault(block, {})[key] = value
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(data))  # NaN and Infinity as Python's json writes them
         assert_one_error_line(capsys, ["run", str(cfg_path)], 2)
         assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize(
+        "csv, manifest, plots",
+        [
+            ("new/run.csv", "new/run.csv", None),
+            ("new/run.csv", "new/sub/../run.csv", None),
+            ("new/overlap-time.svg", "run.json", "new"),
+            ("new/run.csv", "link.json", None),
+        ],
+        ids=["manifest-is-csv", "dot-dot", "csv-is-an-svg", "symlink"],
+    )
+    def test_colliding_output_paths_exit_2(self, tmp_path, capsys, csv, manifest, plots):
+        """Two outputs on one path are refused before any file or directory is made."""
+        (tmp_path / "link.json").symlink_to(tmp_path / "new" / "run.csv")
+        data = tiny_config(tmp_path)
+        data["output"] = {"csv": str(tmp_path / csv), "manifest": str(tmp_path / manifest),
+                          "plots": plots and str(tmp_path / plots)}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert_one_error_line(capsys, ["run", str(cfg_path)], 2)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "link.json"]
 
     def test_invalid_filter_override_exit_2(self, tmp_path, capsys):
         data = tiny_config(tmp_path)
@@ -613,6 +674,8 @@ class TestAuxCommands:
 BAD_AUX = [
     ("filter-table --sites 2 --g nan --out-dir {tmp}/tables", 2),
     ("jump-report --sites 2 --g inf", 2),
+    ("filter-table --sites 2 --g 1e150 --out-dir {tmp}/tables", 2),
+    ("jump-report --sites 2 --g 1e200", 2),
     ("plot {tmp}/bad.csv --kind energy-time --out {tmp}/p.svg", 2),
     ("plot {tmp}/short.csv --kind energy-time --out {tmp}/p.svg", 2),
     ("plot {tmp}/dir --kind energy-time --out {tmp}/p.svg", 1),
@@ -627,7 +690,8 @@ class TestBadAuxInput:
         "argv, code",
         BAD_AUX,
         ids=[
-            "filter-table-g-nan", "jump-report-g-inf", "plot-non-numeric-cell",
+            "filter-table-g-nan", "jump-report-g-inf", "filter-table-g-1e150",
+            "jump-report-g-1e200", "plot-non-numeric-cell",
             "plot-short-row", "plot-csv-is-directory", "plot-out-is-directory",
             "filter-table-out-dir-is-file", "jump-report-sparsity-out-is-directory",
         ],

@@ -175,9 +175,9 @@ class TestQuadratureGrid:
     def test_weight_sum_telescopes(self):
         for m in range(1, 101):
             p = FilterParams(
-                a=2.5, delta_a=0.5, b=1.0, delta_b=1.0,
-                s_radius=m * 0.37, tau_s=0.37, m_half=m,
+                a=2.5, delta_a=0.5, b=1.0, delta_b=1.0, s_radius=m * 0.37, tau_s=0.37
             )
+            assert p.m_half == m
             _, weights = quadrature_grid(p)
             assert math.fsum(weights) == pytest.approx(2 * p.grid_radius, abs=1e-12)
 
@@ -190,6 +190,12 @@ class TestQuadratureGrid:
         p = default_params(10.0, 1.0)
         assert p.m_half == math.ceil(p.s_radius / p.tau_s)
         assert p.grid_radius >= p.s_radius
+
+    def test_with_s_radius_recomputes_m_half(self):
+        p = default_params(10.0, 1.0)
+        q = p.with_s_radius(2 * p.s_radius)
+        assert q.m_half == math.ceil(q.s_radius / q.tau_s) > p.m_half
+        assert q.with_s_radius(p.s_radius) == p
 
     def test_l1_estimate_positive(self):
         p = default_params(1.0, 1.0)

@@ -7,6 +7,7 @@ from lindbladprep.linalg import (
     HermitianOperator,
     LinalgError,
     evolution_unitary,
+    frob,
     hermitian_eig,
     partial_trace_ancilla,
     trace_norm,
@@ -91,6 +92,16 @@ class TestHermitianEig:
             pivot = col[np.argmax(np.abs(col))]
             assert pivot.imag == pytest.approx(0.0, abs=1e-15)
             assert pivot.real > 0
+
+
+    def test_huge_entries_keep_a_finite_residual_scale(self):
+        """Squares of entries past 1e154 overflow; the norm scales them down,
+        warns about nothing, and the residual check still runs on a finite scale."""
+        m = np.array([[1e200, 2e200], [2e200, -1e200]], dtype=complex)
+        with np.errstate(all="raise"):
+            assert frob(m) == pytest.approx(np.sqrt(10) * 1e200, rel=1e-14)
+            spec = hermitian_eig(HermitianOperator(m))
+        assert spec.eigenvalues == pytest.approx([-np.sqrt(5) * 1e200, np.sqrt(5) * 1e200], rel=1e-14)
 
 
 class TestEvolutionUnitary:

@@ -238,6 +238,10 @@ class TestModelSpec:
         assert ModelSpec("tfim", 4, tfim_g=1.0).n_qubits == 4
         assert ModelSpec("hubbard1d", 4, hubbard_t=1, hubbard_u=4).n_qubits == 8
 
+    def test_params_by_config_key(self):
+        assert ModelSpec("tfim", 4, tfim_g=1.2).params == {"g": 1.2}
+        assert ModelSpec("hubbard1d", 2, hubbard_t=1.0, hubbard_u=4.0).params == {"t": 1.0, "u": 4.0}
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ModelSpec("xy", 4)
