@@ -349,11 +349,15 @@ def blocked_eig(h: HermitianOperator, blocks: list[np.ndarray]) -> list[Spectral
 
 
 class _KrausPair(tuple):
-    """``(M0, M1)`` that also carries, as ``isometry_defect``, the value its
+    """``(M0, M1)`` as views into their stacked ``(2N, N)`` block column
+    ``column = [M0; M1]``, which :func:`trajectory_step` applies as one GEMM.
+    It also carries, as ``isometry_defect``, the value its
     trace-preservation gate checked."""
 
-    def __new__(cls, m0: np.ndarray, m1: np.ndarray, defect: float):
-        pair = super().__new__(cls, (m0, m1))
+    def __new__(cls, column: np.ndarray, defect: float):
+        n = column.shape[1]
+        pair = super().__new__(cls, (column[:n], column[n:]))
+        pair.column = column
         pair.isometry_defect = defect
         return pair
 
@@ -387,13 +391,16 @@ def build_kraus_pair(
     hop = _frame_hop(spec, va, p.tau_s)
     x = _apply_w(x, hop, a_spec.eigenvalues, _node_angles(p, cfg.tau_eff), cfg.r)
     back = evolution_unitary(spec, cfg.tau) @ va if cfg.include_coherent else va
-    m0, m1 = back @ x[:, 0], back @ x[:, 1]
+    column = np.empty((2 * n, n), dtype=complex)
+    m0, m1 = column[:n], column[n:]
+    np.matmul(back, x[:, 0], out=m0)
+    np.matmul(back, x[:, 1], out=m1)
     defect = isometry_defect(m0, m1)
     if not defect <= 1e-10:
         raise ChannelError(
             f"Kraus pair lost trace preservation: max|M0^dag M0 + M1^dag M1 - I| = {defect:.3e}"
         )
-    return _KrausPair(m0, m1, defect)
+    return _KrausPair(column, defect)
 
 
 def build_w(
@@ -488,7 +495,9 @@ def trajectory_step(
     ``psi`` (n, reps): apply W^r to |0> x psi, measure the ancilla, discard
     the outcome, reset, then (optionally) apply e^{-iH tau} -- i.e. column j
     becomes M1 psi_j if ``u[j] < |M1 psi_j|^2`` and M0 psi_j otherwise, for
-    the pair from :func:`build_kraus_pair`, renormalised.
+    the pair from :func:`build_kraus_pair`, renormalised.  Both branches
+    come from one GEMM with the stacked column ``[M0; M1]`` (any other pair
+    of arrays is stacked first), and both branch weights from one reduction.
 
     Returns (new block, per-column click flags).  The clicks are recorded
     for diagnostics only; the scheme never conditions on them.
@@ -497,19 +506,20 @@ def trajectory_step(
     off = ~(np.abs(nrm - 1.0) <= 1e-9)
     if off.any():
         raise ChannelError(f"trajectory state norm {nrm[off][0]} is not 1")
-    m0, m1 = kraus
-    branch1 = m1 @ psi
-    p1 = np.einsum("ij,ij->j", branch1.conj(), branch1).real
-    clicks = u < p1
-    collapsed = np.where(clicks, branch1, m0 @ psi)
-    weight = np.linalg.norm(collapsed, axis=0)
+    column = kraus.column if isinstance(kraus, _KrausPair) else np.concatenate(kraus)
+    branches = (column @ psi).reshape(2, psi.shape[0], -1)  # (outcome, row, trajectory)
+    weights = np.einsum("bij,bij->bj", branches.conj(), branches).real
+    clicks = u < weights[1]
+    weight = np.sqrt(np.where(clicks, weights[1], weights[0]))
     vanishing = ~(weight >= 1e-12)
     if vanishing.any():
         raise ChannelError(
             f"measurement branch {int(clicks[vanishing][0])} has vanishing probability; "
             "trajectory aborted"
         )
-    return collapsed / weight, clicks
+    collapsed = np.where(clicks, branches[1], branches[0])
+    collapsed *= 1.0 / weight
+    return collapsed, clicks
 
 
 def _initial_level(cfg: ChannelConfig, dim: int) -> int:
@@ -529,6 +539,21 @@ def _record_steps(n_steps: int, stride: int) -> np.ndarray:
     if steps[-1] != n_steps:
         steps.append(n_steps)
     return np.asarray(steps, dtype=int)
+
+
+# Trajectory uniforms are drawn this many bytes at a time, for all
+# trajectories together (at least one step).  A generator's draw of c
+# uniforms holds the same numbers as c draws of one, so no result depends
+# on this size or on ``record_stride``.
+_UNIFORM_CHUNK_BYTES = 256 * 1024
+
+
+def _uniform_rows(rngs: list, n_steps: int):
+    """Yield ``n_steps`` rows of uniforms, one per generator in each row,
+    drawn in chunks of :data:`_UNIFORM_CHUNK_BYTES`."""
+    chunk = max(1, _UNIFORM_CHUNK_BYTES // (8 * len(rngs)))
+    for start in range(0, n_steps, chunk):
+        yield from np.stack([g.random(min(chunk, n_steps - start)) for g in rngs], axis=1)
 
 
 def run_simulation(
@@ -557,9 +582,11 @@ def run_simulation(
     Both backends run the same record loop: advance to the next recorded
     step, observe, repeat.  The trajectory backend steps all ``cfg.reps``
     trajectories as one (n, reps) block; trajectory ``i`` draws its
-    uniforms from its own ``SeedSequence([cfg.seed, i])`` stream, so its
-    path does not depend on ``cfg.reps``, and a run is byte-identical at a
-    fixed BLAS thread count.
+    uniforms from its own ``SeedSequence([cfg.seed, i])`` stream, in
+    chunks of steps (:func:`_uniform_rows`), so its path depends on neither
+    ``cfg.reps`` nor ``cfg.record_stride``, and a run is byte-identical at
+    a fixed BLAS thread count.  The recorded energies must stay within the
+    spectral range up to ``1e-6 * max(1, |H|)``.
     """
     h, a = model.hamiltonian(), coupling_operator(model)
     blocks = invariant_blocks(h, a)
@@ -613,13 +640,13 @@ def run_simulation(
         rngs = [
             np.random.default_rng(np.random.SeedSequence([cfg.seed, i])) for i in range(cfg.reps)
         ]
+        uniforms = _uniform_rows(rngs, cfg.n_steps)
         click_rate = health["click_rate"] = []
 
         def advance(psi: np.ndarray, span: int) -> np.ndarray:
-            u = np.stack([g.random(span) for g in rngs], axis=1)
             clicks = 0
-            for u_step in u:
-                psi, clicked = trajectory_step(psi, kraus, u_step)
+            for _ in range(span):
+                psi, clicked = trajectory_step(psi, kraus, next(uniforms))
                 clicks += int(np.count_nonzero(clicked))
             click_rate.append(clicks / (span * cfg.reps))
             return psi
@@ -647,7 +674,8 @@ def run_simulation(
 
     if np.any(o_mean < -1e-9) or np.any(o_mean > 1 + 1e-9):
         raise ChannelError("recorded overlap left [0, 1]")
-    if np.any(e_mean < levels[0] - 1e-6) or np.any(e_mean > levels[-1] + 1e-6):
+    slack = 1e-6 * max(1.0, norm_h)
+    if np.any(e_mean < levels[0] - slack) or np.any(e_mean > levels[-1] + slack):
         raise ChannelError("recorded energy left the spectral range")
 
     meta = {

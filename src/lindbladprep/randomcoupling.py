@@ -107,20 +107,34 @@ def sample_coupling(
     sigma_ij`` (independent real/imag parts of variance ``sigma_ij / 2``);
     diagonal entries are real Gaussian with variance ``sigma_ii``.
     """
-    return HermitianOperator(_draw_couplings(spec_r, [rng])[0])
-
-
-def _draw_couplings(spec_r: RandomCouplingSpec, rngs: list) -> np.ndarray:
-    """One coupling per generator, stacked ``(len(rngs), n, n)``.  Each draws
-    ``re`` (n^2), ``im`` (n^2), then the diagonal (n) standard normals."""
     n = spec_r.dim
-    z = np.stack([g.standard_normal(2 * n * n + n) for g in rngs])
-    std = np.sqrt(spec_r.sigma / 2)
-    re = z[:, : n * n].reshape(-1, n, n) * std
-    im = z[:, n * n : 2 * n * n].reshape(-1, n, n) * std
-    upper = np.triu(re + 1j * im, k=1)
-    diag = z[:, 2 * n * n :] * np.sqrt(np.diag(spec_r.sigma))
-    return upper + upper.conj().swapaxes(1, 2) + diag[:, :, None] * np.eye(n)
+    src, scale = _coupling_gather(spec_r, np.ones((n, n)))
+    a = np.empty((n, n), dtype=complex)
+    np.multiply(rng.standard_normal(2 * n * n + n)[src], scale, out=a.view(float))
+    return HermitianOperator(a)
+
+
+def _coupling_gather(spec_r: RandomCouplingSpec, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, scale)`` such that ``z[src] * scale`` is ``F o A`` read as
+    floats, for a row ``z`` of ``2n^2 + n`` standard normals: entries
+    ``(i, 2j)`` and ``(i, 2j + 1)`` of the ``(n, 2n)`` result are the real
+    and imaginary parts of ``(F o A)_ij``.
+
+    The row holds ``re`` (n^2), ``im`` (n^2), then the diagonal ``d`` (n):
+    ``A_ij = sqrt(sigma_ij / 2) (re_ij + i im_ij)`` above the diagonal,
+    ``A_ji = conj(A_ij)`` below it and ``A_ii = sqrt(sigma_ii) d_i``.
+    ``F = 1`` gives the coupling ``A`` itself.
+    """
+    n = spec_r.dim
+    i, j = np.indices((n, n))
+    upper = np.minimum(i, j) * n + np.maximum(i, j)  # where (re, im) of A_ij sit
+    src = np.stack([upper, n * n + upper], axis=-1)
+    std = f * np.sqrt(spec_r.sigma / 2)
+    scale = np.stack([std, np.sign(j - i) * std], axis=-1)  # Im A_ii is 0
+    d = np.arange(n)
+    src[d, d, 0] = 2 * n * n + d
+    scale[d, d, 0] = np.diag(f) * np.sqrt(np.diag(spec_r.sigma))
+    return src.reshape(n, 2 * n), scale.reshape(n, 2 * n)
 
 
 def transition_matrix(
@@ -144,17 +158,24 @@ def transition_matrix(
 def evolve_populations(t: TransitionMatrix, p0: np.ndarray, time: float) -> np.ndarray:
     """``exp(T time) p0``; the result stays a probability vector.  The
     exponential is :func:`_expm`, checked against ``scipy.linalg.expm``."""
-    p = np.asarray(p0, dtype=float)
-    if p.ndim != 1 or p.size != t.dim:
-        raise ValueError("population vector dimension mismatch")
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("p0 must be a probability vector")
+    p = _probability_vector(p0, t.dim)
     if time < 0:
         raise ValueError("time must be nonnegative")
     out = _expm(t.matrix * time) @ p
     if np.min(out) < -1e-9 or abs(out.sum() - 1.0) > 1e-9:
         raise ValueError("population evolution left the simplex")
     return out
+
+
+def _probability_vector(p0: np.ndarray, dim: int) -> np.ndarray:
+    """``p0`` as a float array, or ValueError unless it is a probability
+    vector over ``dim`` levels."""
+    p = np.asarray(p0, dtype=float)
+    if p.ndim != 1 or p.size != dim:
+        raise ValueError("population vector dimension mismatch")
+    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
+        raise ValueError("p0 must be a probability vector")
+    return p
 
 
 def _expm(m: np.ndarray) -> np.ndarray:
@@ -203,6 +224,12 @@ def synthetic_spectrum(kind: str, n: int, *, seed: int = 0, span: float = 4.0) -
     raise ValueError(f"unknown spectrum kind {kind!r}")
 
 
+# Coupling normals are drawn this many bytes at a time, for all reps together
+# (at least one step).  A generator's draw of c steps holds the same numbers
+# as c draws of one step, so no result depends on this size.
+_DRAW_CHUNK_BYTES = 256 * 1024
+
+
 def _resampled_evolution(
     lam: np.ndarray, spec_r: RandomCouplingSpec, p: FilterParams, p0: np.ndarray, tau: float,
     t_final: float, rngs: list, include_coherent: bool, record: int | None,
@@ -210,45 +237,67 @@ def _resampled_evolution(
     """Evolve ``diag(p0)`` once per generator: every ``tau``, draw a coupling
     ``A`` and take one RK4 step of the master equation with ``H = diag(lam)``
     and ``K = F o A``, ``F_ij = fhat(lam_i - lam_j)`` (no eigenbasis needed).
-    The generator ``K x K^dag - (K^dag K x + x K^dag K)/2 - i[H, x]`` is
+    The generator ``L x = K x K^dag - (K^dag K x + x K^dag K)/2 - i[H, x]`` is
     applied as ``K x K^dag + J x + (J x)^dag`` with ``J = -K^dag K/2 - iH``
-    built once per step (``J = -K^dag K/2`` without the coherent term): three
-    matrix products per RK4 stage, since every stage input is Hermitian.
-    Each step is re-Hermitized, fails on a per-rep trace drift beyond 1e-6 or
-    NaN, and is renormalized.  Returns ``record`` evenly spaced checkpoint
-    steps (None: the last step only) and the states there, ``(rep, step, n, n)``.
+    (``J = -K^dag K/2`` without the coherent term), since every stage input
+    is Hermitian; ``K x`` and ``J x`` come from one product with the stacked
+    ``[K; J]``.  With ``K`` and ``J`` fixed across the step, the classical
+    RK4 step is ``T4(tau L) rho``, evaluated by Horner's rule as ``rho + tau
+    L(rho + tau/2 L(rho + tau/3 L(rho + tau/4 L rho)))``.  Each step fails
+    on a per-rep trace drift beyond 1e-6 or NaN, and is re-Hermitized and
+    renormalized in one pass.  Each generator draws its normals for a chunk
+    of steps at a time (:data:`_DRAW_CHUNK_BYTES`); the couplings are built
+    one step at a time.  Returns ``record`` evenly spaced checkpoint steps
+    (None: the last step only) and the states there, ``(rep, step, n, n)``.
     """
     n_steps = int(round(t_final / tau))
     if abs(n_steps * tau - t_final) > 1e-9:
         raise ValueError("t_final must be a multiple of tau")
     steps = np.array([n_steps]) if record is None else np.linspace(1, n_steps, record).round()
     steps = steps[np.diff(steps, prepend=0) > 0].astype(int)  # np.unique would import numpy.ma
-    f = f_hat(lam[:, None] - lam[None, :], p)
-    coherent = -1j * np.diag(lam) if include_coherent else 0.0
-    rho = np.repeat(np.diag(p0.astype(complex))[None], len(rngs), axis=0)
+    n, reps = lam.size, len(rngs)
+    src, scale = _coupling_gather(spec_r, f_hat(lam[:, None] - lam[None, :], p))
+    coherent = -1j * np.diag(lam)
+    width = 2 * n * n + n
+    chunk = max(1, _DRAW_CHUNK_BYTES // (8 * width * reps))
+    kj = np.empty((reps, 2 * n, n), dtype=complex)  # [K; J] of the current step
+    k, j = kj[:, :n], kj[:, n:]
+    k_floats = kj.view(float)[:, :n]
+    rho = np.repeat(np.diag(p0.astype(complex))[None], reps, axis=0)
     kept = []
-
-    def generator(x):
-        jx = j @ x
-        return k @ x @ kh + jx + jx.conj().swapaxes(1, 2)
-
-    for step in range(1, n_steps + 1):
-        k = f * _draw_couplings(spec_r, rngs)
-        kh = k.conj().swapaxes(1, 2)
-        j = coherent - 0.5 * (kh @ k)
-        k1 = generator(rho)
-        k2 = generator(rho + 0.5 * tau * k1)
-        k3 = generator(rho + 0.5 * tau * k2)
-        k4 = generator(rho + tau * k3)
-        rho = rho + (tau / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        rho = (rho + rho.conj().swapaxes(1, 2)) / 2
-        tr = np.trace(rho, axis1=1, axis2=2).real
-        bad = np.flatnonzero(~(np.abs(tr - 1.0) <= 1e-6))
-        if bad.size:
-            raise LinalgError(f"trace of rep {bad[0]} drifted to {tr[bad[0]]}; decrease tau")
-        rho /= tr[:, None, None]
-        if step in steps:
-            kept.append(rho)
+    step = 0
+    for start in range(0, n_steps, chunk):
+        size = min(chunk, n_steps - start)
+        # (step, rep, normal)
+        draws = np.stack([g.standard_normal((size, width)) for g in rngs], axis=1)
+        for z in draws:
+            step += 1
+            np.multiply(z[:, src], scale, out=k_floats)
+            kh = k.conj().swapaxes(1, 2)
+            np.matmul(kh, k, out=j)
+            j *= -0.5
+            if include_coherent:
+                j += coherent
+            x = rho
+            for order in (4, 3, 2, 1):
+                kx_jx = kj @ x
+                jx = kx_jx[:, n:]
+                x = kx_jx[:, :n] @ kh
+                x += jx
+                x += jx.conj().swapaxes(1, 2)
+                x *= tau / order
+                x += rho
+            # Re tr x is also the trace of the Hermitian part of x
+            tr = np.trace(x, axis1=1, axis2=2).real
+            drift = np.abs(tr - 1.0)
+            if not drift.max() <= 1e-6:  # NaN fails too
+                bad = np.flatnonzero(~(drift <= 1e-6))[0]
+                raise LinalgError(f"trace of rep {bad} drifted to {tr[bad]}; decrease tau")
+            x += x.conj().swapaxes(1, 2)
+            x *= (0.5 / tr)[:, None, None]
+            rho = x
+            if step == steps[len(kept)]:
+                kept.append(rho)
     return steps, np.stack(kept, axis=1)
 
 
@@ -316,7 +365,9 @@ def ergodicity_experiment(
     lam = np.asarray(eigenvalues, dtype=float)
     if not p.clamp_nonnegative:
         raise ValueError("ergodicity experiment expects the clamped filter")
-    p0 = np.asarray(p0, dtype=float)
+    # both checked before the first step, with the messages of the rate equation
+    tmat = transition_matrix(lam, p, spec_r)
+    p0 = _probability_vector(p0, lam.size)
     rngs = [
         np.random.default_rng(np.random.SeedSequence([seed, rep])) for rep in range(reps)
     ]
@@ -326,7 +377,6 @@ def ergodicity_experiment(
     diag_samples = np.diagonal(states, axis1=2, axis2=3).real  # (rep, checkpoint, level)
     mc_mean = diag_samples.mean(axis=0)
     mc_se = diag_samples.std(axis=0, ddof=1) / np.sqrt(reps)
-    tmat = transition_matrix(lam, p, spec_r)
     ode = np.stack([evolve_populations(tmat, p0, s * tau) for s in check_steps])
     dev = np.abs(mc_mean - ode)
     # the finite resampling interval leaves an O(tau) deterministic bias

@@ -343,6 +343,17 @@ class TestTrajectoryStep:
         with pytest.raises(ChannelError, match="norm"):
             trajectory_step(psi, kraus, rng.random(3))
 
+    def test_pair_is_views_of_its_stacked_column(self, rng):
+        _, _, spec, a, p = tfim_setup(2)
+        kraus = build_kraus_pair(spec, a, p, ChannelConfig(tau=0.3, total_time=0.3))
+        assert kraus.column.shape == (8, 4)
+        assert all(np.shares_memory(m, kraus.column) for m in kraus)
+        psi = np.stack([random_state(rng, 4) for _ in range(3)], axis=1)
+        u = rng.random(3)
+        # a plain tuple of the same arrays is stacked first, with the same result
+        for got, want in zip(trajectory_step(psi, tuple(kraus), u), trajectory_step(psi, kraus, u)):
+            assert np.array_equal(got, want)
+
     def test_vanishing_branch_aborts(self, rng):
         psi = random_state(rng, 4)[:, None]
         zero = np.zeros((4, 4))
@@ -390,6 +401,37 @@ class TestRunSimulation:
             for (psi_k, clicks_k), (psi_n, clicks_n) in zip(steps_of(k), full, strict=True):
                 assert np.array_equal(clicks_k, clicks_n[:k])
                 assert np.max(np.abs(psi_k - psi_n[:, :k])) <= 1e-12
+
+    def test_trajectory_independent_of_record_stride_and_chunk(self, monkeypatch):
+        """Uniforms are drawn in chunks of steps, not once per record: runs at
+        record_stride 1 and 3, and with chunks of two steps, take the same
+        clicks and bit-equal states at every step."""
+        import lindbladprep.channel as channel
+
+        model = ModelSpec("tfim", 2, tfim_g=1.2)
+        base = dict(tau=0.5, total_time=5.0, backend="trajectory", reps=4, seed=5)
+
+        def steps_of(stride, chunk_bytes=channel._UNIFORM_CHUNK_BYTES):
+            seen = []
+            exact = channel.trajectory_step
+
+            def spy(*args):
+                seen.append(exact(*args))
+                return seen[-1]
+
+            monkeypatch.setattr(channel, "trajectory_step", spy)
+            monkeypatch.setattr(channel, "_UNIFORM_CHUNK_BYTES", chunk_bytes)
+            run_simulation(model, ChannelConfig(record_stride=stride, **base))
+            monkeypatch.undo()
+            return seen
+
+        ref = steps_of(1)
+        assert len(ref) == 10
+        assert any(clicks.any() for _, clicks in ref)
+        for other in (steps_of(3), steps_of(3, chunk_bytes=2 * 8 * base["reps"])):
+            for (psi_a, clicks_a), (psi_b, clicks_b) in zip(ref, other, strict=True):
+                assert np.array_equal(clicks_a, clicks_b)
+                assert np.array_equal(psi_a, psi_b)
 
     def test_trajectory_matches_scalar_loop(self):
         """Each trajectory stepped on its own -- M1 psi or M0 psi with one

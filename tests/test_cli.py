@@ -235,6 +235,16 @@ class TestRunCommand:
         assert main(["run", str(cfg_path)]) == 0
         assert (tmp_path / "run.csv").read_bytes() == first
 
+    @pytest.mark.parametrize("backend", ["density", "trajectory"])
+    def test_huge_field_stays_in_spectral_range(self, tmp_path, backend):
+        # at |H| ~ 1e100 rounding is ~1e84, so the energy-range check scales with |H|
+        data = tiny_config(tmp_path, backend=backend, reps=5 if backend == "trajectory" else 1)
+        data["model"]["g"] = 1e100
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["run", str(cfg_path)]) == 0
+        assert (tmp_path / "run.csv").exists()
+
     def test_malformed_config_exit_2_no_outputs(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{ not json")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from lindbladprep import randomcoupling
 from lindbladprep.filters import FilterParams, default_params, f_hat
 from lindbladprep.jump import exact_jump
 from lindbladprep.linalg import DensityMatrix, HermitianOperator, LinalgError, hermitian_eig
@@ -23,6 +24,41 @@ from lindbladprep.reference import LindbladSystem, evolve_ode
 
 def clamped_params(norm_h, gap):
     return default_params(norm_h, gap, clamp=True)
+
+
+def rk4_oracle(lam, spec_r, p, p0, tau, n_steps, rngs, include_coherent):
+    """The classical k1..k4 RK4 loop of the resampled evolution, with one draw
+    of ``2n^2 + n`` normals per step and generator; the state after every
+    step, ``(rep, step, n, n)``."""
+    n = lam.size
+    f = f_hat(lam[:, None] - lam[None, :], p)
+    std = np.sqrt(spec_r.sigma / 2)
+    coherent = -1j * np.diag(lam) if include_coherent else 0.0
+    rho = np.repeat(np.diag(p0.astype(complex))[None], len(rngs), axis=0)
+    states = []
+
+    def generator(x):
+        jx = j @ x
+        return k @ x @ kh + jx + jx.conj().swapaxes(1, 2)
+
+    for _ in range(n_steps):
+        z = np.stack([g.standard_normal(2 * n * n + n) for g in rngs])
+        re = z[:, : n * n].reshape(-1, n, n) * std
+        im = z[:, n * n : 2 * n * n].reshape(-1, n, n) * std
+        upper = np.triu(re + 1j * im, k=1)
+        diag = z[:, 2 * n * n :] * np.sqrt(np.diag(spec_r.sigma))
+        k = f * (upper + upper.conj().swapaxes(1, 2) + diag[:, :, None] * np.eye(n))
+        kh = k.conj().swapaxes(1, 2)
+        j = coherent - 0.5 * (kh @ k)
+        k1 = generator(rho)
+        k2 = generator(rho + 0.5 * tau * k1)
+        k3 = generator(rho + 0.5 * tau * k2)
+        k4 = generator(rho + tau * k3)
+        rho = rho + (tau / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        rho = (rho + rho.conj().swapaxes(1, 2)) / 2
+        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+        states.append(rho)
+    return np.stack(states, axis=1)
 
 
 class TestSampleCoupling:
@@ -195,9 +231,30 @@ class TestErgodicity:
                 np.full(4, 0.25), tau=0.05, t_final=0.5, reps=reps,
             )
 
-    def test_nan_population_counts_outside(self, monkeypatch):
-        import lindbladprep.randomcoupling as randomcoupling
+    def test_improper_p0_rejected_before_evolving(self):
+        # 0.5 on each of 8 levels used to end in a trace-drift error that advised a smaller tau
+        lam = synthetic_spectrum("equispaced", 8, span=4.0)
+        with pytest.raises(ValueError, match="p0 must be a probability vector"):
+            ergodicity_experiment(
+                lam, RandomCouplingSpec.uniform(8, 0.5), clamped_params(4.0, 0.5),
+                np.full(8, 0.5), tau=0.01, t_final=0.1, reps=4,
+            )
+        with pytest.raises(ValueError, match="population vector dimension mismatch"):
+            ergodicity_experiment(
+                lam, RandomCouplingSpec.uniform(8, 0.5), clamped_params(4.0, 0.5),
+                np.full(6, 1 / 6), tau=0.01, t_final=0.1, reps=4,
+            )
 
+    def test_profile_dimension_mismatch_rejected_before_evolving(self):
+        # a 6-level profile with 8 levels used to end in a numpy broadcast error
+        lam = synthetic_spectrum("equispaced", 8, span=4.0)
+        with pytest.raises(ValueError, match="spectrum and variance profile dimension mismatch"):
+            ergodicity_experiment(
+                lam, RandomCouplingSpec.uniform(6, 0.5), clamped_params(4.0, 0.5),
+                np.full(8, 1 / 8), tau=0.01, t_final=0.1, reps=4,
+            )
+
+    def test_nan_population_counts_outside(self, monkeypatch):
         exact = randomcoupling._resampled_evolution
 
         def poisoned(*args):
@@ -239,6 +296,39 @@ class TestResampledEvolution:
             [np.random.default_rng(11)], spec_r, 0.2, 0.2, include_coherent=include_coherent
         )
         assert np.max(np.abs(states[0, -1] - expect)) <= 1e-12
+
+    @pytest.mark.parametrize("include_coherent", [True, False])
+    def test_many_steps_match_rk4_oracle(self, include_coherent):
+        # 120 steps of 3 reps on 8 levels cross a boundary of the coupling draws
+        lam = synthetic_spectrum("equispaced", 8, span=4.0)
+        p = clamped_params(4.0, float(lam[1] - lam[0]))
+        spec_r = RandomCouplingSpec.uniform(8, 0.5)
+        p0 = np.full(8, 1 / 8)
+        assert randomcoupling._DRAW_CHUNK_BYTES // (8 * (2 * 64 + 8) * 3) < 120
+
+        def rngs():
+            return [np.random.default_rng(np.random.SeedSequence([9, i])) for i in range(3)]
+
+        steps, states = _resampled_evolution(
+            lam, spec_r, p, p0, 0.01, 1.2, rngs(), include_coherent, 120
+        )
+        assert list(steps) == list(range(1, 121))
+        expect = rk4_oracle(lam, spec_r, p, p0, 0.01, 120, rngs(), include_coherent)
+        assert np.max(np.abs(states - expect)) <= 1e-13
+
+    def test_independent_of_draw_chunk_size(self, monkeypatch):
+        spec_r = RandomCouplingSpec.uniform(4, 0.5)
+
+        def run(chunk_bytes):
+            monkeypatch.setattr(randomcoupling, "_DRAW_CHUNK_BYTES", chunk_bytes)
+            rngs = [np.random.default_rng(np.random.SeedSequence([4, i])) for i in range(2)]
+            return self.evolve(rngs, spec_r, 0.05, 0.5, record=4)[1]
+
+        # one step, three steps (10 = 3 + 3 + 3 + 1) and all ten steps per draw
+        per_step = 8 * (2 * 16 + 4) * 2
+        states = [run(c * per_step) for c in (1, 3, 10)]
+        assert np.array_equal(states[0], states[1])
+        assert np.array_equal(states[0], states[2])
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_rep_independent_of_batch_size(self, k):
