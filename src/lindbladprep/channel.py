@@ -16,7 +16,7 @@ leftover frame factors ``I x e^{-/+ i H (M tau_s)}`` cancel between
 consecutive steps and are dropped.
 
 Since the ancilla always starts in ``|0>``, a step only uses the block
-column ``<b| W^r |0>`` (b = 0, 1): the Kraus pair ``(M0, M1)``, with
+column ``<b| W^r |0>`` (b = 0, 1): the Kraus pair ``[M0, M1]``, with
 ``e^{-iH tau}`` folded in.  :func:`build_kraus_pair` streams the factors
 onto that 2N x N block in the eigenbasis of ``A``, where every ``Atilde_l``
 is 2 x 2-block diagonal (O(N^2) work) and every frame hop is one GEMM, so
@@ -75,6 +75,7 @@ __all__ = [
     "channel_step_density",
     "trajectory_step",
     "run_simulation",
+    "step_draws",
 ]
 
 _EIGENSTATE = re.compile(r"eigenstate:([0-9]+)")
@@ -348,20 +349,6 @@ def blocked_eig(h: HermitianOperator, blocks: list[np.ndarray]) -> list[Spectral
     return [hermitian_eig(HermitianOperator(h.matrix[np.ix_(idx, idx)])) for idx in blocks]
 
 
-class _KrausPair(tuple):
-    """``(M0, M1)`` as views into their stacked ``(2N, N)`` block column
-    ``column = [M0; M1]``, which :func:`trajectory_step` applies as one GEMM.
-    It also carries, as ``isometry_defect``, the value its
-    trace-preservation gate checked."""
-
-    def __new__(cls, column: np.ndarray, defect: float):
-        n = column.shape[1]
-        pair = super().__new__(cls, (column[:n], column[n:]))
-        pair.column = column
-        pair.isometry_defect = defect
-        return pair
-
-
 def isometry_defect(m0: np.ndarray, m1: np.ndarray) -> float:
     """max|M0^dag M0 + M1^dag M1 - I|, zero for a trace-preserving pair."""
     return max_abs(m0.conj().T @ m0 + m1.conj().T @ m1 - np.eye(m0.shape[1]))
@@ -372,14 +359,15 @@ def build_kraus_pair(
     a: HermitianOperator,
     p: FilterParams,
     cfg: ChannelConfig,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, float]:
     """Kraus pair ``M_b = U <b| W(sqrt(tau)/r)^r |0>`` of one evolution step.
 
     ``spec`` is the spectrum of ``H``.  ``U`` is ``e^{-iH tau}``, formed
     from ``spec``, when the coherent part is on and the identity otherwise.
-    Memory stays O(N^2): only the 2N x N block column is formed.  The pair
-    is refused unless its :func:`isometry_defect` is at most 1e-10; the
-    returned pair carries the checked value as ``isometry_defect``.
+    Memory stays O(N^2): only the 2N x N block column is formed.  Returns
+    ``(kraus, defect)``: ``kraus`` is the ``(2, N, N)`` array ``[M0, M1]``
+    and ``defect`` its :func:`isometry_defect`; the pair is refused unless
+    that is at most 1e-10.
     """
     if spec.dim != a.dim:
         raise ValueError("dimension mismatch between spectrum and coupling")
@@ -391,16 +379,13 @@ def build_kraus_pair(
     hop = _frame_hop(spec, va, p.tau_s)
     x = _apply_w(x, hop, a_spec.eigenvalues, _node_angles(p, cfg.tau_eff), cfg.r)
     back = evolution_unitary(spec, cfg.tau) @ va if cfg.include_coherent else va
-    column = np.empty((2 * n, n), dtype=complex)
-    m0, m1 = column[:n], column[n:]
-    np.matmul(back, x[:, 0], out=m0)
-    np.matmul(back, x[:, 1], out=m1)
-    defect = isometry_defect(m0, m1)
+    kraus = back @ x.transpose(1, 0, 2)
+    defect = isometry_defect(*kraus)
     if not defect <= 1e-10:
         raise ChannelError(
             f"Kraus pair lost trace preservation: max|M0^dag M0 + M1^dag M1 - I| = {defect:.3e}"
         )
-    return _KrausPair(column, defect)
+    return kraus, defect
 
 
 def build_w(
@@ -470,15 +455,15 @@ def build_w_naive(
     return out
 
 
-def channel_step_density(rho: np.ndarray, kraus: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def channel_step_density(rho: np.ndarray, kraus: np.ndarray) -> np.ndarray:
     """One step of the density-matrix backend: M0 rho M0^dag + M1 rho M1^dag
-    for the pair from :func:`build_kraus_pair`, symmetrized.
+    for the pair ``[M0, M1]`` from :func:`build_kraus_pair`, applied as one
+    batched product and symmetrized.
 
     Raises :class:`ChannelError` on a non-finite entry or a trace off 1 by
     more than 1e-9.
     """
-    m0, m1 = kraus
-    out = m0 @ rho @ m0.conj().T + m1 @ rho @ m1.conj().T
+    out = (kraus @ rho @ np.conj(kraus).swapaxes(1, 2)).sum(axis=0)
     out = (out + out.conj().T) / 2
     if not np.isfinite(out).all():
         raise ChannelError("channel step produced NaN/Inf entries")
@@ -489,15 +474,15 @@ def channel_step_density(rho: np.ndarray, kraus: tuple[np.ndarray, np.ndarray]) 
 
 
 def trajectory_step(
-    psi: np.ndarray, kraus: tuple[np.ndarray, np.ndarray], u: np.ndarray
+    psi: np.ndarray, kraus: np.ndarray, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One stochastic step of a block of trajectories, one per column of
     ``psi`` (n, reps): apply W^r to |0> x psi, measure the ancilla, discard
     the outcome, reset, then (optionally) apply e^{-iH tau} -- i.e. column j
     becomes M1 psi_j if ``u[j] < |M1 psi_j|^2`` and M0 psi_j otherwise, for
-    the pair from :func:`build_kraus_pair`, renormalised.  Both branches
-    come from one GEMM with the stacked column ``[M0; M1]`` (any other pair
-    of arrays is stacked first), and both branch weights from one reduction.
+    the pair ``[M0, M1]`` from :func:`build_kraus_pair`, renormalised.  Both
+    branches come from one GEMM with the stacked column ``[M0; M1]``, a view
+    of that array, and both branch weights from one reduction.
 
     Returns (new block, per-column click flags).  The clicks are recorded
     for diagnostics only; the scheme never conditions on them.
@@ -506,8 +491,8 @@ def trajectory_step(
     off = ~(np.abs(nrm - 1.0) <= 1e-9)
     if off.any():
         raise ChannelError(f"trajectory state norm {nrm[off][0]} is not 1")
-    column = kraus.column if isinstance(kraus, _KrausPair) else np.concatenate(kraus)
-    branches = (column @ psi).reshape(2, psi.shape[0], -1)  # (outcome, row, trajectory)
+    column = np.reshape(kraus, (-1, psi.shape[0]))  # [M0; M1]
+    branches = (column @ psi).reshape(2, *psi.shape)  # (outcome, row, trajectory)
     weights = np.einsum("bij,bij->bj", branches.conj(), branches).real
     clicks = u < weights[1]
     weight = np.sqrt(np.where(clicks, weights[1], weights[0]))
@@ -541,19 +526,21 @@ def _record_steps(n_steps: int, stride: int) -> np.ndarray:
     return np.asarray(steps, dtype=int)
 
 
-# Trajectory uniforms are drawn this many bytes at a time, for all
-# trajectories together (at least one step).  A generator's draw of c
-# uniforms holds the same numbers as c draws of one, so no result depends
-# on this size or on ``record_stride``.
-_UNIFORM_CHUNK_BYTES = 256 * 1024
+# Monte Carlo draws are made this many bytes at a time, for all streams
+# together (at least one step).  A generator's draw of c rows holds the same
+# numbers as c draws of one row, so no result depends on this size.
+_DRAW_CHUNK_BYTES = 256 * 1024
 
 
-def _uniform_rows(rngs: list, n_steps: int):
-    """Yield ``n_steps`` rows of uniforms, one per generator in each row,
-    drawn in chunks of :data:`_UNIFORM_CHUNK_BYTES`."""
-    chunk = max(1, _UNIFORM_CHUNK_BYTES // (8 * len(rngs)))
+def step_draws(rngs: list, n_steps: int, width: int, draw: str):
+    """Yield ``n_steps`` arrays of shape ``(len(rngs), width)``, one per step,
+    whose row ``i`` holds the next ``width`` draws of ``rngs[i].<draw>``
+    (``draw`` is a method name such as ``"random"``), drawn in chunks of
+    :data:`_DRAW_CHUNK_BYTES`."""
+    chunk = max(1, _DRAW_CHUNK_BYTES // (8 * width * len(rngs)))
     for start in range(0, n_steps, chunk):
-        yield from np.stack([g.random(min(chunk, n_steps - start)) for g in rngs], axis=1)
+        size = (min(chunk, n_steps - start), width)
+        yield from np.stack([getattr(g, draw)(size) for g in rngs], axis=1)
 
 
 def run_simulation(
@@ -583,7 +570,7 @@ def run_simulation(
     step, observe, repeat.  The trajectory backend steps all ``cfg.reps``
     trajectories as one (n, reps) block; trajectory ``i`` draws its
     uniforms from its own ``SeedSequence([cfg.seed, i])`` stream, in
-    chunks of steps (:func:`_uniform_rows`), so its path depends on neither
+    chunks of steps (:func:`step_draws`), so its path depends on neither
     ``cfg.reps`` nor ``cfg.record_stride``, and a run is byte-identical at
     a fixed BLAS thread count.  The recorded energies must stay within the
     spectral range up to ``1e-6 * max(1, |H|)``.
@@ -613,7 +600,7 @@ def run_simulation(
     idx, spec = blocks[b], specs[b]
     on_block = np.ix_(idx, idx)
     h_block = h.matrix[on_block]
-    kraus = build_kraus_pair(spec, HermitianOperator(a.matrix[on_block]), p, cfg)
+    kraus, defect = build_kraus_pair(spec, HermitianOperator(a.matrix[on_block]), p, cfg)
     vg = spec.eigenvectors[:, spec.eigenvalues <= levels[0] + 1e-9]
     ground_proj = vg @ vg.conj().T
     psi0 = spec.eigenvectors[:, j]
@@ -621,7 +608,7 @@ def run_simulation(
     per_step = step_cost(p, cfg)
     h_time = record_steps * per_step.hamiltonian_time
     a_gates = record_steps * per_step.controlled_a_count
-    health = {"kraus_isometry_defect": kraus.isometry_defect}
+    health = {"kraus_isometry_defect": defect}
 
     if cfg.backend == "density":
         state = DensityMatrix.pure(psi0).matrix
@@ -640,13 +627,13 @@ def run_simulation(
         rngs = [
             np.random.default_rng(np.random.SeedSequence([cfg.seed, i])) for i in range(cfg.reps)
         ]
-        uniforms = _uniform_rows(rngs, cfg.n_steps)
+        uniforms = step_draws(rngs, cfg.n_steps, 1, "random")
         click_rate = health["click_rate"] = []
 
         def advance(psi: np.ndarray, span: int) -> np.ndarray:
             clicks = 0
             for _ in range(span):
-                psi, clicked = trajectory_step(psi, kraus, next(uniforms))
+                psi, clicked = trajectory_step(psi, kraus, next(uniforms)[:, 0])
                 clicks += int(np.count_nonzero(clicked))
             click_rate.append(clicks / (span * cfg.reps))
             return psi

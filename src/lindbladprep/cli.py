@@ -38,17 +38,32 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
+# Default and meaning of each coupling flag.  The flags' argparse default is
+# None, so that a flag given for the other model is told apart from a default.
+_COUPLING_FLAGS = {
+    "g": (1.2, "TFIM transverse field"),
+    "t": (1.0, "Hubbard hopping"),
+    "u": (4.0, "Hubbard interaction"),
+}
+
+
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", choices=list(MODEL_PARAMS), default="tfim")
     parser.add_argument("--sites", type=int, default=4)
-    parser.add_argument("--g", type=float, default=1.2, help="TFIM transverse field")
-    parser.add_argument("--t", type=float, default=1.0, help="Hubbard hopping")
-    parser.add_argument("--u", type=float, default=4.0, help="Hubbard interaction")
+    for key, (default, meaning) in _COUPLING_FLAGS.items():
+        parser.add_argument(f"--{key}", type=float, help=f"{meaning} (default {default})")
     parser.add_argument("--clamp", action="store_true", help="zero the filter for w >= 0")
 
 
 def _model_from_args(args) -> ModelSpec:
-    couplings = {name: getattr(args, key) for key, name in MODEL_PARAMS[args.model].items()}
+    for kind, keys in MODEL_PARAMS.items():
+        given = [key for key in keys if getattr(args, key) is not None]
+        if kind != args.model and given:
+            raise ConfigError(f"--{given[0]} only applies to --model {kind}")
+    couplings = {
+        name: _COUPLING_FLAGS[key][0] if getattr(args, key) is None else getattr(args, key)
+        for key, name in MODEL_PARAMS[args.model].items()
+    }
     return ModelSpec(args.model, args.sites, **couplings)
 
 

@@ -140,6 +140,9 @@ def _parse_output(block) -> tuple[str, str, str | None]:
         raise ConfigError("output.csv and output.manifest must be strings")
     if plots is not None and not isinstance(plots, str):
         raise ConfigError("output.plots must be a string or null")
+    for key, path in (("csv", csv_path), ("manifest", manifest), ("plots", plots)):
+        if path == "":
+            raise ConfigError(f"output.{key} must not be empty")
     return csv_path, manifest, plots
 
 

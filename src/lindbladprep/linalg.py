@@ -196,10 +196,8 @@ def hermitian_eig(op: HermitianOperator) -> SpectralDecomposition:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise LinalgError(f"eigensolver failed to converge: {exc}") from exc
     vecs = np.array(vecs, dtype=complex)
-    for k in range(vecs.shape[1]):
-        idx = int(np.argmax(np.abs(vecs[:, k])))
-        pivot = vecs[idx, k]
-        vecs[:, k] *= np.abs(pivot) / pivot
+    pivot = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    vecs *= np.abs(pivot) / pivot
     spec = SpectralDecomposition(evals, vecs)
     scale = max(1.0, frob(op.matrix))
     if frob(op.matrix @ vecs - vecs * evals) > 1e-10 * scale:

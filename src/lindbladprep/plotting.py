@@ -60,7 +60,7 @@ def _fmt(v) -> str:
 
 def read_timeseries(path: str | Path, columns=SimulationRecord.COLUMNS) -> dict:
     """Load a run CSV; missing columns, an empty table, and a short row or a
-    non-numeric cell are errors."""
+    non-numeric or non-finite cell are errors."""
     path = Path(path)
     if not path.exists():
         raise PlotError(f"no such CSV: {path}")
@@ -80,6 +80,8 @@ def read_timeseries(path: str | Path, columns=SimulationRecord.COLUMNS) -> dict:
             out[c] = np.array([float(r[c]) for r in rows])
         except (TypeError, ValueError):  # a short row reads None
             raise PlotError(f"{path}: column {c!r} has a missing or non-numeric cell") from None
+        if not np.isfinite(out[c]).all():
+            raise PlotError(f"{path}: column {c!r} has a non-finite cell")
     return out
 
 

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .channel import step_draws
 from .filters import FilterParams, f_hat
 from .jump import exact_jump  # noqa: F401  unused; perfbench/traced.py still wraps this name
 from .linalg import HermitianOperator, LinalgError
@@ -224,12 +225,6 @@ def synthetic_spectrum(kind: str, n: int, *, seed: int = 0, span: float = 4.0) -
     raise ValueError(f"unknown spectrum kind {kind!r}")
 
 
-# Coupling normals are drawn this many bytes at a time, for all reps together
-# (at least one step).  A generator's draw of c steps holds the same numbers
-# as c draws of one step, so no result depends on this size.
-_DRAW_CHUNK_BYTES = 256 * 1024
-
-
 def _resampled_evolution(
     lam: np.ndarray, spec_r: RandomCouplingSpec, p: FilterParams, p0: np.ndarray, tau: float,
     t_final: float, rngs: list, include_coherent: bool, record: int | None,
@@ -246,8 +241,8 @@ def _resampled_evolution(
     L(rho + tau/2 L(rho + tau/3 L(rho + tau/4 L rho)))``.  Each step fails
     on a per-rep trace drift beyond 1e-6 or NaN, and is re-Hermitized and
     renormalized in one pass.  Each generator draws its normals for a chunk
-    of steps at a time (:data:`_DRAW_CHUNK_BYTES`); the couplings are built
-    one step at a time.  Returns ``record`` evenly spaced checkpoint steps
+    of steps at a time (:func:`step_draws`); the couplings are built one
+    step at a time.  Returns ``record`` evenly spaced checkpoint steps
     (None: the last step only) and the states there, ``(rep, step, n, n)``.
     """
     n_steps = int(round(t_final / tau))
@@ -258,46 +253,39 @@ def _resampled_evolution(
     n, reps = lam.size, len(rngs)
     src, scale = _coupling_gather(spec_r, f_hat(lam[:, None] - lam[None, :], p))
     coherent = -1j * np.diag(lam)
-    width = 2 * n * n + n
-    chunk = max(1, _DRAW_CHUNK_BYTES // (8 * width * reps))
     kj = np.empty((reps, 2 * n, n), dtype=complex)  # [K; J] of the current step
     k, j = kj[:, :n], kj[:, n:]
     k_floats = kj.view(float)[:, :n]
     rho = np.repeat(np.diag(p0.astype(complex))[None], reps, axis=0)
     kept = []
-    step = 0
-    for start in range(0, n_steps, chunk):
-        size = min(chunk, n_steps - start)
-        # (step, rep, normal)
-        draws = np.stack([g.standard_normal((size, width)) for g in rngs], axis=1)
-        for z in draws:
-            step += 1
-            np.multiply(z[:, src], scale, out=k_floats)
-            kh = k.conj().swapaxes(1, 2)
-            np.matmul(kh, k, out=j)
-            j *= -0.5
-            if include_coherent:
-                j += coherent
-            x = rho
-            for order in (4, 3, 2, 1):
-                kx_jx = kj @ x
-                jx = kx_jx[:, n:]
-                x = kx_jx[:, :n] @ kh
-                x += jx
-                x += jx.conj().swapaxes(1, 2)
-                x *= tau / order
-                x += rho
-            # Re tr x is also the trace of the Hermitian part of x
-            tr = np.trace(x, axis1=1, axis2=2).real
-            drift = np.abs(tr - 1.0)
-            if not drift.max() <= 1e-6:  # NaN fails too
-                bad = np.flatnonzero(~(drift <= 1e-6))[0]
-                raise LinalgError(f"trace of rep {bad} drifted to {tr[bad]}; decrease tau")
-            x += x.conj().swapaxes(1, 2)
-            x *= (0.5 / tr)[:, None, None]
-            rho = x
-            if step == steps[len(kept)]:
-                kept.append(rho)
+    draws = step_draws(rngs, n_steps, 2 * n * n + n, "standard_normal")
+    for step, z in enumerate(draws, start=1):  # z: (rep, normal)
+        np.multiply(z[:, src], scale, out=k_floats)
+        kh = k.conj().swapaxes(1, 2)
+        np.matmul(kh, k, out=j)
+        j *= -0.5
+        if include_coherent:
+            j += coherent
+        x = rho
+        for order in (4, 3, 2, 1):
+            kx_jx = kj @ x
+            jx = kx_jx[:, n:]
+            x = kx_jx[:, :n] @ kh
+            x += jx
+            x += jx.conj().swapaxes(1, 2)
+            x *= tau / order
+            x += rho
+        # Re tr x is also the trace of the Hermitian part of x
+        tr = np.trace(x, axis1=1, axis2=2).real
+        drift = np.abs(tr - 1.0)
+        if not drift.max() <= 1e-6:  # NaN fails too
+            bad = np.flatnonzero(~(drift <= 1e-6))[0]
+            raise LinalgError(f"trace of rep {bad} drifted to {tr[bad]}; decrease tau")
+        x += x.conj().swapaxes(1, 2)
+        x *= (0.5 / tr)[:, None, None]
+        rho = x
+        if step == steps[len(kept)]:
+            kept.append(rho)
     return steps, np.stack(kept, axis=1)
 
 

@@ -183,7 +183,7 @@ def check_channel_trotter_slope():
         cfg = ChannelConfig(
             tau=t, total_time=t, r=1, include_coherent=False, backend="density"
         )
-        kraus = build_kraus_pair(spec, a, p, cfg)
+        kraus, _ = build_kraus_pair(spec, a, p, cfg)
         out = channel_step_density(rho.matrix, kraus)
         ref = exact_dilated_step(kd, rho_rot, t)
         errs.append(trace_norm(u_g @ out @ u_g.conj().T - ref.matrix))
@@ -204,7 +204,7 @@ def check_cancellation_identity():
 def check_cptp_invariants():
     _, spec, a, p = _tfim_setup()
     cfg = ChannelConfig(tau=0.5, total_time=0.5, r=1, include_coherent=True, backend="density")
-    kraus = build_kraus_pair(spec, a, p, cfg)
+    kraus, _ = build_kraus_pair(spec, a, p, cfg)
     rng = np.random.default_rng(9)
     worst_tr, worst_pos, worst_contract = 0.0, 0.0, 0.0
     for _ in range(50):
@@ -307,7 +307,7 @@ def check_global_first_order():
     taus = [0.2, 0.1, 0.05, 0.025]
     for t in taus:
         cfg = ChannelConfig(tau=t, total_time=2.0, r=1, include_coherent=True, backend="density")
-        kraus = build_kraus_pair(spec, a, p, cfg)
+        kraus, _ = build_kraus_pair(spec, a, p, cfg)
         rho = rho_i.matrix
         for _ in range(cfg.n_steps):
             rho = channel_step_density(rho, kraus)
@@ -320,7 +320,7 @@ def check_global_first_order():
 def check_discrete_fixed_point():
     _, spec, a, p = _tfim_setup(4)
     cfg = ChannelConfig(tau=1.0, total_time=100.0, mode="discrete", r=1, backend="density")
-    kraus = build_kraus_pair(spec, a, p, cfg)
+    kraus, _ = build_kraus_pair(spec, a, p, cfg)
     rho_g = DensityMatrix.pure(spec.ground_state)
     rho, worst = rho_g.matrix, 0.0
     for _ in range(100):

@@ -119,7 +119,7 @@ class TestBuildW:
         errs = []
         for t in taus:
             cfg = ChannelConfig(tau=t, total_time=t, r=1, include_coherent=False, backend="density")
-            kraus = build_kraus_pair(spec, a, p, cfg)
+            kraus, _ = build_kraus_pair(spec, a, p, cfg)
             out = channel_step_density(rho.matrix, kraus)
             ref = exact_dilated_step(kd, rho_rot, t)
             errs.append(trace_norm(u_g @ out @ u_g.conj().T - ref.matrix))
@@ -142,7 +142,7 @@ class TestBuildW:
                 tau=tau, total_time=tau, mode="discrete", r=r,
                 include_coherent=False, backend="density",
             )
-            kraus = build_kraus_pair(spec, a, p, cfg)
+            kraus, _ = build_kraus_pair(spec, a, p, cfg)
             out = channel_step_density(rho.matrix, kraus)
             errs.append(trace_norm(u_g @ out @ u_g.conj().T - ref.matrix))
         assert errs[1] < errs[0] and errs[2] < errs[1]
@@ -173,7 +173,7 @@ class TestBuildKrausPair:
         cfg = ChannelConfig(
             tau=0.5, total_time=0.5, mode="discrete", r=r, include_coherent=coherent
         )
-        m0, m1 = build_kraus_pair(spec, a, p, cfg)
+        (m0, m1), _ = build_kraus_pair(spec, a, p, cfg)
         phi = np.linalg.matrix_power(build_w(spec, a, p, cfg.tau_eff), r)
         n = spec.dim
         fold = evolution_unitary(spec, cfg.tau) if coherent else np.eye(n)
@@ -189,7 +189,7 @@ class TestBuildKrausPair:
         spec = hermitian_eig(h)
         p = default_params(spec.spectral_norm, spec.gap)
         cfg = ChannelConfig(tau=0.5, total_time=0.5, include_coherent=False)
-        m0, m1 = build_kraus_pair(spec, a, p, cfg)
+        (m0, m1), _ = build_kraus_pair(spec, a, p, cfg)
         w = build_w(spec, a, p, cfg.tau_eff)
         assert np.max(np.abs(m0 - w[:4, :4])) <= 1e-12
         assert np.max(np.abs(m1 - w[4:, :4])) <= 1e-12
@@ -253,7 +253,7 @@ class TestChannelStepDensity:
     def test_cptp_per_step(self, rng):
         _, _, spec, a, p = tfim_setup(2)
         cfg = ChannelConfig(tau=0.5, total_time=0.5, backend="density")
-        kraus = build_kraus_pair(spec, a, p, cfg)
+        kraus, _ = build_kraus_pair(spec, a, p, cfg)
         rho = random_density(rng, 4)
         out = channel_step_density(rho.matrix, kraus)
         assert abs(np.trace(out).real - 1.0) <= 1e-9
@@ -262,7 +262,7 @@ class TestChannelStepDensity:
     def test_contractive(self, rng):
         _, _, spec, a, p = tfim_setup(2)
         cfg = ChannelConfig(tau=0.5, total_time=0.5, backend="density")
-        kraus = build_kraus_pair(spec, a, p, cfg)
+        kraus, _ = build_kraus_pair(spec, a, p, cfg)
         for _ in range(20):
             r1, r2 = random_density(rng, 4), random_density(rng, 4)
             o1 = channel_step_density(r1.matrix, kraus)
@@ -274,14 +274,14 @@ class TestChannelStepDensity:
         rho_g = DensityMatrix.pure(spec.ground_state)
         for tau in (0.1, 1.0):
             cfg = ChannelConfig(tau=tau, total_time=tau, backend="density")
-            kraus = build_kraus_pair(spec, a, p, cfg)
+            kraus, _ = build_kraus_pair(spec, a, p, cfg)
             out = channel_step_density(rho_g.matrix, kraus)
             assert trace_norm(out - rho_g.matrix) <= 1e-2
 
     def test_trace_drift_and_nonfinite_entries_fail(self, rng):
         _, _, spec, a, p = tfim_setup(2)
         cfg = ChannelConfig(tau=0.5, total_time=0.5, include_coherent=False, backend="density")
-        m0, m1 = build_kraus_pair(spec, a, p, cfg)
+        (m0, m1), _ = build_kraus_pair(spec, a, p, cfg)
         rho = random_density(rng, 4).matrix
         with pytest.raises(ChannelError, match="trace drifted"):
             channel_step_density(rho, (1.001 * m0, m1))
@@ -327,14 +327,14 @@ class TestTrajectoryStep:
     def test_ground_state_rarely_clicks(self):
         _, _, spec, a, p = tfim_setup(4)
         cfg = ChannelConfig(tau=0.1, total_time=0.1)
-        _, m1 = build_kraus_pair(spec, a, p, cfg)
+        (_, m1), _ = build_kraus_pair(spec, a, p, cfg)
         branch1 = m1 @ spec.ground_state
         assert np.vdot(branch1, branch1).real <= 1e-2
 
     def test_norm_validation(self, rng):
         _, _, spec, a, p = tfim_setup(2)
         cfg = ChannelConfig(tau=0.3, total_time=0.3)
-        kraus = build_kraus_pair(spec, a, p, cfg)
+        kraus, _ = build_kraus_pair(spec, a, p, cfg)
         psi = np.stack([random_state(rng, 4) for _ in range(3)], axis=1)
         psi[:, 1] *= 2.0
         with pytest.raises(ChannelError, match="norm"):
@@ -345,12 +345,13 @@ class TestTrajectoryStep:
 
     def test_pair_is_views_of_its_stacked_column(self, rng):
         _, _, spec, a, p = tfim_setup(2)
-        kraus = build_kraus_pair(spec, a, p, ChannelConfig(tau=0.3, total_time=0.3))
-        assert kraus.column.shape == (8, 4)
-        assert all(np.shares_memory(m, kraus.column) for m in kraus)
+        kraus, _ = build_kraus_pair(spec, a, p, ChannelConfig(tau=0.3, total_time=0.3))
+        assert kraus.shape == (2, 4, 4)
+        # the stacked column [M0; M1] that trajectory_step applies is a view
+        assert np.shares_memory(np.reshape(kraus, (-1, 4)), kraus)
         psi = np.stack([random_state(rng, 4) for _ in range(3)], axis=1)
         u = rng.random(3)
-        # a plain tuple of the same arrays is stacked first, with the same result
+        # numpy stacks a plain tuple of the same arrays, with the same result
         for got, want in zip(trajectory_step(psi, tuple(kraus), u), trajectory_step(psi, kraus, u)):
             assert np.array_equal(got, want)
 
@@ -411,7 +412,7 @@ class TestRunSimulation:
         model = ModelSpec("tfim", 2, tfim_g=1.2)
         base = dict(tau=0.5, total_time=5.0, backend="trajectory", reps=4, seed=5)
 
-        def steps_of(stride, chunk_bytes=channel._UNIFORM_CHUNK_BYTES):
+        def steps_of(stride, chunk_bytes=channel._DRAW_CHUNK_BYTES):
             seen = []
             exact = channel.trajectory_step
 
@@ -420,7 +421,7 @@ class TestRunSimulation:
                 return seen[-1]
 
             monkeypatch.setattr(channel, "trajectory_step", spy)
-            monkeypatch.setattr(channel, "_UNIFORM_CHUNK_BYTES", chunk_bytes)
+            monkeypatch.setattr(channel, "_DRAW_CHUNK_BYTES", chunk_bytes)
             run_simulation(model, ChannelConfig(record_stride=stride, **base))
             monkeypatch.undo()
             return seen
@@ -443,7 +444,7 @@ class TestRunSimulation:
         )
         rec = run_simulation(model, cfg)
         h, spec, a, p = tfim_setup(2)[1:]
-        m0, m1 = build_kraus_pair(spec, a, p, cfg)
+        (m0, m1), _ = build_kraus_pair(spec, a, p, cfg)
         obs = np.empty((2, cfg.reps, cfg.n_steps + 1))
         clicks = np.zeros(cfg.n_steps + 1)
         for i in range(cfg.reps):
@@ -538,7 +539,7 @@ def dense_rows(model, cfg, psi0):
     h, a = model.hamiltonian(), coupling_operator(model)
     spec = hermitian_eig(h)
     p = resolve_filter_params({}, spec.spectral_norm, spec.gap)
-    kraus = build_kraus_pair(spec, a, p, cfg)
+    kraus, _ = build_kraus_pair(spec, a, p, cfg)
     proj = ground_projector(spec)
     if cfg.backend == "density":
         states = [np.outer(psi0, psi0.conj())]

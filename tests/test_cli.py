@@ -308,6 +308,18 @@ class TestRunCommand:
         assert_one_error_line(capsys, ["run", str(cfg_path)], 2)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "link.json"]
 
+    @pytest.mark.parametrize("key", ["csv", "manifest", "plots"])
+    def test_empty_output_path_exit_2(self, tmp_path, capsys, monkeypatch, key):
+        """An empty output path is refused before anything is written, also
+        into the working directory."""
+        data = tiny_config(tmp_path)
+        data["output"][key] = ""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        monkeypatch.chdir(tmp_path)
+        assert_one_error_line(capsys, ["run", str(cfg_path)], 2)
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_invalid_filter_override_exit_2(self, tmp_path, capsys):
         data = tiny_config(tmp_path)
         data["filter"] = {"tau_s": -0.1}
@@ -686,8 +698,11 @@ BAD_AUX = [
     ("jump-report --sites 2 --g inf", 2),
     ("filter-table --sites 2 --g 1e150 --out-dir {tmp}/tables", 2),
     ("jump-report --sites 2 --g 1e200", 2),
+    ("jump-report --model tfim --sites 2 --u 9", 2),
     ("plot {tmp}/bad.csv --kind energy-time --out {tmp}/p.svg", 2),
     ("plot {tmp}/short.csv --kind energy-time --out {tmp}/p.svg", 2),
+    ("plot {tmp}/nan.csv --kind energy-time --out {tmp}/p.svg", 2),
+    ("plot {tmp}/inf.csv --kind energy-time --out {tmp}/p.svg", 2),
     ("plot {tmp}/dir --kind energy-time --out {tmp}/p.svg", 1),
     ("plot {tmp}/good.csv --kind energy-time --out {tmp}/dir", 1),
     ("filter-table --sites 2 --out-dir {tmp}/file", 1),
@@ -701,8 +716,8 @@ class TestBadAuxInput:
         BAD_AUX,
         ids=[
             "filter-table-g-nan", "jump-report-g-inf", "filter-table-g-1e150",
-            "jump-report-g-1e200", "plot-non-numeric-cell",
-            "plot-short-row", "plot-csv-is-directory", "plot-out-is-directory",
+            "jump-report-g-1e200", "jump-report-u-for-tfim", "plot-non-numeric-cell",
+            "plot-short-row", "plot-nan-cell", "plot-inf-cell", "plot-csv-is-directory", "plot-out-is-directory",
             "filter-table-out-dir-is-file", "jump-report-sparsity-out-is-directory",
         ],
     )
@@ -713,6 +728,9 @@ class TestBadAuxInput:
         (tmp_path / "good.csv").write_text(f"{header}\n0,0.0,0.0,0,1.0,0.0,0.5,0.0\n")
         (tmp_path / "bad.csv").write_text(f"{header}\n0,0.0,0.0,0,x,0.0,0.5,0.0\n")
         (tmp_path / "short.csv").write_text(f"{header}\n0,0.0,0.0,0\n")
+        (tmp_path / "nan.csv").write_text(f"{header}\n0,0.0,0.0,0,nan,0.0,0.5,0.0\n")
+        rows = "0,0.0,0.0,0,1.0,0.0,0.5,0.0\n1,inf,0.0,0,1.0,0.0,0.5,0.0\n"
+        (tmp_path / "inf.csv").write_text(f"{header}\n{rows}")
         assert_one_error_line(capsys, argv.format(tmp=tmp_path).split(), code)
         assert not (tmp_path / "p.svg").exists()
 
