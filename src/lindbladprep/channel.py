@@ -473,6 +473,14 @@ def channel_step_density(rho: np.ndarray, kraus: np.ndarray) -> np.ndarray:
     return out
 
 
+def _squared_column_norms(x: np.ndarray) -> np.ndarray:
+    """``|x[b, :, j]|^2`` for a stack ``x`` (b, rows, cols): the squares of its
+    float view summed, with no conjugate copy."""
+    f = np.ascontiguousarray(x, dtype=complex).view(np.float64)  # re, im interleaved
+    squares = np.einsum("bij,bij->bj", f, f)
+    return squares[:, 0::2] + squares[:, 1::2]
+
+
 def trajectory_step(
     psi: np.ndarray, kraus: np.ndarray, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -487,13 +495,13 @@ def trajectory_step(
     Returns (new block, per-column click flags).  The clicks are recorded
     for diagnostics only; the scheme never conditions on them.
     """
-    nrm = np.linalg.norm(psi, axis=0)
+    nrm = np.sqrt(_squared_column_norms(psi[None])[0])
     off = ~(np.abs(nrm - 1.0) <= 1e-9)
     if off.any():
         raise ChannelError(f"trajectory state norm {nrm[off][0]} is not 1")
     column = np.reshape(kraus, (-1, psi.shape[0]))  # [M0; M1]
     branches = (column @ psi).reshape(2, *psi.shape)  # (outcome, row, trajectory)
-    weights = np.einsum("bij,bij->bj", branches.conj(), branches).real
+    weights = _squared_column_norms(branches)
     clicks = u < weights[1]
     weight = np.sqrt(np.where(clicks, weights[1], weights[0]))
     vanishing = ~(weight >= 1e-12)
@@ -608,7 +616,7 @@ def run_simulation(
     per_step = step_cost(p, cfg)
     h_time = record_steps * per_step.hamiltonian_time
     a_gates = record_steps * per_step.controlled_a_count
-    health = {"kraus_isometry_defect": defect}
+    health = {"kraus_isometry_defect": defect, "block_dim": int(idx.size)}
 
     if cfg.backend == "density":
         state = DensityMatrix.pure(psi0).matrix

@@ -28,7 +28,6 @@ import numpy as np
 from .channel import ChannelError, run_simulation
 from .config import ConfigError, load_run_config, manifest_dict, resolve_filter_params
 from .filters import f_hat, f_time
-from .jump import check_l1_bound, coupling_in_eigenbasis, exact_filter, quadrature_filter
 from .linalg import LinalgError, hermitian_eig
 from .models import MODEL_PARAMS, ModelSpec, coupling_operator
 from .plotting import PLOT_KINDS, PlotError, render_plot, write_timeseries_csv
@@ -190,6 +189,8 @@ def cmd_filter_table(args) -> int:
 
 
 def cmd_jump_report(args) -> int:
+    from .jump import check_l1_bound, coupling_in_eigenbasis, exact_filter, quadrature_filter
+
     try:
         model, spec, p = _resolved_params(args)
     except (ConfigError, ValueError) as exc:

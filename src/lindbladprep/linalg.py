@@ -140,11 +140,6 @@ class SpectralDecomposition:
     def spectral_norm(self) -> float:
         return float(np.max(np.abs(self.eigenvalues)))
 
-    def ground_space(self, degeneracy_tol: float = 1e-9) -> np.ndarray:
-        """The eigenvectors (columns) within ``degeneracy_tol`` of the lowest
-        eigenvalue."""
-        return self.eigenvectors[:, self.eigenvalues <= self.eigenvalues[0] + degeneracy_tol]
-
     def reconstruct(self) -> np.ndarray:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
 

@@ -58,7 +58,7 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def read_timeseries(path: str | Path, columns=SimulationRecord.COLUMNS) -> dict:
+def read_timeseries(path: str | Path) -> dict:
     """Load a run CSV; missing columns, an empty table, and a short row or a
     non-numeric or non-finite cell are errors."""
     path = Path(path)
@@ -68,7 +68,7 @@ def read_timeseries(path: str | Path, columns=SimulationRecord.COLUMNS) -> dict:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise PlotError(f"{path}: empty CSV")
-        missing = [c for c in columns if c not in reader.fieldnames]
+        missing = [c for c in SimulationRecord.COLUMNS if c not in reader.fieldnames]
         if missing:
             raise PlotError(f"{path}: missing column(s) {missing}")
         rows = list(reader)

@@ -24,6 +24,7 @@ from .linalg import (
     HermitianOperator,
     LinalgError,
     SpectralDecomposition,
+    evolution_unitary,
     hermitian_eig,
     partial_trace_ancilla,
 )
@@ -41,6 +42,7 @@ __all__ = [
 
 # Superoperator exponentials are only built for tiny systems.
 _SUPEROP_MAX_DIM = 16
+_DISSIPATIVE_SUBSTEPS = 1000  # RK4 steps of exact_dissipative_step
 
 
 @dataclass(frozen=True)
@@ -142,9 +144,7 @@ def superoperator_expm_step(
     return DensityMatrix(out / np.trace(out).real, check_positivity=False)
 
 
-def exact_dissipative_step(
-    k: JumpOperator, rho: DensityMatrix, tau: float, *, substeps: int = 1000
-) -> DensityMatrix:
+def exact_dissipative_step(k: JumpOperator, rho: DensityMatrix, tau: float) -> DensityMatrix:
     """Oracle ``exp(L_K tau)`` with the coherent part switched off."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -152,7 +152,7 @@ def exact_dissipative_step(
         return rho
     h0 = HermitianOperator(np.zeros((k.dim, k.dim)))
     sys = LindbladSystem(h0, k, include_coherent=False)
-    return evolve_ode(sys, rho, tau, tau / substeps)
+    return evolve_ode(sys, rho, tau, tau / _DISSIPATIVE_SUBSTEPS)
 
 
 def exact_dilated_step(
@@ -167,10 +167,8 @@ def exact_dilated_step(
         raise ValueError("tau must be nonnegative")
     n = kd.dim // 2
     spec = hermitian_eig(HermitianOperator(kd.matrix))
-    u = (spec.eigenvectors * np.exp(-1j * spec.eigenvalues * np.sqrt(tau))) @ (
-        spec.eigenvectors.conj().T
-    )
-    block = u[:, :n]  # only the |0>-ancilla column block acts on rho
+    # only the |0>-ancilla column block acts on rho
+    block = evolution_unitary(spec, np.sqrt(tau))[:, :n]
     big = block @ rho.matrix @ block.conj().T
     out = partial_trace_ancilla(big)
     out = (out + out.conj().T) / 2
@@ -194,9 +192,7 @@ def discrete_map_exact(
         return out
     if spec is None:
         spec = hermitian_eig(sys.h)
-    u = (spec.eigenvectors * np.exp(-1j * spec.eigenvalues * tau)) @ (
-        spec.eigenvectors.conj().T
-    )
+    u = evolution_unitary(spec, tau)
     m = u @ out.matrix @ u.conj().T
     m = (m + m.conj().T) / 2
     return DensityMatrix(m, check_positivity=False)

@@ -21,7 +21,8 @@ def random_density(rng, dim: int) -> DensityMatrix:
 
 
 def ground_projector(spec) -> np.ndarray:
-    vg = spec.ground_space()
+    """Projector onto the eigenvectors within 1e-9 of the lowest eigenvalue."""
+    vg = spec.eigenvectors[:, spec.eigenvalues <= spec.eigenvalues[0] + 1e-9]
     return vg @ vg.conj().T
 
 

@@ -361,6 +361,32 @@ class TestTrajectoryStep:
         with pytest.raises(ChannelError, match="vanishing probability"):
             trajectory_step(psi, (zero, zero), rng.random(1))
 
+    @pytest.mark.parametrize("layout", ["real", "column-strided", "row-strided", "fortran"])
+    def test_layout_of_psi_changes_nothing(self, rng, layout):
+        """The norm check and the branch weights sum squares over a float
+        view: a real or non-contiguous block steps exactly as its contiguous
+        complex copy, so the view pairs each real part with its own
+        imaginary part."""
+        _, _, spec, a, p = tfim_setup(2)
+        kraus, _ = build_kraus_pair(spec, a, p, ChannelConfig(tau=0.3, total_time=0.3))
+        dense = np.stack([random_state(rng, 4) for _ in range(6)], axis=1)
+        if layout == "real":
+            psi = dense.real / np.linalg.norm(dense.real, axis=0)
+        elif layout == "column-strided":
+            psi = np.repeat(dense, 2, axis=1)[:, ::2]
+        elif layout == "row-strided":
+            psi = np.repeat(dense, 2, axis=0)[::2]
+        else:
+            psi = np.asfortranarray(dense)
+        contiguous = np.ascontiguousarray(psi, dtype=complex)
+        # u just below or just above each |M1 psi_j|^2: both outcomes occur
+        u = np.linalg.norm(kraus[1] @ contiguous, axis=0) ** 2 * np.tile([0.5, 1.5], 3)
+        block, clicks = trajectory_step(psi, kraus, u)
+        want_block, want_clicks = trajectory_step(contiguous, kraus, u)
+        assert list(want_clicks) == [True, False] * 3
+        assert np.array_equal(clicks, want_clicks)
+        assert np.array_equal(block, want_block)
+
 
 class TestRunSimulation:
     def test_density_deterministic(self):

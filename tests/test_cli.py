@@ -50,11 +50,11 @@ def fresh_python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
     )
 
 
-def scipy_modules_after(code: str) -> list:
-    """The ``scipy*`` modules loaded after a fresh interpreter runs ``code``."""
+def modules_after(code: str, package: str) -> list:
+    """The modules of ``package`` loaded after a fresh interpreter runs ``code``."""
     code += (
         "\nimport json, sys"
-        "\nprint(json.dumps([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]))"
+        f"\nprint(json.dumps([m for m in sys.modules if m.partition('.')[0] == {package!r}]))"
     )
     return json.loads(fresh_python("-c", code).stdout.splitlines()[-1])
 
@@ -407,15 +407,28 @@ class TestRunCommand:
         cfg_path.write_text(json.dumps(data))
         assert main(["run", str(cfg_path)]) == 0
 
-    @pytest.mark.parametrize("backend", ["density", "trajectory"])
-    def test_manifest_records_kraus_isometry_defect(self, tmp_path, backend):
+    @pytest.mark.parametrize(
+        "backend, model, block_dim",
+        [
+            pytest.param("density", {"kind": "tfim", "sites": 4, "g": 1.2}, 16, id="density"),
+            pytest.param("trajectory", {"kind": "tfim", "sites": 4, "g": 1.2}, 16, id="trajectory"),
+            # Hubbard-2 (dim 16) evolves the 4-state block of its highest level
+            pytest.param(
+                "trajectory", {"kind": "hubbard1d", "sites": 2, "t": 1.0, "u": 4.0}, 4, id="hubbard2"
+            ),
+        ],
+    )
+    def test_manifest_records_kraus_isometry_defect(self, tmp_path, backend, model, block_dim):
         data = tiny_config(tmp_path, backend=backend, reps=2)
-        data["model"]["sites"] = 4
+        data["model"] = model
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(data))
         assert main(["run", str(cfg_path)]) == 0
         manifest = json.loads((tmp_path / "run.manifest.json").read_text())
-        assert 0.0 <= manifest["resolved"]["health"]["kraus_isometry_defect"] <= 1e-10
+        health = manifest["resolved"]["health"]
+        assert 0.0 <= health["kraus_isometry_defect"] <= 1e-10
+        assert health["block_dim"] == block_dim
+        assert manifest["resolved"]["spectrum"]["dim"] == 16
 
     def test_manifest_records_click_rate(self, tmp_path):
         data = tiny_config(tmp_path, backend="trajectory", reps=4, total_time=3.0, record_stride=2)
@@ -490,7 +503,15 @@ class TestRunCommand:
     def test_cli_import_loads_no_scipy(self):
         """``run`` calls nothing from scipy, so importing the CLI must not
         load it; a fresh interpreter sees the import alone."""
-        assert scipy_modules_after("import lindbladprep.cli") == []
+        assert modules_after("import lindbladprep.cli", "scipy") == []
+
+    def test_cli_import_loads_only_the_run_modules(self):
+        """``run``, ``plot`` and ``filter-table`` need none of ``jump``,
+        ``reference``, ``verify`` or ``randomcoupling``: ``jump-report`` and
+        ``verify`` import theirs when they are called."""
+        run_modules = ["channel", "cli", "config", "filters", "linalg", "models", "plotting"]
+        loaded = sorted(modules_after("import lindbladprep.cli", "lindbladprep"))
+        assert loaded == ["lindbladprep"] + [f"lindbladprep.{m}" for m in run_modules]
 
     def test_random_coupling_and_aux_commands_load_no_scipy(self, tmp_path):
         """The random-coupling experiments, ``exact_jump``, ``filter-table``
@@ -518,7 +539,7 @@ out = {str(tmp_path)!r}
 assert main(["filter-table", "--out-dir", out, "--points", "5"]) == 0
 assert main(["jump-report", "--sites", "2", "--sparsity-out", out + "/k.csv"]) == 0
 """
-        assert scipy_modules_after(code) == []
+        assert modules_after(code, "scipy") == []
 
 
 class TestPlotting:
