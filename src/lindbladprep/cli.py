@@ -8,8 +8,9 @@ Subcommands::
     filter-table  tabulate the filter in frequency and time domain
     jump-report   numeric diagnostics of the jump operator for a model
 
-Exit codes: 0 success, 1 runtime failure / failed verification / a path
-that cannot be read or written, 2 invalid configuration or arguments.
+Exit codes, which ``main`` alone picks from what a command raises: 0 success,
+1 runtime failure / failed verification / a path that cannot be read or
+written, 2 invalid configuration or arguments.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sites", type=int, default=4)
     for key, (default, meaning) in _COUPLING_FLAGS.items():
         parser.add_argument(f"--{key}", type=float, help=f"{meaning} (default {default})")
-    parser.add_argument("--clamp", action="store_true", help="zero the filter for w >= 0")
 
 
 def _model_from_args(args) -> ModelSpec:
@@ -63,30 +63,19 @@ def _model_from_args(args) -> ModelSpec:
         name: _COUPLING_FLAGS[key][0] if getattr(args, key) is None else getattr(args, key)
         for key, name in MODEL_PARAMS[args.model].items()
     }
-    return ModelSpec(args.model, args.sites, **couplings)
+    try:
+        return ModelSpec(args.model, args.sites, **couplings)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_run(args) -> int:
-    try:
-        run = load_run_config(args.config)
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        # the filter overrides are resolved against the spectrum the run computes
-        record = run_simulation(run.model, run.channel, run.filter_overrides)
-        _write_run_outputs(run, record)
-        print(f"wrote {run.csv_path} and {run.manifest_path}")
-        return EXIT_OK
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ChannelError, LinalgError, PlotError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    run = load_run_config(args.config)
+    # the filter overrides are resolved against the spectrum the run computes
+    record = run_simulation(run.model, run.channel, run.filter_overrides)
+    _write_run_outputs(run, record)
+    print(f"wrote {run.csv_path} and {run.manifest_path}")
+    return EXIT_OK
 
 
 def _write_run_outputs(run, record) -> None:
@@ -147,30 +136,24 @@ def cmd_verify(args) -> int:
 def cmd_plot(args) -> int:
     try:
         render_plot(args.csv, args.kind, args.out, labels=args.label or None)
-    except PlotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except PlotError as exc:  # here the CSVs are user input, not a run's own output
+        raise ConfigError(str(exc)) from exc
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def _resolved_params(args):
+    """The model, its spectrum and the rule's (unclamped) filter."""
     model = _model_from_args(args)
     spec = hermitian_eig(model.hamiltonian())
-    overrides = {"clamp_nonnegative": True} if args.clamp else {}
-    p = resolve_filter_params(overrides, spec.spectral_norm, spec.gap)
-    return model, spec, p
+    return model, spec, resolve_filter_params({}, spec.spectral_norm, spec.gap)
 
 
 def cmd_filter_table(args) -> int:
     if args.points < 0:
-        print(f"error: --points must be non-negative, got {args.points}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        _, spec, p = _resolved_params(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"--points must be non-negative, got {args.points}")
+    _, spec, p = _resolved_params(args)
+    p = p.with_clamp(args.clamp)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     omegas = np.linspace(-(p.a + 6 * p.delta_a), 6 * p.delta_b, args.points)
@@ -191,21 +174,17 @@ def cmd_filter_table(args) -> int:
 def cmd_jump_report(args) -> int:
     from .jump import check_l1_bound, coupling_in_eigenbasis, exact_filter, quadrature_filter
 
-    try:
-        model, spec, p = _resolved_params(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    model, spec, p = _resolved_params(args)
     a = coupling_operator(model)
     # norms, ground residuals and |K| entries are unitarily invariant, so
     # every row comes from the energy-basis matrices F o (V^dag A V)
     a_eig, norm_a = coupling_in_eigenbasis(spec, a), a.norm()
-    lam, unclamped = spec.eigenvalues, p.with_clamp(False)
-    m_exact = exact_filter(lam, unclamped) * a_eig
+    lam = spec.eigenvalues
+    m_exact = exact_filter(lam, p) * a_eig
     m_clamped = exact_filter(lam, p.with_clamp(True)) * a_eig
-    m_quad = quadrature_filter(lam, unclamped) * a_eig
+    m_quad = quadrature_filter(lam, p) * a_eig
     norm_quad = float(np.linalg.norm(m_quad, 2))
-    check_l1_bound(norm_quad, norm_a, unclamped)
+    check_l1_bound(norm_quad, norm_a, p)
     ground = spec.eigenvectors.conj().T @ spec.ground_state
     writer = csv.writer(sys.stdout)
     writer.writerow(["metric", "value"])
@@ -259,6 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p_ft)
     p_ft.add_argument("--out-dir", default=".", help="directory for the CSV tables")
     p_ft.add_argument("--points", type=int, default=800)
+    p_ft.add_argument("--clamp", action="store_true", help="zero the filter for w >= 0")
     p_ft.set_defaults(fn=cmd_filter_table)
 
     p_jr = sub.add_parser("jump-report", help="jump-operator diagnostics as CSV")
@@ -278,9 +258,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except OSError as exc:  # an unreadable input or an unwritable output path
+    except (ConfigError, ChannelError, LinalgError, PlotError, OSError) as exc:
+        # invalid input exits 2; a failed run, or an unreadable input or
+        # unwritable output path, exits 1
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ A run config has three blocks plus output paths::
 
     {
       "model":   {"kind": "tfim", "sites": 4, "g": 1.2},
-      "filter":  {"clamp_nonnegative": false},          # optional overrides
+      "filter":  {"tau_s": 0.05},                       # optional overrides
       "channel": {"mode": "continuous", "tau": 0.1, "total_time": 80.0,
                   "r": 1, "include_coherent": true, "backend": "trajectory",
                   "reps": 100, "seed": 7,
@@ -153,6 +153,8 @@ def parse_run_config(data) -> RunConfig:
     model = _parse_model(_require(data, "model", "top-level"))
     filt = data.get("filter")
     filt = {} if filt is None else _dataclass_block(FilterParams, filt, "filter", partial=True)
+    if filt.get("clamp_nonnegative"):
+        raise ConfigError("filter.clamp_nonnegative must be false: the circuit samples unclamped f(s)")
     channel = _dataclass_block(ChannelConfig, _require(data, "channel", "top-level"), "channel")
     try:
         channel = ChannelConfig(**channel)
@@ -173,14 +175,22 @@ def parse_run_config(data) -> RunConfig:
 
 
 def load_run_config(path: str | Path) -> RunConfig:
-    text = Path(path).read_text()
+    """The run config in file ``path``; a missing file and any fault of its
+    text or content, such as a NUL byte in a path, are a ``ConfigError``."""
     try:
-        data = json.loads(text)
+        return parse_run_config(json.loads(Path(path).read_text(encoding="utf-8")))
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return parse_run_config(data)
+    except RecursionError:
+        raise ConfigError(f"{path}: malformed JSON: nested too deeply") from None
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 # A ground-level spacing at or below this counts as no gap: the rule's

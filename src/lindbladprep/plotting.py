@@ -59,23 +59,28 @@ def _fmt(v) -> str:
 
 
 def read_timeseries(path: str | Path) -> dict:
-    """Load a run CSV; missing columns, an empty table, and a short row or a
-    non-numeric or non-finite cell are errors."""
+    """Load a run CSV; non-UTF-8 text, a field beyond the csv size limit, missing
+    columns, an empty table, and a short row or a bad or non-finite cell are errors."""
     path = Path(path)
     if not path.exists():
         raise PlotError(f"no such CSV: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise PlotError(f"{path}: empty CSV")
-        missing = [c for c in SimulationRecord.COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise PlotError(f"{path}: missing column(s) {missing}")
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            columns, rows = reader.fieldnames, list(reader)
+    except UnicodeDecodeError:
+        raise PlotError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise PlotError(f"{path}: {exc}") from None
+    if columns is None:
+        raise PlotError(f"{path}: empty CSV")
+    missing = [c for c in SimulationRecord.COLUMNS if c not in columns]
+    if missing:
+        raise PlotError(f"{path}: missing column(s) {missing}")
     if not rows:
         raise PlotError(f"{path}: no data rows")
     out = {}
-    for c in reader.fieldnames:
+    for c in columns:
         try:
             out[c] = np.array([float(r[c]) for r in rows])
         except (TypeError, ValueError):  # a short row reads None

@@ -304,7 +304,10 @@ class ErgodicityReport:
 
     def write_csv(self, path) -> None:
         """Population comparison, one row per (checkpoint, level)."""
-        with _open_csv(path) as writer:
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
             writer.writerow(["time", "level", "mc_mean", "mc_se", "rate_equation"])
             for i, t in enumerate(self.checkpoints):
                 for level in range(self.mc_mean.shape[1]):
@@ -421,12 +424,12 @@ def mixing_layers_experiment(
     if thresholds[0] != n - 1:
         raise ValueError("first threshold must be N - 1")
     tmat = transition_matrix(lam, p, spec_r)
-    rates_sq = np.asarray(f_hat(lam[:, None] - lam[None, :], p)) ** 2 * spec_r.sigma
     layer_rates, violated = [], []
     for l in range(len(thresholds) - 1):
         r_hi, r_lo = thresholds[l], thresholds[l + 1]
         sources = range(r_lo + 1, r_hi + 1)
-        rate = min(float(rates_sq[: r_lo + 1, j].sum()) for j in sources)
+        # rows 0..r_lo of a source column j > r_lo hold off-diagonal rates only
+        rate = min(float(tmat.matrix[: r_lo + 1, j].sum()) for j in sources)
         layer_rates.append(rate)
         if rate < rate_floor:
             violated.append(l + 1)
@@ -469,20 +472,6 @@ def write_summary_json(path, **named_reports) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
-
-
-class _open_csv:
-    def __init__(self, path):
-        self.path = Path(path)
-
-    def __enter__(self):
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.fh = open(self.path, "w", newline="")
-        return csv.writer(self.fh)
-
-    def __exit__(self, *exc):
-        self.fh.close()
-        return False
 
 
 def concentration_experiment(

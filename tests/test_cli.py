@@ -255,6 +255,52 @@ class TestRunCommand:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("nested-too-deeply", "malformed JSON: nested too deeply"),
+            ("nul-in-output-path", "embedded null byte"),
+            ("not-utf8", "can't decode byte 0xff"),
+            ("5000-digit-integer", "Exceeds the limit"),
+        ],
+        ids=["nested-too-deeply", "nul-in-output-path", "not-utf8", "5000-digit-integer"],
+    )
+    def test_unreadable_config_content_exit_2(self, tmp_path, capsys, fault, message):
+        """Text or values that Python itself refuses to read are invalid input."""
+        data = tiny_config(tmp_path)
+        if fault == "nul-in-output-path":
+            data["output"]["csv"] = str(tmp_path / "r\0un.csv")
+        text = json.dumps(data).encode()
+        if fault == "nested-too-deeply":  # beyond the JSON decoder's recursion limit
+            text = b"[" * 100_000 + b"]" * 100_000
+        elif fault == "not-utf8":
+            text = text.replace(b'"tfim"', b'"tf\xffim"')
+        elif fault == "5000-digit-integer":
+            text = text.replace(b'"seed": 1', b'"seed": ' + b"1" * 5000)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(text)
+        assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and message in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_clamped_filter_override_exit_2(self, tmp_path, capsys):
+        """The circuit samples the unclamped f(s), so a clamp in the config
+        would change no number of the run: ``true`` is refused, ``false``
+        runs and is echoed."""
+        data = tiny_config(tmp_path)
+        data["filter"] = {"clamp_nonnegative": True}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert_one_error_line(capsys, ["run", str(cfg_path)], 2)
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+        data["filter"] = {"clamp_nonnegative": False}
+        cfg_path.write_text(json.dumps(data))
+        assert main(["run", str(cfg_path)]) == 0
+        manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+        assert manifest["filter_overrides"] == {"clamp_nonnegative": False}
+        assert manifest["resolved"]["filter"]["clamp_nonnegative"] is False
+
     def test_invalid_physics_exit_2(self, tmp_path):
         data = tiny_config(tmp_path)
         data["channel"]["tau"] = 0.3  # not a divisor of total_time
@@ -634,6 +680,29 @@ class TestAuxCommands:
         assert out.stderr.count("\n") == 1 and out.stderr.startswith("error:")
         assert list(tmp_path.iterdir()) == []
 
+    def test_clamp_is_a_filter_table_flag_only(self, tmp_path, capsys):
+        """``--clamp`` zeroes the frequency table for w >= 0 and leaves the
+        time table alone; ``jump-report`` always reports both jumps, so it
+        has no such flag."""
+        tables = {}
+        for flags in ([], ["--clamp"]):
+            out = tmp_path / ("clamped" if flags else "plain")
+            argv = ["filter-table", "--sites", "2", "--out-dir", str(out), "--points", "41"]
+            assert main(argv + flags) == 0
+            tables[bool(flags)] = [
+                np.loadtxt(out / name, delimiter=",", skiprows=1)
+                for name in ("filter_freq.csv", "filter_time.csv")
+            ]
+        (freq, time_tab), (freq_c, time_c) = tables[False], tables[True]
+        assert np.array_equal(time_c, time_tab)
+        assert np.array_equal(freq_c[:, 0], freq[:, 0])
+        upper = freq[:, 0] >= 0
+        assert np.all(freq_c[upper, 1] == 0.0) and np.any(freq[upper, 1] != 0.0)
+        assert np.array_equal(freq_c[~upper], freq[~upper])
+        capsys.readouterr()
+        assert main(["jump-report", "--sites", "2", "--clamp"]) == 2
+        assert "unrecognized arguments: --clamp" in capsys.readouterr().err
+
     def test_jump_report_stdout_is_the_metric_table(self, capsys):
         """Without ``--sparsity-out`` the n^2-row |K| table is not written."""
         assert main(["jump-report", "--sites", "2"]) == 0
@@ -713,7 +782,8 @@ class TestAuxCommands:
 
 # argv of an auxiliary command on a bad number, CSV or path, and its exit code;
 # {tmp} holds dir/ (a directory), file (a regular file), good.csv, bad.csv
-# (a non-numeric cell) and short.csv (a short row)
+# (a non-numeric cell), short.csv (a short row), random.csv (300 random
+# bytes, not UTF-8) and wide.csv (a cell beyond the csv module's field limit)
 BAD_AUX = [
     ("filter-table --sites 2 --g nan --out-dir {tmp}/tables", 2),
     ("jump-report --sites 2 --g inf", 2),
@@ -724,6 +794,8 @@ BAD_AUX = [
     ("plot {tmp}/short.csv --kind energy-time --out {tmp}/p.svg", 2),
     ("plot {tmp}/nan.csv --kind energy-time --out {tmp}/p.svg", 2),
     ("plot {tmp}/inf.csv --kind energy-time --out {tmp}/p.svg", 2),
+    ("plot {tmp}/random.csv --kind energy-time --out {tmp}/p.svg", 2),
+    ("plot {tmp}/wide.csv --kind energy-time --out {tmp}/p.svg", 2),
     ("plot {tmp}/dir --kind energy-time --out {tmp}/p.svg", 1),
     ("plot {tmp}/good.csv --kind energy-time --out {tmp}/dir", 1),
     ("filter-table --sites 2 --out-dir {tmp}/file", 1),
@@ -738,7 +810,8 @@ class TestBadAuxInput:
         ids=[
             "filter-table-g-nan", "jump-report-g-inf", "filter-table-g-1e150",
             "jump-report-g-1e200", "jump-report-u-for-tfim", "plot-non-numeric-cell",
-            "plot-short-row", "plot-nan-cell", "plot-inf-cell", "plot-csv-is-directory", "plot-out-is-directory",
+            "plot-short-row", "plot-nan-cell", "plot-inf-cell", "plot-not-utf8", "plot-field-too-large",
+            "plot-csv-is-directory", "plot-out-is-directory",
             "filter-table-out-dir-is-file", "jump-report-sparsity-out-is-directory",
         ],
     )
@@ -752,8 +825,34 @@ class TestBadAuxInput:
         (tmp_path / "nan.csv").write_text(f"{header}\n0,0.0,0.0,0,nan,0.0,0.5,0.0\n")
         rows = "0,0.0,0.0,0,1.0,0.0,0.5,0.0\n1,inf,0.0,0,1.0,0.0,0.5,0.0\n"
         (tmp_path / "inf.csv").write_text(f"{header}\n{rows}")
+        (tmp_path / "random.csv").write_bytes(np.random.default_rng(0).bytes(300))
+        (tmp_path / "wide.csv").write_text(f"{header}\n0,0.0,0.0,0,1.0,0.0,0.5,{'0' * 200_000}\n")
         assert_one_error_line(capsys, argv.format(tmp=tmp_path).split(), code)
         assert not (tmp_path / "p.svg").exists()
+
+
+class TestExitCodeMap:
+    def test_main_maps_each_error_to_its_exit_code(self, monkeypatch, capsys):
+        """A command raises; ``main`` alone prints the one ``error:`` line and
+        picks the exit code: 2 for invalid input, 1 for a runtime failure."""
+        import lindbladprep.cli as cli
+        from lindbladprep.channel import ChannelError
+        from lindbladprep.linalg import LinalgError
+
+        for exc, code in [
+            (ConfigError("bad input"), 2),
+            (PlotError("render failed"), 1),
+            (ChannelError("step failed"), 1),
+            (LinalgError("eigensolve failed"), 1),
+            (OSError("disk full"), 1),
+        ]:
+            def failing(args, exc=exc):
+                raise exc
+
+            monkeypatch.setattr(cli, "cmd_verify", failing)
+            assert main(["verify"]) == code, exc
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: {exc}\n"
 
 
 class TestMutationHarness:
