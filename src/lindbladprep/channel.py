@@ -199,17 +199,10 @@ class SimulationRecord:
     )
 
     def rows(self):
-        for i in range(self.steps.size):
-            yield (
-                int(self.steps[i]),
-                float(self.times[i]),
-                float(self.h_time[i]),
-                int(self.a_gates[i]),
-                float(self.energy_mean[i]),
-                float(self.energy_se[i]),
-                float(self.overlap_mean[i]),
-                float(self.overlap_se[i]),
-            )
+        """One tuple of Python numbers per recorded step, in ``COLUMNS`` order."""
+        columns = (self.steps, self.times, self.h_time, self.a_gates,
+                   self.energy_mean, self.energy_se, self.overlap_mean, self.overlap_se)
+        return zip(*(column.tolist() for column in columns))
 
     @property
     def final_energy(self) -> float:

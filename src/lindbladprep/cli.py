@@ -8,6 +8,9 @@ Subcommands::
     filter-table  tabulate the filter in frequency and time domain
     jump-report   numeric diagnostics of the jump operator for a model
 
+Every command writes its files through ``_publish``: a failed command leaves no
+new file or directory, and an empty output path is refused.
+
 Exit codes, which ``main`` alone picks from what a command raises: 0 success,
 1 runtime failure / failed verification / a path that cannot be read or
 written, 2 invalid configuration or arguments.
@@ -27,11 +30,11 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelError, run_simulation
-from .config import ConfigError, load_run_config, manifest_dict, resolve_filter_params
+from .config import ConfigError, load_run_config, manifest_dict, output_path, resolve_filter_params
 from .filters import f_hat, f_time
 from .linalg import LinalgError, hermitian_eig
 from .models import MODEL_PARAMS, ModelSpec, coupling_operator
-from .plotting import PLOT_KINDS, PlotError, render_plot, write_timeseries_csv
+from .plotting import PLOT_KINDS, PlotError, render_plot, write_csv, write_timeseries_csv
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -73,22 +76,29 @@ def cmd_run(args) -> int:
     run = load_run_config(args.config)
     # the filter overrides are resolved against the spectrum the run computes
     record = run_simulation(run.model, run.channel, run.filter_overrides)
-    _write_run_outputs(run, record)
+    csv_path, manifest_path, *svgs = run.output_paths
+
+    def write(temps):
+        write_timeseries_csv(record, temps[csv_path])
+        manifest = manifest_dict(run, record.meta)
+        temps[manifest_path].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        for kind, svg in zip(PLOT_KINDS, svgs):
+            # the legend label is the stem of the CSV's final name
+            render_plot([temps[csv_path]], kind, temps[svg], labels=[csv_path.stem])
+
+    _publish(run.output_paths, write)
     print(f"wrote {run.csv_path} and {run.manifest_path}")
     return EXIT_OK
 
 
-def _write_run_outputs(run, record) -> None:
-    """Write the CSV, the manifest and the SVGs of a run under temporary
-    names in their target directories, and rename them into place only
-    after all of them were written; on a failure the temporary files are
-    removed, and so are the directories made here that are left empty, so
-    a failed run leaves no new output file or directory."""
-    csv_path, manifest_path, *svgs = run.output_paths
+def _publish(targets: list[Path], write) -> None:
+    """Write the files ``targets`` through ``write``, which gets a map from each
+    target to a temporary name beside it; the files are renamed into place once
+    all were written, and a failed command leaves no new file or directory."""
     temps = {}
     made = []  # directories made here, parents first
     try:
-        for target in [csv_path, manifest_path, *svgs]:
+        for target in targets:
             if target.is_dir():  # the one target the renames below could not replace
                 raise IsADirectoryError(errno.EISDIR, "output path is a directory", str(target))
             for directory in reversed([target.parent, *target.parent.parents]):
@@ -96,12 +106,7 @@ def _write_run_outputs(run, record) -> None:
                     directory.mkdir()
                     made.append(directory)
             temps[target] = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-        write_timeseries_csv(record, temps[csv_path])
-        manifest = manifest_dict(run, record.meta)
-        temps[manifest_path].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        for kind, svg in zip(PLOT_KINDS, svgs):
-            # the legend label is the stem of the CSV's final name
-            render_plot([temps[csv_path]], kind, temps[svg], labels=[csv_path.stem])
+        write(temps)
         for target, temp in temps.items():
             temp.replace(target)
     except BaseException:
@@ -116,26 +121,28 @@ def _write_run_outputs(run, record) -> None:
 def cmd_verify(args) -> int:
     from .verify import report_dict, run_verify
 
+    path = output_path("--report", args.report)
+
     def progress(res):
         mark = "PASS" if res.passed else "FAIL"
         print(f"[{mark}] {res.name}: {res.detail} ({res.seconds:.1f}s)")
 
     ok, results = run_verify(args.level, progress=progress)
     report = report_dict(args.level, results)
-    if args.report:
-        path = Path(args.report)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(report, indent=2, sort_keys=True)
+    if path is not None:
+        _publish([path], lambda temps: temps[path].write_text(text + "\n"))
         print(f"report written to {path}")
     elif not ok:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(text)
     print(f"{args.level}: {len(results) - report['n_failed']}/{len(results)} checks passed")
     return EXIT_OK if ok else EXIT_RUNTIME
 
 
 def cmd_plot(args) -> int:
+    out = output_path("--out", args.out)
     try:
-        render_plot(args.csv, args.kind, args.out, labels=args.label or None)
+        _publish([out], lambda temps: render_plot(args.csv, args.kind, temps[out], args.label))
     except PlotError as exc:  # here the CSVs are user input, not a run's own output
         raise ConfigError(str(exc)) from exc
     print(f"wrote {args.out}")
@@ -150,30 +157,31 @@ def _resolved_params(args):
 
 
 def cmd_filter_table(args) -> int:
+    out_dir = output_path("--out-dir", args.out_dir)
     if args.points < 0:
         raise ConfigError(f"--points must be non-negative, got {args.points}")
     _, spec, p = _resolved_params(args)
     p = p.with_clamp(args.clamp)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    freq_csv, time_csv = out_dir / "filter_freq.csv", out_dir / "filter_time.csv"
     omegas = np.linspace(-(p.a + 6 * p.delta_a), 6 * p.delta_b, args.points)
-    with open(out_dir / "filter_freq.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega", "f_hat"])
-        writer.writerows(zip(omegas.tolist(), f_hat(omegas, p).tolist()))
     ss = np.linspace(-p.grid_radius, p.grid_radius, args.points)
-    with open(out_dir / "filter_time.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "re_f", "im_f"])
-        f = f_time(ss, p)
-        writer.writerows(zip(ss.tolist(), f.real.tolist(), f.imag.tolist()))
-    print(f"wrote {out_dir / 'filter_freq.csv'} and {out_dir / 'filter_time.csv'}")
+    f = f_time(ss, p)
+    freq_rows = zip(omegas.tolist(), f_hat(omegas, p).tolist())
+    time_rows = zip(ss.tolist(), f.real.tolist(), f.imag.tolist())
+
+    def write(temps):
+        write_csv(temps[freq_csv], ["omega", "f_hat"], freq_rows)
+        write_csv(temps[time_csv], ["s", "re_f", "im_f"], time_rows)
+
+    _publish([freq_csv, time_csv], write)
+    print(f"wrote {freq_csv} and {time_csv}")
     return EXIT_OK
 
 
 def cmd_jump_report(args) -> int:
     from .jump import check_l1_bound, coupling_in_eigenbasis, exact_filter, quadrature_filter
 
+    path = output_path("--sparsity-out", args.sparsity_out)
     model, spec, p = _resolved_params(args)
     a = coupling_operator(model)
     # norms, ground residuals and |K| entries are unitarily invariant, so
@@ -199,14 +207,10 @@ def cmd_jump_report(args) -> int:
         ("ground_residual_unclamped", np.linalg.norm(m_exact @ ground)),
     ]
     writer.writerows((name, v if isinstance(v, int) else repr(float(v))) for name, v in rows)
-    if args.sparsity_out:
-        path = Path(args.sparsity_out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["i", "j", "abs_k"])
-            k_abs = np.abs(m_clamped)
-            w.writerows((i, j, x) for i, row in enumerate(k_abs) for j, x in enumerate(row.tolist()))
+    if path is not None:
+        k_abs = np.abs(m_clamped)
+        entries = ((i, j, x) for i, row in enumerate(k_abs) for j, x in enumerate(row.tolist()))
+        _publish([path], lambda temps: write_csv(temps[path], ["i", "j", "abs_k"], entries))
         print(f"sparsity pattern written to {path}", file=sys.stderr)
     return EXIT_OK
 

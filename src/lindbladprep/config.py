@@ -141,9 +141,16 @@ def _parse_output(block) -> tuple[str, str, str | None]:
     if plots is not None and not isinstance(plots, str):
         raise ConfigError("output.plots must be a string or null")
     for key, path in (("csv", csv_path), ("manifest", manifest), ("plots", plots)):
-        if path == "":
-            raise ConfigError(f"output.{key} must not be empty")
+        output_path(f"output.{key}", path)
     return csv_path, manifest, plots
+
+
+def output_path(name: str, path: str | None) -> Path | None:
+    """The output path ``name`` as a ``Path`` (None stays None); an empty one,
+    which names the working directory, is refused."""
+    if path == "":
+        raise ConfigError(f"{name} must not be empty")
+    return None if path is None else Path(path)
 
 
 def parse_run_config(data) -> RunConfig:

@@ -42,20 +42,17 @@ PLOT_KINDS = {
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def write_timeseries_csv(record: SimulationRecord, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+def write_csv(path: str | Path, header, rows) -> None:
+    """Write a CSV table: the header, then one line per row.  csv writes a
+    Python float as its ``repr``, so a float round-trips exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(SimulationRecord.COLUMNS)
-        for row in record.rows():
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, int):
-        return str(v)
-    return repr(float(v))
+def write_timeseries_csv(record: SimulationRecord, path: str | Path) -> None:
+    write_csv(path, SimulationRecord.COLUMNS, record.rows())
 
 
 def read_timeseries(path: str | Path) -> dict:
@@ -213,6 +210,4 @@ def render_plot(
         parts.append(f'<text x="{_num(fr.x0 + fr.width - 120)}" y="{_num(ly)}">{label}</text>')
 
     parts.append("</svg>")
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_bytes(("\n".join(parts) + "\n").encode("utf-8"))
+    Path(out_path).write_bytes(("\n".join(parts) + "\n").encode("utf-8"))

@@ -96,11 +96,13 @@ NON_FINITE = [
 
 
 def assert_one_error_line(capsys, argv, code):
-    """The CLI on ``argv`` exits ``code`` with one ``error:`` line on stderr."""
+    """The CLI on ``argv`` exits ``code`` with one ``error:`` line on stderr;
+    returns what it printed on stdout."""
     assert main(argv) == code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+    return out
 
 
 class TestConfigParsing:
@@ -771,6 +773,20 @@ class TestAuxCommands:
             text = fh.read()
         assert text == "i,j,abs_k\r\n" + "".join(f"{int(i)},{int(j)},{x!r}\r\n" for i, j, x in table.tolist())
 
+    def test_failed_table_write_leaves_no_new_file(self, tmp_path, monkeypatch, capsys):
+        """A table writer that raises leaves neither the table nor the
+        directories made for it."""
+        import lindbladprep.cli as cli
+
+        def broken(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_csv", broken)
+        argv = ["jump-report", "--sites", "2", "--sparsity-out", str(tmp_path / "new/dir/k.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_verify_fast_cli(self, tmp_path):
         report = tmp_path / "report.json"
         assert main(["verify", "fast", "--report", str(report)]) == 0
@@ -783,7 +799,8 @@ class TestAuxCommands:
 # argv of an auxiliary command on a bad number, CSV or path, and its exit code;
 # {tmp} holds dir/ (a directory), file (a regular file), good.csv, bad.csv
 # (a non-numeric cell), short.csv (a short row), random.csv (300 random
-# bytes, not UTF-8) and wide.csv (a cell beyond the csv module's field limit)
+# bytes, not UTF-8), wide.csv (a cell beyond the csv module's field limit)
+# and blocked/filter_time.csv (a directory); "--flag=" gives an empty path
 BAD_AUX = [
     ("filter-table --sites 2 --g nan --out-dir {tmp}/tables", 2),
     ("jump-report --sites 2 --g inf", 2),
@@ -800,6 +817,11 @@ BAD_AUX = [
     ("plot {tmp}/good.csv --kind energy-time --out {tmp}/dir", 1),
     ("filter-table --sites 2 --out-dir {tmp}/file", 1),
     ("jump-report --sites 2 --sparsity-out {tmp}/dir", 1),
+    ("filter-table --sites 2 --out-dir {tmp}/blocked", 1),
+    ("plot {tmp}/good.csv --kind energy-time --out=", 2),
+    ("filter-table --sites 2 --out-dir=", 2),
+    ("jump-report --sites 2 --sparsity-out=", 2),
+    ("verify fast --report=", 2),
 ]
 
 
@@ -813,10 +835,15 @@ class TestBadAuxInput:
             "plot-short-row", "plot-nan-cell", "plot-inf-cell", "plot-not-utf8", "plot-field-too-large",
             "plot-csv-is-directory", "plot-out-is-directory",
             "filter-table-out-dir-is-file", "jump-report-sparsity-out-is-directory",
+            "filter-table-time-csv-is-directory", "plot-out-empty", "filter-table-out-dir-empty",
+            "jump-report-sparsity-out-empty", "verify-report-empty",
         ],
     )
-    def test_one_error_line(self, tmp_path, capsys, argv, code):
+    def test_one_error_line(self, tmp_path, monkeypatch, capsys, argv, code):
+        """One error line; invalid input prints nothing else, and no command
+        leaves a new file or directory, also in the working directory."""
         (tmp_path / "dir").mkdir()
+        (tmp_path / "blocked" / "filter_time.csv").mkdir(parents=True)
         (tmp_path / "file").write_text("a regular file\n")
         header = ",".join(read_columns())
         (tmp_path / "good.csv").write_text(f"{header}\n0,0.0,0.0,0,1.0,0.0,0.5,0.0\n")
@@ -827,8 +854,11 @@ class TestBadAuxInput:
         (tmp_path / "inf.csv").write_text(f"{header}\n{rows}")
         (tmp_path / "random.csv").write_bytes(np.random.default_rng(0).bytes(300))
         (tmp_path / "wide.csv").write_text(f"{header}\n0,0.0,0.0,0,1.0,0.0,0.5,{'0' * 200_000}\n")
-        assert_one_error_line(capsys, argv.format(tmp=tmp_path).split(), code)
-        assert not (tmp_path / "p.svg").exists()
+        before = sorted(tmp_path.rglob("*"))
+        monkeypatch.chdir(tmp_path)
+        out = assert_one_error_line(capsys, argv.format(tmp=tmp_path).split(), code)
+        assert code == 1 or out == ""
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestExitCodeMap:
