@@ -8,8 +8,9 @@ Subcommands::
     filter-table  tabulate the filter in frequency and time domain
     jump-report   numeric diagnostics of the jump operator for a model
 
-Every command writes its files through ``_publish``: a failed command leaves no
-new file or directory, and an empty output path is refused.
+Every command claims its files before it computes, inside
+``with _publish(targets) as temps:``; a failed command leaves no new file or
+directory, and an empty output path is refused.
 
 Exit codes, which ``main`` alone picks from what a command raises: 0 success,
 1 runtime failure / failed verification / a path that cannot be read or
@@ -74,27 +75,26 @@ def _model_from_args(args) -> ModelSpec:
 
 def cmd_run(args) -> int:
     run = load_run_config(args.config)
-    # the filter overrides are resolved against the spectrum the run computes
-    record = run_simulation(run.model, run.channel, run.filter_overrides)
     csv_path, manifest_path, *svgs = run.output_paths
-
-    def write(temps):
+    with _publish(run.output_paths) as temps:
+        # the filter overrides are resolved against the spectrum the run computes
+        record = run_simulation(run.model, run.channel, run.filter_overrides)
         write_timeseries_csv(record, temps[csv_path])
         manifest = manifest_dict(run, record.meta)
         temps[manifest_path].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         for kind, svg in zip(PLOT_KINDS, svgs):
             # the legend label is the stem of the CSV's final name
             render_plot([temps[csv_path]], kind, temps[svg], labels=[csv_path.stem])
-
-    _publish(run.output_paths, write)
     print(f"wrote {run.csv_path} and {run.manifest_path}")
     return EXIT_OK
 
 
-def _publish(targets: list[Path], write) -> None:
-    """Write the files ``targets`` through ``write``, which gets a map from each
-    target to a temporary name beside it; the files are renamed into place once
-    all were written, and a failed command leaves no new file or directory."""
+@contextlib.contextmanager
+def _publish(targets: list[Path]):
+    """Claim the files ``targets`` before the work: refuse a directory, make the
+    missing parents and yield a map from each target to a temporary name beside
+    it; a clean exit renames the files into place, and any exception leaves no
+    new file or directory."""
     temps = {}
     made = []  # directories made here, parents first
     try:
@@ -106,7 +106,7 @@ def _publish(targets: list[Path], write) -> None:
                     directory.mkdir()
                     made.append(directory)
             temps[target] = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-        write(temps)
+        yield temps
         for target, temp in temps.items():
             temp.replace(target)
     except BaseException:
@@ -127,11 +127,13 @@ def cmd_verify(args) -> int:
         mark = "PASS" if res.passed else "FAIL"
         print(f"[{mark}] {res.name}: {res.detail} ({res.seconds:.1f}s)")
 
-    ok, results = run_verify(args.level, progress=progress)
-    report = report_dict(args.level, results)
-    text = json.dumps(report, indent=2, sort_keys=True)
+    with _publish([] if path is None else [path]) as temps:
+        ok, results = run_verify(args.level, progress=progress)
+        report = report_dict(args.level, results)
+        text = json.dumps(report, indent=2, sort_keys=True)
+        if path is not None:
+            temps[path].write_text(text + "\n")
     if path is not None:
-        _publish([path], lambda temps: temps[path].write_text(text + "\n"))
         print(f"report written to {path}")
     elif not ok:
         print(text)
@@ -141,39 +143,36 @@ def cmd_verify(args) -> int:
 
 def cmd_plot(args) -> int:
     out = output_path("--out", args.out)
-    try:
-        _publish([out], lambda temps: render_plot(args.csv, args.kind, temps[out], args.label))
-    except PlotError as exc:  # here the CSVs are user input, not a run's own output
-        raise ConfigError(str(exc)) from exc
+    with _publish([out]) as temps:
+        try:
+            render_plot(args.csv, args.kind, temps[out], args.label)
+        except PlotError as exc:  # here the CSVs are user input, not a run's own output
+            raise ConfigError(str(exc)) from exc
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
-def _resolved_params(args):
-    """The model, its spectrum and the rule's (unclamped) filter."""
-    model = _model_from_args(args)
+def _spectrum_and_filter(model: ModelSpec):
+    """The model's spectrum and the rule's (unclamped) filter."""
     spec = hermitian_eig(model.hamiltonian())
-    return model, spec, resolve_filter_params({}, spec.spectral_norm, spec.gap)
+    return spec, resolve_filter_params({}, spec.spectral_norm, spec.gap)
 
 
 def cmd_filter_table(args) -> int:
     out_dir = output_path("--out-dir", args.out_dir)
     if args.points < 0:
         raise ConfigError(f"--points must be non-negative, got {args.points}")
-    _, spec, p = _resolved_params(args)
-    p = p.with_clamp(args.clamp)
+    model = _model_from_args(args)
     freq_csv, time_csv = out_dir / "filter_freq.csv", out_dir / "filter_time.csv"
-    omegas = np.linspace(-(p.a + 6 * p.delta_a), 6 * p.delta_b, args.points)
-    ss = np.linspace(-p.grid_radius, p.grid_radius, args.points)
-    f = f_time(ss, p)
-    freq_rows = zip(omegas.tolist(), f_hat(omegas, p).tolist())
-    time_rows = zip(ss.tolist(), f.real.tolist(), f.imag.tolist())
-
-    def write(temps):
+    with _publish([freq_csv, time_csv]) as temps:
+        p = _spectrum_and_filter(model)[1].with_clamp(args.clamp)
+        omegas = np.linspace(-(p.a + 6 * p.delta_a), 6 * p.delta_b, args.points)
+        ss = np.linspace(-p.grid_radius, p.grid_radius, args.points)
+        f = f_time(ss, p)
+        freq_rows = zip(omegas.tolist(), f_hat(omegas, p).tolist())
+        time_rows = zip(ss.tolist(), f.real.tolist(), f.imag.tolist())
         write_csv(temps[freq_csv], ["omega", "f_hat"], freq_rows)
         write_csv(temps[time_csv], ["s", "re_f", "im_f"], time_rows)
-
-    _publish([freq_csv, time_csv], write)
     print(f"wrote {freq_csv} and {time_csv}")
     return EXIT_OK
 
@@ -182,35 +181,38 @@ def cmd_jump_report(args) -> int:
     from .jump import check_l1_bound, coupling_in_eigenbasis, exact_filter, quadrature_filter
 
     path = output_path("--sparsity-out", args.sparsity_out)
-    model, spec, p = _resolved_params(args)
-    a = coupling_operator(model)
-    # norms, ground residuals and |K| entries are unitarily invariant, so
-    # every row comes from the energy-basis matrices F o (V^dag A V)
-    a_eig, norm_a = coupling_in_eigenbasis(spec, a), a.norm()
-    lam = spec.eigenvalues
-    m_exact = exact_filter(lam, p) * a_eig
-    m_clamped = exact_filter(lam, p.with_clamp(True)) * a_eig
-    m_quad = quadrature_filter(lam, p) * a_eig
-    norm_quad = float(np.linalg.norm(m_quad, 2))
-    check_l1_bound(norm_quad, norm_a, p)
-    ground = spec.eigenvectors.conj().T @ spec.ground_state
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["metric", "value"])
-    rows = [
-        ("dim", spec.dim),
-        ("gap", spec.gap),
-        ("norm_a", norm_a),
-        ("norm_k_exact", np.linalg.norm(m_exact, 2)),
-        ("norm_k_quadrature", norm_quad),
-        ("k_minus_ks", np.linalg.norm(m_exact - m_quad, 2)),
-        ("ground_residual_clamped", np.linalg.norm(m_clamped @ ground)),
-        ("ground_residual_unclamped", np.linalg.norm(m_exact @ ground)),
-    ]
-    writer.writerows((name, v if isinstance(v, int) else repr(float(v))) for name, v in rows)
+    model = _model_from_args(args)
+    with _publish([] if path is None else [path]) as temps:
+        spec, p = _spectrum_and_filter(model)
+        a = coupling_operator(model)
+        # norms, ground residuals and |K| entries are unitarily invariant, so
+        # every row comes from the energy-basis matrices F o (V^dag A V)
+        a_eig, norm_a = coupling_in_eigenbasis(spec, a), a.norm()
+        lam = spec.eigenvalues
+        m_exact = exact_filter(lam, p) * a_eig
+        m_clamped = exact_filter(lam, p.with_clamp(True)) * a_eig
+        m_quad = quadrature_filter(lam, p) * a_eig
+        norm_quad = float(np.linalg.norm(m_quad, 2))
+        check_l1_bound(norm_quad, norm_a, p)
+        ground = spec.eigenvectors.conj().T @ spec.ground_state
+        writer = csv.writer(sys.stdout)
+        writer.writerow(["metric", "value"])
+        rows = [
+            ("dim", spec.dim),
+            ("gap", spec.gap),
+            ("norm_a", norm_a),
+            ("norm_k_exact", np.linalg.norm(m_exact, 2)),
+            ("norm_k_quadrature", norm_quad),
+            ("k_minus_ks", np.linalg.norm(m_exact - m_quad, 2)),
+            ("ground_residual_clamped", np.linalg.norm(m_clamped @ ground)),
+            ("ground_residual_unclamped", np.linalg.norm(m_exact @ ground)),
+        ]
+        writer.writerows((name, v if isinstance(v, int) else repr(float(v))) for name, v in rows)
+        if path is not None:
+            k_abs = np.abs(m_clamped)
+            entries = ((i, j, x) for i, row in enumerate(k_abs) for j, x in enumerate(row.tolist()))
+            write_csv(temps[path], ["i", "j", "abs_k"], entries)
     if path is not None:
-        k_abs = np.abs(m_clamped)
-        entries = ((i, j, x) for i, row in enumerate(k_abs) for j, x in enumerate(row.tolist()))
-        _publish([path], lambda temps: write_csv(temps[path], ["i", "j", "abs_k"], entries))
         print(f"sparsity pattern written to {path}", file=sys.stderr)
     return EXIT_OK
 

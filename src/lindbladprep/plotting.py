@@ -40,6 +40,7 @@ PLOT_KINDS = {
 }
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def write_csv(path: str | Path, header, rows) -> None:
@@ -88,22 +89,23 @@ def read_timeseries(path: str | Path) -> dict:
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    """The multiples of a round step in [lo, hi], a range ``_axis_range`` drew."""
     span = hi - lo
     raw = span / max(target - 1, 1)
     mag = 10 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-12 * span:
-        ticks.append(round(t, 12))
-        t += step
-    return ticks
+    step = next(mult * mag for mult in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= mult * mag)
+    last = math.floor((hi + 1e-12 * span) / step)
+    return [round(k * step, 12) for k in range(math.ceil(lo / step), last + 1)]
+
+
+def _axis_range(values: np.ndarray, pad: float) -> tuple[float, float]:
+    """The drawn range of ``values``, ``pad`` of their span added at each end; values flat
+    to within the ticks' 12-digit rounding get a width of max(1, their magnitude / 10)."""
+    lo, hi = float(values.min()), float(values.max())
+    mag = max(abs(lo), abs(hi))
+    if hi - lo <= 1e-12 * max(mag, 1.0):
+        return lo - max(mag / 20, 0.5), hi + max(mag / 20, 0.5)
+    return lo - pad * (hi - lo), hi + pad * (hi - lo)
 
 
 def _num(x: float) -> str:
@@ -141,15 +143,11 @@ def render_plot(
         raise PlotError("one label per CSV required")
 
     xs = np.concatenate([s[xcol] for s in series])
-    ys = np.concatenate(
-        [np.concatenate([s[ycol] - s[ecol], s[ycol] + s[ecol]]) for s in series]
-    )
-    xlo, xhi = float(xs.min()), float(xs.max())
-    ylo, yhi = float(ys.min()), float(ys.max())
-    if xhi == xlo:
-        xhi = xlo + 1.0
-    pad = 0.05 * (yhi - ylo) if yhi > ylo else 0.5
-    ylo, yhi = ylo - pad, yhi + pad
+    with np.errstate(over="ignore"):  # a band beyond the float range is refused below
+        ys = np.concatenate([np.concatenate([s[ycol] - s[ecol], s[ycol] + s[ecol]]) for s in series])
+    (xlo, xhi), (ylo, yhi) = _axis_range(xs, 0.0), _axis_range(ys, 0.05)
+    if not math.isfinite(xhi - xlo + yhi - ylo):
+        raise PlotError(f"the values of the {kind} plot span more than the float range")
 
     fr = _Frame()
     parts = [
@@ -207,6 +205,7 @@ def render_plot(
             f'x2="{_num(fr.x0 + fr.width - 126)}" y2="{_num(ly - 4)}" '
             f'stroke="{color}" stroke-width="1.5"/>'
         )
+        label = label.translate(_XML_ESCAPES)
         parts.append(f'<text x="{_num(fr.x0 + fr.width - 120)}" y="{_num(ly)}">{label}</text>')
 
     parts.append("</svg>")

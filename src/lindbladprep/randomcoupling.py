@@ -354,8 +354,6 @@ def ergodicity_experiment(
     if reps < 2:
         raise ValueError("reps must be >= 2 (the standard error needs two samples)")
     lam = np.asarray(eigenvalues, dtype=float)
-    if not p.clamp_nonnegative:
-        raise ValueError("ergodicity experiment expects the clamped filter")
     # both checked before the first step, with the messages of the rate equation
     tmat = transition_matrix(lam, p, spec_r)
     p0 = _probability_vector(p0, lam.size)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -40,13 +41,15 @@ def tiny_config(tmp_path, **channel_overrides):
     }
 
 
-def fresh_python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
-    """Run ``python *args`` in a fresh interpreter that imports this package."""
+def fresh_python(*args: str, check: bool = True, timeout=None) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports this package;
+    one still running after ``timeout`` seconds fails with ``TimeoutExpired``."""
     src = str(Path(lindbladprep.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, check=check
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=check,
+        timeout=timeout,
     )
 
 
@@ -491,17 +494,29 @@ class TestRunCommand:
         assert all(0.0 <= x <= 1.0 for x in rate)
 
     def test_plots_emitted(self, tmp_path):
+        """Four well-formed SVGs; the legend label, the CSV's stem, is escaped."""
         data = tiny_config(tmp_path)
+        data["output"]["csv"] = str(tmp_path / "r&d.csv")
         data["output"]["plots"] = str(tmp_path / "plots")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(data))
         assert main(["run", str(cfg_path)]) == 0
         assert (tmp_path / "plots" / "overlap-time.svg").exists()
+        svgs = sorted((tmp_path / "plots").iterdir())
+        assert len(svgs) == 4
+        assert all("r&d" in svg_texts(svg) for svg in svgs)
 
     @pytest.mark.parametrize("blocker", ["plots", "plots/overlap-time.svg"])
-    def test_failed_plot_leaves_no_outputs(self, tmp_path, capsys, blocker):
-        """Outputs are renamed into place only once all of them are written.
-        The plots directory is a regular file, or one SVG path a directory."""
+    def test_failed_plot_leaves_no_outputs(self, tmp_path, monkeypatch, capsys, blocker):
+        """Outputs are claimed before the run: the plots directory is a regular
+        file, or one SVG path a directory, and the run fails before it simulates
+        and leaves no output."""
+        import lindbladprep.cli as cli
+
+        def simulated(*args, **kwargs):
+            pytest.fail("run_simulation called for a run whose outputs cannot be written")
+
+        monkeypatch.setattr(cli, "run_simulation", simulated)
         if blocker == "plots":
             (tmp_path / blocker).write_text("a regular file, not a directory\n")
         else:
@@ -643,6 +658,47 @@ class TestPlotting:
         with pytest.raises(PlotError, match="no data"):
             read_timeseries(header_only)
 
+    def test_labels_are_escaped(self, tmp_path):
+        """A legend label, a CSV's stem or a --label, is XML-escaped."""
+        path = self.make_csv(tmp_path).rename(tmp_path / "r&d.csv")
+        out = tmp_path / "p.svg"
+        for extra, label in [([], "r&d"), (["--label", "a<b>"], "a<b>")]:
+            assert main(["plot", str(path), "--kind", "energy-time", "--out", str(out), *extra]) == 0
+            assert label in svg_texts(out)
+
+    @pytest.mark.parametrize(
+        "energies, code",
+        [
+            ([(1e308, 0.0), (-1e308, 0.0)], 2),
+            ([(1.0, 1e308), (1.0, 0.0)], 2),
+            ([(1e308, 1e308), (1.0, 0.0)], 2),
+            ([(1e20, 0.0), (1e20, 0.0)], 0),
+            ([(1e20, 0.0), (1.0000000000000002e20, 0.0)], 0),
+        ],
+        ids=["span-overflows", "se-overflows", "band-overflows", "flat-at-1e20", "one-ulp-at-1e20"],
+    )
+    def test_extreme_values_refused_or_rendered(self, tmp_path, energies, code):
+        """(energy_mean, energy_se) rows at the edges of the float range end in
+        one error line (exit 2) or a well-formed SVG, within seconds.  A fresh
+        interpreter runs the plot, so that one that never returns fails the
+        test instead of hanging the suite."""
+        header = ",".join(read_columns())
+        rows = "".join(f"{i},{i}.0,{i}.0,{i},{e!r},{se!r},0.5,0.0\n" for i, (e, se) in enumerate(energies))
+        (tmp_path / "x.csv").write_text(f"{header}\n{rows}")
+        out = tmp_path / "x.svg"
+        argv = ["plot", str(tmp_path / "x.csv"), "--kind", "energy-time", "--out", str(out)]
+        res = fresh_python(
+            "-W", "error::RuntimeWarning", "-m", "lindbladprep.cli", *argv, check=False, timeout=10
+        )
+        assert res.returncode == code, res.stderr
+        assert res.stdout == ("" if code else f"wrote {out}\n")
+        if code:
+            assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+            assert not out.exists()
+        else:
+            assert res.stderr == ""
+            assert "energy" in svg_texts(out)
+
     def test_plot_cli_exit_codes(self, tmp_path):
         path = self.make_csv(tmp_path)
         out = tmp_path / "p.svg"
@@ -651,6 +707,11 @@ class TestPlotting:
         empty = tmp_path / "none.csv"
         empty.write_text("")
         assert main(["plot", str(empty), "--kind", "energy-time", "--out", str(out)]) == 2
+
+
+def svg_texts(path) -> list:
+    """The text of each ``<text>`` element of an SVG, which must be well-formed XML."""
+    return [t.text for t in ET.parse(path).iter("{http://www.w3.org/2000/svg}text")]
 
 
 def read_columns():
@@ -822,6 +883,7 @@ BAD_AUX = [
     ("filter-table --sites 2 --out-dir=", 2),
     ("jump-report --sites 2 --sparsity-out=", 2),
     ("verify fast --report=", 2),
+    ("verify fast --report {tmp}/dir", 1),
 ]
 
 
@@ -836,12 +898,13 @@ class TestBadAuxInput:
             "plot-csv-is-directory", "plot-out-is-directory",
             "filter-table-out-dir-is-file", "jump-report-sparsity-out-is-directory",
             "filter-table-time-csv-is-directory", "plot-out-empty", "filter-table-out-dir-empty",
-            "jump-report-sparsity-out-empty", "verify-report-empty",
+            "jump-report-sparsity-out-empty", "verify-report-empty", "verify-report-is-directory",
         ],
     )
     def test_one_error_line(self, tmp_path, monkeypatch, capsys, argv, code):
-        """One error line; invalid input prints nothing else, and no command
-        leaves a new file or directory, also in the working directory."""
+        """One error line and nothing on stdout: each input is refused before
+        any computation, and no command leaves a new file or directory, also in
+        the working directory."""
         (tmp_path / "dir").mkdir()
         (tmp_path / "blocked" / "filter_time.csv").mkdir(parents=True)
         (tmp_path / "file").write_text("a regular file\n")
@@ -857,7 +920,7 @@ class TestBadAuxInput:
         before = sorted(tmp_path.rglob("*"))
         monkeypatch.chdir(tmp_path)
         out = assert_one_error_line(capsys, argv.format(tmp=tmp_path).split(), code)
-        assert code == 1 or out == ""
+        assert out == ""
         assert sorted(tmp_path.rglob("*")) == before
 
 

@@ -120,6 +120,12 @@ class TestTransitionMatrix:
         p = default_params(1.0, 1.0)
         with pytest.raises(ValueError):
             transition_matrix(lam, p, RandomCouplingSpec.uniform(2))
+        # the ergodicity experiment builds the rate equation before its first step
+        with pytest.raises(ValueError, match="requires the clamped filter"):
+            ergodicity_experiment(
+                lam, RandomCouplingSpec.uniform(2), p, np.array([0.0, 1.0]),
+                tau=0.05, t_final=0.5, reps=2,
+            )
 
     def test_ground_indicator_is_null_vector(self):
         lam = synthetic_spectrum("equispaced", 6, span=3.0)
