@@ -76,9 +76,14 @@ __all__ = [
     "trajectory_step",
     "run_simulation",
     "step_draws",
+    "mean_se",
 ]
 
 _EIGENSTATE = re.compile(r"eigenstate:([0-9]+)")
+
+# The most one Monte Carlo step may move a density matrix's trace, a
+# trajectory's norm or a random-coupling rep's trace; k steps, k times it.
+STEP_DRIFT = 1e-9
 
 
 class ChannelError(RuntimeError):
@@ -453,16 +458,16 @@ def channel_step_density(rho: np.ndarray, kraus: np.ndarray) -> np.ndarray:
     for the pair ``[M0, M1]`` from :func:`build_kraus_pair`, applied as one
     batched product and symmetrized.
 
-    Raises :class:`ChannelError` on a non-finite entry or a trace off 1 by
-    more than 1e-9.
+    Raises :class:`ChannelError` on a non-finite entry or when the step
+    moves the trace by more than :data:`STEP_DRIFT`, ``|tr out - tr rho|``.
     """
     out = (kraus @ rho @ np.conj(kraus).swapaxes(1, 2)).sum(axis=0)
     out = (out + out.conj().T) / 2
     if not np.isfinite(out).all():
         raise ChannelError("channel step produced NaN/Inf entries")
-    tr = float(np.trace(out).real)
-    if not abs(tr - 1.0) <= 1e-9:
-        raise ChannelError(f"channel step trace drifted to {tr}")
+    tr, tr_in = float(out.trace().real), float(rho.trace().real)
+    if not abs(tr - tr_in) <= STEP_DRIFT:
+        raise ChannelError(f"channel step trace drifted to {tr} from {tr_in}")
     return out
 
 
@@ -486,10 +491,11 @@ def trajectory_step(
     of that array, and both branch weights from one reduction.
 
     Returns (new block, per-column click flags).  The clicks are recorded
-    for diagnostics only; the scheme never conditions on them.
+    for diagnostics only; the scheme never conditions on them.  A column
+    whose norm is off 1 by more than :data:`STEP_DRIFT` is refused.
     """
     nrm = np.sqrt(_squared_column_norms(psi[None])[0])
-    off = ~(np.abs(nrm - 1.0) <= 1e-9)
+    off = ~(np.abs(nrm - 1.0) <= STEP_DRIFT)
     if off.any():
         raise ChannelError(f"trajectory state norm {nrm[off][0]} is not 1")
     column = np.reshape(kraus, (-1, psi.shape[0]))  # [M0; M1]
@@ -542,6 +548,13 @@ def step_draws(rngs: list, n_steps: int, width: int, draw: str):
     for start in range(0, n_steps, chunk):
         size = (min(chunk, n_steps - start), width)
         yield from np.stack([getattr(g, draw)(size) for g in rngs], axis=1)
+
+
+def mean_se(samples: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error ``std(ddof=1) / sqrt(n)`` over the n reps along
+    ``axis``; one rep has an error of exactly 0."""
+    n = samples.shape[axis]
+    return samples.mean(axis=axis), samples.std(axis=axis, ddof=min(1, n - 1)) / np.sqrt(n)
 
 
 def run_simulation(
@@ -652,13 +665,7 @@ def run_simulation(
     # (recorded step, trajectory); the density backend has one exact column
     energies = np.array([e for e, _ in observed]).reshape(record_steps.size, -1)
     overlaps = np.array([o for _, o in observed]).reshape(record_steps.size, -1)
-    width = energies.shape[1]
-    e_mean, o_mean = energies.mean(axis=1), overlaps.mean(axis=1)
-    if width > 1:
-        e_se = energies.std(axis=1, ddof=1) / np.sqrt(width)
-        o_se = overlaps.std(axis=1, ddof=1) / np.sqrt(width)
-    else:
-        e_se, o_se = np.zeros_like(e_mean), np.zeros_like(o_mean)
+    (e_mean, e_se), (o_mean, o_se) = mean_se(energies, 1), mean_se(overlaps, 1)
 
     if np.any(o_mean < -1e-9) or np.any(o_mean > 1 + 1e-9):
         raise ChannelError("recorded overlap left [0, 1]")

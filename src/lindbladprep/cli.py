@@ -35,7 +35,7 @@ from .config import ConfigError, load_run_config, manifest_dict, output_path, re
 from .filters import f_hat, f_time
 from .linalg import LinalgError, hermitian_eig
 from .models import MODEL_PARAMS, ModelSpec, coupling_operator
-from .plotting import PLOT_KINDS, PlotError, render_plot, write_csv, write_timeseries_csv
+from .plotting import PLOT_KINDS, PlotError, render_plot, write_csv, write_json, write_timeseries_csv
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -80,8 +80,7 @@ def cmd_run(args) -> int:
         # the filter overrides are resolved against the spectrum the run computes
         record = run_simulation(run.model, run.channel, run.filter_overrides)
         write_timeseries_csv(record, temps[csv_path])
-        manifest = manifest_dict(run, record.meta)
-        temps[manifest_path].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        write_json(temps[manifest_path], manifest_dict(run, record.meta))
         for kind, svg in zip(PLOT_KINDS, svgs):
             # the legend label is the stem of the CSV's final name
             render_plot([temps[csv_path]], kind, temps[svg], labels=[csv_path.stem])
@@ -130,13 +129,12 @@ def cmd_verify(args) -> int:
     with _publish([] if path is None else [path]) as temps:
         ok, results = run_verify(args.level, progress=progress)
         report = report_dict(args.level, results)
-        text = json.dumps(report, indent=2, sort_keys=True)
         if path is not None:
-            temps[path].write_text(text + "\n")
+            write_json(temps[path], report)
     if path is not None:
         print(f"report written to {path}")
     elif not ok:
-        print(text)
+        print(json.dumps(report, indent=2, sort_keys=True))
     print(f"{args.level}: {len(results) - report['n_failed']}/{len(results)} checks passed")
     return EXIT_OK if ok else EXIT_RUNTIME
 

@@ -31,7 +31,7 @@ from pathlib import Path
 from .channel import ChannelConfig
 from .filters import FilterParams, default_params
 from .models import MODEL_PARAMS, ModelSpec
-from .plotting import PLOT_KINDS
+from .plotting import PLOT_KINDS, not_xml_text
 
 __all__ = ["ConfigError", "MIN_GAP", "RunConfig", "load_run_config", "resolve_filter_params"]
 
@@ -142,6 +142,12 @@ def _parse_output(block) -> tuple[str, str, str | None]:
         raise ConfigError("output.plots must be a string or null")
     for key, path in (("csv", csv_path), ("manifest", manifest), ("plots", plots)):
         output_path(f"output.{key}", path)
+    stem = Path(csv_path).stem
+    if plots is not None and not_xml_text(stem):
+        raise ConfigError(
+            f"output.csv stem {stem!r}, the plots' legend label, holds a character "
+            "that XML 1.0 cannot carry"
+        )
     return csv_path, manifest, plots
 
 

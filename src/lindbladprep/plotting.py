@@ -10,7 +10,9 @@ when an error column is present.
 from __future__ import annotations
 
 import csv
+import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +43,14 @@ PLOT_KINDS = {
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+# the characters outside XML 1.0's Char production: the C0 controls but tab,
+# LF and CR, the lone surrogates (which UTF-8 cannot encode), U+FFFE, U+FFFF
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def not_xml_text(text: str) -> bool:
+    """Whether ``text`` holds a character that an XML 1.0 document cannot carry."""
+    return _NOT_XML_CHAR.search(text) is not None
 
 
 def write_csv(path: str | Path, header, rows) -> None:
@@ -50,6 +60,11 @@ def write_csv(path: str | Path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` as JSON: sorted keys, two-space indents, a final newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def write_timeseries_csv(record: SimulationRecord, path: str | Path) -> None:
@@ -132,15 +147,20 @@ def render_plot(
     out_path: str | Path,
     labels: list[str] | None = None,
 ) -> None:
-    """Render one plot kind for one or more run CSVs onto a single canvas."""
+    """Render one plot kind for one or more run CSVs onto a single canvas.
+    The legend labels, by default the CSVs' stems, are XML-escaped; one that
+    XML 1.0 cannot carry (:func:`not_xml_text`) is refused."""
     if kind not in PLOT_KINDS:
         raise PlotError(f"unknown plot kind {kind!r}; choose from {sorted(PLOT_KINDS)}")
     xcol, ycol, ecol, xlabel, ylabel = PLOT_KINDS[kind]
-    series = [read_timeseries(p) for p in csv_paths]
     if labels is None:
         labels = [Path(p).stem for p in csv_paths]
-    if len(labels) != len(series):
+    if len(labels) != len(csv_paths):
         raise PlotError("one label per CSV required")
+    bad = [label for label in labels if not_xml_text(label)]
+    if bad:
+        raise PlotError(f"legend label {bad[0]!r} holds a character that XML 1.0 cannot carry")
+    series = [read_timeseries(p) for p in csv_paths]
 
     xs = np.concatenate([s[xcol] for s in series])
     with np.errstate(over="ignore"):  # a band beyond the float range is refused below

@@ -18,18 +18,17 @@ the resampling interval shrinks.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .channel import step_draws
+from .channel import STEP_DRIFT, mean_se, step_draws
 from .filters import FilterParams, f_hat
 from .jump import exact_jump  # noqa: F401  unused; perfbench/traced.py still wraps this name
 from .linalg import HermitianOperator, LinalgError
+from .plotting import write_csv, write_json
 from .reference import evolve_ode  # noqa: F401  unused; as exact_jump
 
 __all__ = [
@@ -238,12 +237,12 @@ def _resampled_evolution(
     is Hermitian; ``K x`` and ``J x`` come from one product with the stacked
     ``[K; J]``.  With ``K`` and ``J`` fixed across the step, the classical
     RK4 step is ``T4(tau L) rho``, evaluated by Horner's rule as ``rho + tau
-    L(rho + tau/2 L(rho + tau/3 L(rho + tau/4 L rho)))``.  Each step fails
-    on a per-rep trace drift beyond 1e-6 or NaN, and is re-Hermitized and
-    renormalized in one pass.  Each generator draws its normals for a chunk
-    of steps at a time (:func:`step_draws`); the couplings are built one
-    step at a time.  Returns ``record`` evenly spaced checkpoint steps
-    (None: the last step only) and the states there, ``(rep, step, n, n)``.
+    L(rho + tau/2 L(rho + tau/3 L(rho + tau/4 L rho)))``.  A step fails if it
+    moves a rep's trace by more than ``channel.STEP_DRIFT`` or to NaN; else it
+    is re-Hermitized and renormalized in one pass.  Each generator draws its
+    normals for a chunk of steps at a time (:func:`step_draws`); the couplings
+    are built one step at a time.  Returns ``record`` evenly spaced checkpoint
+    steps (None: the last step only) and the states there, ``(rep, step, n, n)``.
     """
     n_steps = int(round(t_final / tau))
     if abs(n_steps * tau - t_final) > 1e-9:
@@ -278,8 +277,8 @@ def _resampled_evolution(
         # Re tr x is also the trace of the Hermitian part of x
         tr = np.trace(x, axis1=1, axis2=2).real
         drift = np.abs(tr - 1.0)
-        if not drift.max() <= 1e-6:  # NaN fails too
-            bad = np.flatnonzero(~(drift <= 1e-6))[0]
+        if not drift.max() <= STEP_DRIFT:  # NaN fails too
+            bad = np.flatnonzero(~(drift <= STEP_DRIFT))[0]
             raise LinalgError(f"trace of rep {bad} drifted to {tr[bad]}; decrease tau")
         x += x.conj().swapaxes(1, 2)
         x *= (0.5 / tr)[:, None, None]
@@ -304,22 +303,14 @@ class ErgodicityReport:
 
     def write_csv(self, path) -> None:
         """Population comparison, one row per (checkpoint, level)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "level", "mc_mean", "mc_se", "rate_equation"])
-            for i, t in enumerate(self.checkpoints):
-                for level in range(self.mc_mean.shape[1]):
-                    writer.writerow(
-                        [
-                            repr(float(t)),
-                            level,
-                            repr(float(self.mc_mean[i, level])),
-                            repr(float(self.mc_se[i, level])),
-                            repr(float(self.ode[i, level])),
-                        ]
-                    )
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        columns = zip(self.mc_mean.tolist(), self.mc_se.tolist(), self.ode.tolist())
+        rows = (
+            (t, level, *values)
+            for t, per_level in zip(self.checkpoints.tolist(), columns)
+            for level, values in enumerate(zip(*per_level))
+        )
+        write_csv(path, ["time", "level", "mc_mean", "mc_se", "rate_equation"], rows)
 
     def summary(self) -> dict:
         return {
@@ -364,8 +355,7 @@ def ergodicity_experiment(
         lam, spec_r, p, p0, tau, t_final, rngs, include_coherent, n_checkpoints
     )
     diag_samples = np.diagonal(states, axis1=2, axis2=3).real  # (rep, checkpoint, level)
-    mc_mean = diag_samples.mean(axis=0)
-    mc_se = diag_samples.std(axis=0, ddof=1) / np.sqrt(reps)
+    mc_mean, mc_se = mean_se(diag_samples, 0)
     ode = np.stack([evolve_populations(tmat, p0, s * tau) for s in check_steps])
     dev = np.abs(mc_mean - ode)
     # the finite resampling interval leaves an O(tau) deterministic bias
@@ -466,10 +456,8 @@ class ConcentrationReport:
 def write_summary_json(path, **named_reports) -> None:
     """Combined JSON summary of named reports, each with a ``summary()``
     (such as the consistency flags of an :class:`ErgodicityReport`)."""
-    out = {name: rep.summary() for name, rep in named_reports.items()}
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    write_json(path, {name: rep.summary() for name, rep in named_reports.items()})
 
 
 def concentration_experiment(
@@ -504,9 +492,9 @@ def concentration_experiment(
         _, states = _resampled_evolution(
             lam, spec_r, p, p0, tau, t_final, rngs, include_coherent, None
         )
-        samples = np.array([np.linalg.norm(rho - target) for rho in states[:, -1]])
-        devs.append(samples.mean())
-        ses.append(samples.std(ddof=1) / np.sqrt(reps))
+        mean, se = mean_se(np.array([np.linalg.norm(rho - target) for rho in states[:, -1]]), 0)
+        devs.append(mean)
+        ses.append(se)
     devs = np.asarray(devs)
     if len(taus) >= 2:
         slope = float(np.polyfit(np.log(np.asarray(taus)), np.log(devs), 1)[0])

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from lindbladprep.channel import (
+    STEP_DRIFT,
     ChannelConfig,
     ChannelError,
     blocked_eig,
@@ -11,6 +12,7 @@ from lindbladprep.channel import (
     build_w_naive,
     channel_step_density,
     invariant_blocks,
+    mean_se,
     run_simulation,
     step_cost,
     trajectory_step,
@@ -285,6 +287,16 @@ class TestChannelStepDensity:
         rho = random_density(rng, 4).matrix
         with pytest.raises(ChannelError, match="trace drifted"):
             channel_step_density(rho, (1.001 * m0, m1))
+        # the rule is per step: M0 scaled so that a step gains 1e-8 of trace
+        # fails at the first step, and by at most 4e-10 passes ten steps whose
+        # gains add up past STEP_DRIFT
+        weight = np.trace(m0 @ rho @ m0.conj().T).real
+        with pytest.raises(ChannelError, match="trace drifted"):
+            channel_step_density(rho, (np.sqrt(1 + 1e-8 / weight) * m0, m1))
+        out = rho
+        for _ in range(10):
+            out = channel_step_density(out, (np.sqrt(1 + 4e-10) * m0, m1))
+        assert abs(np.trace(out).real - 1.0) > STEP_DRIFT
         bad = rho.copy()
         bad[0, 1] = np.nan
         with pytest.raises(ChannelError, match="NaN/Inf"):
@@ -389,6 +401,19 @@ class TestTrajectoryStep:
 
 
 class TestRunSimulation:
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_mean_se(self, rng, axis):
+        """One rep has an error of exactly 0; n >= 2 reps give
+        ``std(ddof=1) / sqrt(n)`` bit for bit."""
+        one = rng.standard_normal((1, 5)) * 1e300
+        mean, se = mean_se(np.moveaxis(one, 0, axis), axis)
+        assert np.array_equal(mean, one[0]) and np.array_equal(se, np.zeros(5))
+        for n in (2, 3, 100):
+            samples = np.moveaxis(rng.standard_normal((n, 5)), 0, axis)
+            mean, se = mean_se(samples, axis)
+            assert np.array_equal(mean, samples.mean(axis=axis))
+            assert np.array_equal(se, samples.std(axis=axis, ddof=1) / np.sqrt(n))
+
     def test_density_deterministic(self):
         model = ModelSpec("tfim", 2, tfim_g=1.2)
         cfg = ChannelConfig(tau=0.5, total_time=2.0, backend="density")

@@ -21,6 +21,9 @@ from lindbladprep.plotting import (
 )
 
 
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
 def tiny_config(tmp_path, **channel_overrides):
     channel = {
         "mode": "continuous",
@@ -358,6 +361,46 @@ class TestRunCommand:
         cfg_path.write_text(json.dumps(data))
         assert_one_error_line(capsys, ["run", str(cfg_path)], 2)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "link.json"]
+
+    @pytest.mark.parametrize(
+        "stem, plots, code",
+        [("r\x01d", "plots", 2), ("r\udcffd", "plots", 2), ("r\x01d", None, 0)],
+        ids=["control-character", "lone-surrogate", "control-character-without-plots"],
+    )
+    def test_csv_stem_that_xml_cannot_carry(self, tmp_path, monkeypatch, capsys, stem, plots, code):
+        """The CSV stem is the plots' legend label: with plots, one that XML 1.0
+        cannot carry is refused before the run simulates or writes anything."""
+        import lindbladprep.cli as cli
+
+        data = tiny_config(tmp_path)
+        data["output"]["csv"] = str(tmp_path / f"{stem}.csv")
+        data["output"]["plots"] = plots and str(tmp_path / plots)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        if code:
+            monkeypatch.setattr(cli, "run_simulation", lambda *args: pytest.fail("simulated"))
+            assert main(["run", str(cfg_path)]) == code
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("error: output.csv stem") and "XML 1.0" in err
+            assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+        else:
+            assert main(["run", str(cfg_path)]) == 0
+            assert (tmp_path / f"{stem}.csv").exists()
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])
+    def test_config_runs_on_the_density_backend(self, tmp_path, config):
+        """Each config runs to its full length on the density backend, whose
+        trace check is per step: Hubbard-4 continuous drifts by 3.7e-9 over
+        its 4000 steps, by at most 1.2e-12 in one."""
+        data = json.loads(config.read_text())
+        data["channel"]["backend"] = "density"
+        data["output"] = {"csv": str(tmp_path / "run.csv"), "manifest": str(tmp_path / "run.json")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["run", str(cfg_path)]) == 0
+        n_steps = json.loads((tmp_path / "run.json").read_text())["resolved"]["channel"]["n_steps"]
+        assert read_timeseries(tmp_path / "run.csv")["step"][-1] == n_steps
 
     @pytest.mark.parametrize("key", ["csv", "manifest", "plots"])
     def test_empty_output_path_exit_2(self, tmp_path, capsys, monkeypatch, key):
@@ -860,8 +903,9 @@ class TestAuxCommands:
 # argv of an auxiliary command on a bad number, CSV or path, and its exit code;
 # {tmp} holds dir/ (a directory), file (a regular file), good.csv, bad.csv
 # (a non-numeric cell), short.csv (a short row), random.csv (300 random
-# bytes, not UTF-8), wide.csv (a cell beyond the csv module's field limit)
-# and blocked/filter_time.csv (a directory); "--flag=" gives an empty path
+# bytes, not UTF-8), wide.csv (a cell beyond the csv module's field limit),
+# r\xff.csv (a good CSV whose name is not UTF-8) and blocked/filter_time.csv
+# (a directory); "--flag=" gives an empty path
 BAD_AUX = [
     ("filter-table --sites 2 --g nan --out-dir {tmp}/tables", 2),
     ("jump-report --sites 2 --g inf", 2),
@@ -884,6 +928,8 @@ BAD_AUX = [
     ("jump-report --sites 2 --sparsity-out=", 2),
     ("verify fast --report=", 2),
     ("verify fast --report {tmp}/dir", 1),
+    ("plot {tmp}/good.csv --kind energy-time --out {tmp}/p.svg --label a\x01b", 2),
+    ("plot {tmp}/r\udcff.csv --kind energy-time --out {tmp}/p.svg", 2),
 ]
 
 
@@ -899,6 +945,7 @@ class TestBadAuxInput:
             "filter-table-out-dir-is-file", "jump-report-sparsity-out-is-directory",
             "filter-table-time-csv-is-directory", "plot-out-empty", "filter-table-out-dir-empty",
             "jump-report-sparsity-out-empty", "verify-report-empty", "verify-report-is-directory",
+            "plot-label-not-xml", "plot-csv-stem-not-utf8",
         ],
     )
     def test_one_error_line(self, tmp_path, monkeypatch, capsys, argv, code):
@@ -910,6 +957,7 @@ class TestBadAuxInput:
         (tmp_path / "file").write_text("a regular file\n")
         header = ",".join(read_columns())
         (tmp_path / "good.csv").write_text(f"{header}\n0,0.0,0.0,0,1.0,0.0,0.5,0.0\n")
+        (tmp_path / "r\udcff.csv").write_bytes((tmp_path / "good.csv").read_bytes())
         (tmp_path / "bad.csv").write_text(f"{header}\n0,0.0,0.0,0,x,0.0,0.5,0.0\n")
         (tmp_path / "short.csv").write_text(f"{header}\n0,0.0,0.0,0\n")
         (tmp_path / "nan.csv").write_text(f"{header}\n0,0.0,0.0,0,nan,0.0,0.5,0.0\n")

@@ -363,6 +363,23 @@ class TestResampledEvolution:
         with pytest.raises(LinalgError, match="trace"):
             self.evolve([np.random.default_rng(0)], spec_r, 10.0, 10.0)
 
+        class ScaledStream:
+            """Normals times 80: rounding in so large a step moves the trace
+            by 1.1e-8 to 3.5e-8 for these seeds, past ``STEP_DRIFT`` and
+            within the former 1e-6."""
+
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def standard_normal(self, size):
+                return 80.0 * self.rng.standard_normal(size)
+
+        spec_r = RandomCouplingSpec.uniform(4, 0.5)
+        with pytest.raises(LinalgError, match="drifted to") as failed:
+            self.evolve([ScaledStream(seed) for seed in (9, 4, 5)], spec_r, 0.05, 0.05)
+        tr = float(str(failed.value).split("drifted to ")[1].split(";")[0])
+        assert channel.STEP_DRIFT < abs(tr - 1.0) <= 1e-6
+
     def test_nan_rep_fails(self):
         class NanStream:
             def standard_normal(self, size):
