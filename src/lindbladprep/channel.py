@@ -34,6 +34,14 @@ block that holds the initial eigenstate: a block of size ``d`` costs
 approximation.  TFIM is one block; the Hubbard chain splits into its
 (N_up, N_dn) sectors (25 for four sites, the largest of size 36).
 
+The trajectory backend samples waiting times, the quantum-jump method of
+Dalibard, Castin and Molmer (PRL 68, 580 (1992)): a trajectory clicks at
+the first step whose no-click survival ``|M0^k psi|^2`` falls below a
+uniform threshold it drew, so a record span of L steps is one GEMM with
+``M0^L`` for all trajectories, and only the few whose survival falls
+below their threshold are stepped one step at a time
+(:func:`trajectory_step`).
+
 Cost accounting: every ``Atilde_l`` counts as one controlled-A gate and
 every ``e^{+/- i H t}`` factor contributes ``|t|`` of Hamiltonian
 simulation time, so one step costs ``r * 2 * (2M + 1)`` gates and
@@ -472,46 +480,94 @@ def channel_step_density(rho: np.ndarray, kraus: np.ndarray) -> np.ndarray:
 
 
 def _squared_column_norms(x: np.ndarray) -> np.ndarray:
-    """``|x[b, :, j]|^2`` for a stack ``x`` (b, rows, cols): the squares of its
-    float view summed, with no conjugate copy."""
+    """``|x[:, j]|^2`` for a matrix ``x``: the squares of its float view
+    summed, with no conjugate copy."""
     f = np.ascontiguousarray(x, dtype=complex).view(np.float64)  # re, im interleaved
-    squares = np.einsum("bij,bij->bj", f, f)
-    return squares[:, 0::2] + squares[:, 1::2]
+    squares = np.einsum("ij,ij->j", f, f)
+    return squares[0::2] + squares[1::2]
 
 
 def trajectory_step(
-    psi: np.ndarray, kraus: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One stochastic step of a block of trajectories, one per column of
-    ``psi`` (n, reps): apply W^r to |0> x psi, measure the ancilla, discard
-    the outcome, reset, then (optionally) apply e^{-iH tau} -- i.e. column j
-    becomes M1 psi_j if ``u[j] < |M1 psi_j|^2`` and M0 psi_j otherwise, for
-    the pair ``[M0, M1]`` from :func:`build_kraus_pair`, renormalised.  Both
-    branches come from one GEMM with the stacked column ``[M0; M1]``, a view
-    of that array, and both branch weights from one reduction.
+    psi: np.ndarray,
+    kraus: np.ndarray,
+    power: np.ndarray,
+    span: int,
+    q: np.ndarray,
+    rngs: list,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance a block of trajectories, one per column of ``psi`` (n, reps),
+    over one record span of ``span`` steps, by waiting times.
 
-    Returns (new block, per-column click flags).  The clicks are recorded
-    for diagnostics only; the scheme never conditions on them.  A column
-    whose norm is off 1 by more than :data:`STEP_DRIFT` is refused.
+    One step applies W^r to |0> x psi, measures the ancilla, discards the
+    outcome, resets it, then (optionally) applies e^{-iH tau}: for the pair
+    ``[M0, M1]`` from :func:`build_kraus_pair`, psi becomes M1 psi (a
+    click) or M0 psi, renormalised.  Column j holds the threshold ``q[j]``
+    and clicks at the first step k whose survival ``|M0^k psi_j|^2`` falls
+    below it; it then becomes ``M1 M0^(k-1) psi_j``, renormalised, and
+    draws its next threshold ``rngs[j].random()``, against which its
+    survival restarts from 1.  As ``M0^dag M0 + M1^dag M1 = I``, clicks and
+    paths have the law of one uniform draw per step.
+
+    ``power`` is ``M0^span``: one GEMM advances every column, and as a
+    survival never rises (up to the pair's defect), a column whose
+    survival at the end is at least its threshold did not click.  Only the
+    others are stepped again, one M0 product per step, with M1 applied in
+    one product to the columns that click at that step; at ``span`` 1 the
+    re-step reuses the first product.  Nothing is renormalised inside the
+    span: a clicked column keeps its branch, whose weight then scales its
+    next draw.
+
+    Returns ``(block, thresholds, clicks)``: the block normalised, each
+    threshold divided by its column's survival, so that it stands against
+    the survival from this record on, and the number of clicks of each
+    column.  The clicks are recorded for diagnostics only; the scheme never
+    conditions on them.  Refused: an input column whose norm is off 1 by
+    more than :data:`STEP_DRIFT`; a survival at the end of the span that
+    is not finite, exceeds ``1 + span * STEP_DRIFT`` or is below 1e-24; a
+    clicked branch whose weight is below 1e-24 of the survival before its
+    step.
     """
-    nrm = np.sqrt(_squared_column_norms(psi[None])[0])
-    off = ~(np.abs(nrm - 1.0) <= STEP_DRIFT)
+    nrm2 = _squared_column_norms(psi)
+    off = ~(np.abs(np.sqrt(nrm2) - 1.0) <= STEP_DRIFT)
     if off.any():
-        raise ChannelError(f"trajectory state norm {nrm[off][0]} is not 1")
-    column = np.reshape(kraus, (-1, psi.shape[0]))  # [M0; M1]
-    branches = (column @ psi).reshape(2, *psi.shape)  # (outcome, row, trajectory)
-    weights = _squared_column_norms(branches)
-    clicks = u < weights[1]
-    weight = np.sqrt(np.where(clicks, weights[1], weights[0]))
-    vanishing = ~(weight >= 1e-12)
-    if vanishing.any():
-        raise ChannelError(
-            f"measurement branch {int(clicks[vanishing][0])} has vanishing probability; "
-            "trajectory aborted"
-        )
-    collapsed = np.where(clicks, branches[1], branches[0])
-    collapsed *= 1.0 / weight
-    return collapsed, clicks
+        raise ChannelError(f"trajectory state norm {np.sqrt(nrm2[off][0])} is not 1")
+    m0, m1 = kraus
+    out = power @ psi
+    survival = _squared_column_norms(out)
+    clicks = np.zeros(q.shape, dtype=int)
+
+    def click(x: np.ndarray, before: np.ndarray, cols: np.ndarray) -> tuple:
+        """M1 x, its weight and the next thresholds of columns ``cols``;
+        the branch is not renormalised, so its threshold is the next draw
+        times its weight."""
+        branch = m1 @ x
+        weight = _squared_column_norms(branch)
+        if not np.all(weight >= 1e-24 * before):
+            raise ChannelError("measurement branch 1 has vanishing probability; trajectory aborted")
+        clicks[cols] += 1
+        return branch, weight, weight * np.array([rngs[j].random() for j in cols])
+
+    late = np.flatnonzero(survival < q)
+    q = q.copy()
+    if late.size and span == 1:  # each late column clicks at the one step
+        out[:, late], survival[late], q[late] = click(psi[:, late], nrm2[late], late)
+    elif late.size:  # step the late columns again, one step at a time
+        x, before, q_late = psi[:, late], nrm2[late], q[late]
+        for _ in range(span):
+            after = m0 @ x
+            s = _squared_column_norms(after)
+            hit = np.flatnonzero(s < q_late)
+            if hit.size:
+                after[:, hit], s[hit], q_late[hit] = click(x[:, hit], before[hit], late[hit])
+            x, before = after, s
+        out[:, late], survival[late], q[late] = x, before, q_late
+    high = ~(survival <= 1.0 + span * STEP_DRIFT)
+    if high.any():
+        raise ChannelError(f"trajectory norm grew: survival {survival[high][0]} over {span} steps")
+    if not np.all(survival >= 1e-24):
+        raise ChannelError("measurement branch 0 has vanishing probability; trajectory aborted")
+    out *= 1.0 / np.sqrt(survival)
+    return out, q / survival, clicks
 
 
 def _initial_level(cfg: ChannelConfig, dim: int) -> int:
@@ -533,9 +589,9 @@ def _record_steps(n_steps: int, stride: int) -> np.ndarray:
     return np.asarray(steps, dtype=int)
 
 
-# Monte Carlo draws are made this many bytes at a time, for all streams
-# together (at least one step).  A generator's draw of c rows holds the same
-# numbers as c draws of one row, so no result depends on this size.
+# The random-coupling sampler draws this many bytes at a time, for all its
+# streams together (at least one step).  A generator's draw of c rows holds
+# the same numbers as c draws of one row, so no result depends on this size.
 _DRAW_CHUNK_BYTES = 256 * 1024
 
 
@@ -581,12 +637,16 @@ def run_simulation(
     state in another block has overlap exactly 0.
 
     Both backends run the same record loop: advance to the next recorded
-    step, observe, repeat.  The trajectory backend steps all ``cfg.reps``
-    trajectories as one (n, reps) block; trajectory ``i`` draws its
-    uniforms from its own ``SeedSequence([cfg.seed, i])`` stream, in
-    chunks of steps (:func:`step_draws`), so its path depends on neither
-    ``cfg.reps`` nor ``cfg.record_stride``, and a run is byte-identical at
-    a fixed BLAS thread count.  The recorded energies must stay within the
+    step, observe, repeat.  The trajectory backend advances all
+    ``cfg.reps`` trajectories as one (n, reps) block over each record span
+    (:func:`trajectory_step`) with the power ``M0^L`` of the span's length
+    L, made once for each distinct length: the stride, and a shorter last
+    span.  Trajectory ``i`` draws from its own ``SeedSequence([cfg.seed,
+    i])`` generator its first threshold and one more after each click, and
+    nothing else, so its clicks depend on neither ``cfg.reps`` nor
+    ``cfg.record_stride``, and a run is byte-identical at a fixed BLAS
+    thread count.  ``health.click_rate`` holds the clicks of each span
+    over ``span * reps``.  The recorded energies must stay within the
     spectral range up to ``1e-6 * max(1, |H|)``.
     """
     h, a = model.hamiltonian(), coupling_operator(model)
@@ -619,6 +679,7 @@ def run_simulation(
     ground_proj = vg @ vg.conj().T
     psi0 = spec.eigenvectors[:, j]
     record_steps = _record_steps(cfg.n_steps, cfg.record_stride)
+    spans = np.diff(record_steps)
     per_step = step_cost(p, cfg)
     h_time = record_steps * per_step.hamiltonian_time
     a_gates = record_steps * per_step.controlled_a_count
@@ -637,30 +698,30 @@ def run_simulation(
             return np.vdot(h_block, rho).real, np.vdot(ground_proj, rho).real
 
     else:
-        state = np.repeat(psi0[:, None], cfg.reps, axis=1)
         rngs = [
             np.random.default_rng(np.random.SeedSequence([cfg.seed, i])) for i in range(cfg.reps)
         ]
-        uniforms = step_draws(rngs, cfg.n_steps, 1, "random")
+        # (block, thresholds): each trajectory's first threshold is its first draw
+        state = np.repeat(psi0[:, None], cfg.reps, axis=1), np.array([g.random() for g in rngs])
+        powers = {span: np.linalg.matrix_power(kraus[0], span) for span in set(spans.tolist())}
         click_rate = health["click_rate"] = []
 
-        def advance(psi: np.ndarray, span: int) -> np.ndarray:
-            clicks = 0
-            for _ in range(span):
-                psi, clicked = trajectory_step(psi, kraus, next(uniforms)[:, 0])
-                clicks += int(np.count_nonzero(clicked))
-            click_rate.append(clicks / (span * cfg.reps))
-            return psi
+        def advance(state: tuple, span: int) -> tuple:
+            psi, q, clicks = trajectory_step(state[0], kraus, powers[span], span, state[1], rngs)
+            click_rate.append(int(clicks.sum()) / (span * cfg.reps))
+            return psi, q
 
-        def observe(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        def observe(state: tuple) -> tuple[np.ndarray, np.ndarray]:
+            psi = state[0]
+
             def expect(x):
                 return np.einsum("ij,ij->j", psi.conj(), x @ psi).real
 
             return expect(h_block), expect(ground_proj)
 
     observed = [observe(state)]
-    for span in np.diff(record_steps):
-        state = advance(state, int(span))
+    for span in spans.tolist():
+        state = advance(state, span)
         observed.append(observe(state))
     # (recorded step, trajectory); the density backend has one exact column
     energies = np.array([e for e, _ in observed]).reshape(record_steps.size, -1)

@@ -12,12 +12,13 @@ threshold, collected into a machine-readable report.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .channel import (
+    STEP_DRIFT,
     ChannelConfig,
     build_kraus_pair,
     build_w,
@@ -246,6 +247,78 @@ def check_trajectory_density_consistency():
     return worst <= 3.0, f"max |z| over checkpoints: {worst:.2f}"
 
 
+# The statistical oracle gate: three committed configs, each run at a seed
+# list fixed before the waiting-time sampler was measured against it.
+ORACLE_RUNS = [
+    (
+        "tfim4_continuous",
+        ModelSpec("tfim", 4, tfim_g=1.2),
+        ChannelConfig(tau=0.1, total_time=80.0, mode="continuous", reps=100, seed=7,
+                      record_stride=10),
+        range(40),
+    ),
+    (
+        "hubbard4_continuous",
+        ModelSpec("hubbard1d", 4, hubbard_t=1.0, hubbard_u=4.0),
+        ChannelConfig(tau=0.025, total_time=100.0, mode="continuous", reps=100, seed=7,
+                      record_stride=40),
+        range(20),
+    ),
+    (
+        "tfim4_discrete",
+        ModelSpec("tfim", 4, tfim_g=1.2),
+        ChannelConfig(tau=1.0, total_time=80.0, mode="discrete", reps=100, seed=7),
+        range(20),
+    ),
+]
+ORACLE_BOUND = 4.0
+
+
+def oracle_z(model: ModelSpec, cfg: ChannelConfig, seeds) -> float:
+    """Largest z of the trajectory means, pooled over ``seeds``, against the
+    density run of ``cfg``, over energy and overlap at every record but the
+    first.
+
+    Every seed runs ``cfg.reps`` trajectories, so the pooled mean is the
+    mean of the run means and N = seeds x reps.  At step k, with mu the
+    density value, ``z = max(0, |mean - mu| - k STEP_DRIFT c) / sqrt((mu -
+    lo)(hi - mu) / N)``: ``[lo, hi]`` is ``[0, 1]`` for the overlap and
+    ``[E0, Emax]`` for the energy, and c is 1 and ``max(1, |H|)``.  The
+    denominator is the Bhatia-Davis bound on the variance of a variable in
+    ``[lo, hi]`` with mean mu, which, unlike the sample SE, does not
+    collapse while no trajectory has reached a rare state; the subtracted
+    term is the density run's own drift bound.  A record with no excess
+    has z = 0, whatever its denominator.
+    """
+    dens = run_simulation(model, replace(cfg, backend="density"))
+    runs = [run_simulation(model, replace(cfg, seed=seed)) for seed in seeds]
+    n = len(runs) * cfg.reps
+    spectrum = dens.meta["spectrum"]
+    energy_range = spectrum["ground_energy"], spectrum["max_energy"]
+    drift = dens.steps[1:] * STEP_DRIFT
+    worst = 0.0
+    for name, (lo, hi), c in (
+        ("overlap", (0.0, 1.0), 1.0),
+        ("energy", energy_range, max(1.0, spectrum["spectral_norm"])),
+    ):
+        mu = getattr(dens, f"{name}_mean")[1:]
+        mean = np.mean([getattr(run, f"{name}_mean")[1:] for run in runs], axis=0)
+        excess = np.maximum(0.0, np.abs(mean - mu) - drift * c)
+        se = np.sqrt(np.maximum(0.0, (mu - lo) * (hi - mu)) / n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.where(excess > 0, excess / se, 0.0)
+        worst = max(worst, float(z.max()))
+    return worst
+
+
+def check_trajectory_density_oracle():
+    worst = {name: oracle_z(model, cfg, seeds) for name, model, cfg, seeds in ORACLE_RUNS}
+    detail = ", ".join(f"{name} {z:.2f}" for name, z in worst.items())
+    return max(worst.values()) <= ORACLE_BOUND, (
+        f"max z of pooled trajectory means vs density: {detail} (<= {ORACLE_BOUND:g})"
+    )
+
+
 def check_tfim4_continuous():
     cfg = ChannelConfig(
         tau=0.1, total_time=80.0, mode="continuous", backend="trajectory", reps=100, seed=7,
@@ -414,6 +487,7 @@ CHECKS = [
           "single-run deviation concentrates like sqrt(step)"),
     Check("hubbard4-discrete", check_hubbard4_discrete, "full", 3,
           "Hubbard-4 discrete run reaches the ground state"),
+    Check("trajectory-density-oracle", check_trajectory_density_oracle, "full"),
 ]
 
 

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,7 +20,7 @@ from lindbladprep.channel import (
     step_cost,
     trajectory_step,
 )
-from lindbladprep.config import resolve_filter_params
+from lindbladprep.config import load_run_config, resolve_filter_params
 from lindbladprep.filters import default_params, f_time, quadrature_grid
 from lindbladprep.jump import dilate, quadrature_jump
 from lindbladprep.linalg import (
@@ -29,6 +32,7 @@ from lindbladprep.linalg import (
 )
 from lindbladprep.models import ModelSpec, coupling_operator
 from lindbladprep.reference import exact_dilated_step
+from lindbladprep.verify import ORACLE_BOUND, ORACLE_RUNS, oracle_z
 
 from conftest import PAULI_X, PAULI_Y, ground_projector, random_density, random_state
 
@@ -324,17 +328,53 @@ class TestCostLedger:
         )
 
 
+def waiting_time_loop(psi, kraus, n_steps, rng):
+    """The scalar oracle of the waiting-time sampler: one trajectory, one M0
+    product per step.  It clicks when its survival since its last click
+    falls below its threshold, and then becomes M1 applied to its state
+    before that step, renormalised; its first threshold and one after each
+    click are ``rng.random()``.  Returns its normalised state after every
+    step (step 0 first), its clicked steps, and its last threshold over its
+    last survival: the threshold against the survival from the last step."""
+    m0, m1 = kraus
+    q, x = rng.random(), psi
+    states, clicked = [psi], []
+    for step in range(1, n_steps + 1):
+        after = m0 @ x
+        survival = np.vdot(after, after).real
+        if survival < q:
+            after = m1 @ x
+            after /= np.linalg.norm(after)
+            survival, q = 1.0, rng.random()
+            clicked.append(step)
+        x = after
+        states.append(x / np.sqrt(survival))
+    return states, clicked, q / survival
+
+
+class FixedDraws:
+    """A stand-in generator whose ``random()`` returns ``values`` in turn."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
 class TestTrajectoryStep:
     def test_identity_w(self, rng):
         _, h, spec, a, p = tfim_setup(2)
         cfg = ChannelConfig(tau=0.3, total_time=0.3)
         psi = np.stack([random_state(rng, 4) for _ in range(3)], axis=1)
         u = evolution_unitary(spec, cfg.tau)
-        # the pair of W = I with e^{-iH tau} folded in
+        # the pair of W = I with e^{-iH tau} folded in, over a span of 3 steps
         kraus = (u, np.zeros_like(u))
-        out, clicks = trajectory_step(psi, kraus, rng.random(3))
+        q = rng.random(3)
+        out, q_out, clicks = trajectory_step(psi, kraus, u @ u @ u, 3, q, [])
         assert not clicks.any()
-        assert np.allclose(out, u @ psi)
+        assert np.allclose(out, u @ u @ u @ psi)
+        assert np.allclose(q_out, q)
 
     def test_ground_state_rarely_clicks(self):
         _, _, spec, a, p = tfim_setup(4)
@@ -344,41 +384,55 @@ class TestTrajectoryStep:
         assert np.vdot(branch1, branch1).real <= 1e-2
 
     def test_norm_validation(self, rng):
+        """An input column off norm 1, and a survival at the end of the span
+        that is not finite or exceeds 1 + span * STEP_DRIFT, are refused."""
         _, _, spec, a, p = tfim_setup(2)
         cfg = ChannelConfig(tau=0.3, total_time=0.3)
         kraus, _ = build_kraus_pair(spec, a, p, cfg)
+        power = kraus[0] @ kraus[0]
         psi = np.stack([random_state(rng, 4) for _ in range(3)], axis=1)
-        psi[:, 1] *= 2.0
+        bad = psi.copy()
+        bad[:, 1] *= 2.0
         with pytest.raises(ChannelError, match="norm"):
-            trajectory_step(psi, kraus, rng.random(3))
-        psi[:, 1] = np.nan
+            trajectory_step(bad, kraus, power, 2, rng.random(3), [])
+        bad[:, 1] = np.nan
         with pytest.raises(ChannelError, match="norm"):
-            trajectory_step(psi, kraus, rng.random(3))
+            trajectory_step(bad, kraus, power, 2, rng.random(3), [])
+        for grown in (2 * np.eye(4), np.full((4, 4), np.nan)):
+            with pytest.raises(ChannelError, match="norm"):
+                trajectory_step(psi, kraus, grown, 2, rng.random(3), [])
 
     def test_pair_is_views_of_its_stacked_column(self, rng):
+        """The pair is one (2, n, n) array whose M0 and M1 are views of it;
+        numpy unpacks a plain tuple of the same arrays with the same result."""
         _, _, spec, a, p = tfim_setup(2)
         kraus, _ = build_kraus_pair(spec, a, p, ChannelConfig(tau=0.3, total_time=0.3))
         assert kraus.shape == (2, 4, 4)
-        # the stacked column [M0; M1] that trajectory_step applies is a view
-        assert np.shares_memory(np.reshape(kraus, (-1, 4)), kraus)
+        assert all(np.shares_memory(m, kraus) for m in kraus)
         psi = np.stack([random_state(rng, 4) for _ in range(3)], axis=1)
-        u = rng.random(3)
-        # numpy stacks a plain tuple of the same arrays, with the same result
-        for got, want in zip(trajectory_step(psi, tuple(kraus), u), trajectory_step(psi, kraus, u)):
-            assert np.array_equal(got, want)
+        q = np.full(3, 0.9999)  # every column clicks
+        def span_of(pair):
+            draws = [FixedDraws([0.5, 0.5]) for _ in range(3)]
+            return trajectory_step(psi, pair, kraus[0] @ kraus[0], 2, q, draws)
+
+        got, want = span_of(tuple(kraus)), span_of(kraus)
+        assert np.all(want[2] >= 1)
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
 
     def test_vanishing_branch_aborts(self, rng):
         psi = random_state(rng, 4)[:, None]
         zero = np.zeros((4, 4))
-        with pytest.raises(ChannelError, match="vanishing probability"):
-            trajectory_step(psi, (zero, zero), rng.random(1))
+        for span in (1, 2):
+            with pytest.raises(ChannelError, match="vanishing probability"):
+                trajectory_step(psi, (zero, zero), zero, span, rng.random(1) + 0.5, [])
 
     @pytest.mark.parametrize("layout", ["real", "column-strided", "row-strided", "fortran"])
     def test_layout_of_psi_changes_nothing(self, rng, layout):
-        """The norm check and the branch weights sum squares over a float
-        view: a real or non-contiguous block steps exactly as its contiguous
-        complex copy, so the view pairs each real part with its own
-        imaginary part."""
+        """The norm check and the survivals sum squares over a float view: a
+        real or non-contiguous block steps exactly as its contiguous complex
+        copy, so the view pairs each real part with its own imaginary
+        part."""
         _, _, spec, a, p = tfim_setup(2)
         kraus, _ = build_kraus_pair(spec, a, p, ChannelConfig(tau=0.3, total_time=0.3))
         dense = np.stack([random_state(rng, 4) for _ in range(6)], axis=1)
@@ -391,13 +445,40 @@ class TestTrajectoryStep:
         else:
             psi = np.asfortranarray(dense)
         contiguous = np.ascontiguousarray(psi, dtype=complex)
-        # u just below or just above each |M1 psi_j|^2: both outcomes occur
-        u = np.linalg.norm(kraus[1] @ contiguous, axis=0) ** 2 * np.tile([0.5, 1.5], 3)
-        block, clicks = trajectory_step(psi, kraus, u)
-        want_block, want_clicks = trajectory_step(contiguous, kraus, u)
-        assert list(want_clicks) == [True, False] * 3
-        assert np.array_equal(clicks, want_clicks)
-        assert np.array_equal(block, want_block)
+        # q just above or just below each |M0 psi_j|^2: both outcomes occur
+        q = np.linalg.norm(kraus[0] @ contiguous, axis=0) ** 2 * np.tile([1.001, 0.999], 3)
+
+        def step(x):
+            return trajectory_step(x, kraus, kraus[0], 1, q, [FixedDraws([0.5]) for _ in range(6)])
+
+        (block, q_out, clicks), want = step(psi), step(contiguous)
+        assert list(want[2]) == [1, 0] * 3
+        assert np.array_equal(clicks, want[2])
+        assert np.array_equal(block, want[0])
+        assert np.array_equal(q_out, want[1])
+
+    @pytest.mark.parametrize("span", [1, 3, 8])
+    def test_span_matches_scalar_loop(self, rng, span):
+        """One span of a block against the scalar waiting-time loop, column by
+        column: equal clicks, and the state and threshold at the end within
+        1e-12.  Thresholds near 1 make a column click at most steps, so
+        columns click more than once within a span."""
+        _, _, spec, a, p = tfim_setup(2)
+        kraus, _ = build_kraus_pair(spec, a, p, ChannelConfig(tau=0.5, total_time=0.5))
+        psi = np.stack([random_state(rng, 4) for _ in range(5)], axis=1)
+        draws = [np.concatenate([[0.9999, 0.9999], rng.random(span)]) for _ in range(5)]
+        power = np.linalg.matrix_power(kraus[0], span)
+        out, q, clicks = trajectory_step(
+            psi, kraus, power, span, np.array([d[0] for d in draws]),
+            [FixedDraws(d[1:]) for d in draws],
+        )
+        if span > 1:
+            assert clicks.max() >= 2
+        for j, d in enumerate(draws):
+            states, clicked, threshold = waiting_time_loop(psi[:, j], kraus, span, FixedDraws(d))
+            assert clicks[j] == len(clicked)
+            assert np.max(np.abs(out[:, j] - states[-1])) <= 1e-12
+            assert abs(q[j] - threshold) <= 1e-12
 
 
 class TestRunSimulation:
@@ -422,11 +503,27 @@ class TestRunSimulation:
         assert np.array_equal(r1.energy_mean, r2.energy_mean)
         assert np.array_equal(r1.overlap_mean, r2.overlap_mean)
 
-    def test_trajectory_deterministic_and_independent_of_batch(self, monkeypatch):
-        """Repeated runs are bit-identical, and the first k trajectories of a
-        reps=6 run follow the same paths as a reps=k run."""
+    def spans_of(self, monkeypatch, model, cfg):
+        """The run of ``cfg`` and what each call of ``trajectory_step``, one
+        per record span, returned: (block, thresholds, clicks)."""
         import lindbladprep.channel as channel
 
+        seen = []
+        exact = channel.trajectory_step
+
+        def spy(*args):
+            seen.append(exact(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(channel, "trajectory_step", spy)
+        rec = run_simulation(model, cfg)
+        monkeypatch.undo()
+        return rec, seen
+
+    def test_trajectory_deterministic_and_independent_of_batch(self, monkeypatch):
+        """Repeated runs are bit-identical, and the first k trajectories of a
+        reps=6 run take the same clicks as a reps=k run, with states and
+        thresholds within 1e-12 at every record."""
         model = ModelSpec("tfim", 2, tfim_g=1.2)
         base = dict(tau=0.5, total_time=4.0, backend="trajectory", seed=3, record_stride=3)
         cfg = ChannelConfig(reps=6, **base)
@@ -434,89 +531,66 @@ class TestRunSimulation:
         assert np.array_equal(r1.energy_mean, r2.energy_mean)
         assert np.array_equal(r1.overlap_se, r2.overlap_se)
 
-        def steps_of(reps):
-            seen = []
-            exact = channel.trajectory_step
-
-            def spy(*args):
-                seen.append(exact(*args))
-                return seen[-1]
-
-            monkeypatch.setattr(channel, "trajectory_step", spy)
-            run_simulation(model, ChannelConfig(reps=reps, **base))
-            monkeypatch.undo()
-            return seen
-
-        full = steps_of(6)
-        assert len(full) == cfg.n_steps
+        _, full = self.spans_of(monkeypatch, model, cfg)
+        assert len(full) == 3  # records at steps 0, 3, 6 and 8
+        assert sum(clicks.sum() for _, _, clicks in full) > 0
         for k in (1, 4):
-            for (psi_k, clicks_k), (psi_n, clicks_n) in zip(steps_of(k), full, strict=True):
+            _, spans = self.spans_of(monkeypatch, model, ChannelConfig(reps=k, **base))
+            for (psi_k, q_k, clicks_k), (psi_n, q_n, clicks_n) in zip(spans, full, strict=True):
                 assert np.array_equal(clicks_k, clicks_n[:k])
                 assert np.max(np.abs(psi_k - psi_n[:, :k])) <= 1e-12
+                assert np.max(np.abs(q_k - q_n[:k])) <= 1e-12
 
     def test_trajectory_independent_of_record_stride_and_chunk(self, monkeypatch):
-        """Uniforms are drawn in chunks of steps, not once per record: runs at
-        record_stride 1 and 3, and with chunks of two steps, take the same
-        clicks and bit-equal states at every step."""
-        import lindbladprep.channel as channel
-
+        """A trajectory draws one threshold at the start and one per click,
+        whatever the records: runs at record_stride 1 and 3 take the same
+        clicks, and their states and thresholds agree within 1e-12 at the
+        common records.  They are not bit-equal, since M0^3 is not three M0
+        products."""
         model = ModelSpec("tfim", 2, tfim_g=1.2)
         base = dict(tau=0.5, total_time=5.0, backend="trajectory", reps=4, seed=5)
+        _, ref = self.spans_of(monkeypatch, model, ChannelConfig(record_stride=1, **base))
+        _, other = self.spans_of(monkeypatch, model, ChannelConfig(record_stride=3, **base))
+        assert len(ref) == 10 and len(other) == 4  # records at 0, 3, 6, 9 and 10
+        assert any(clicks.any() for _, _, clicks in ref)
+        for (psi, q, clicks), (first, last) in zip(other, [(0, 3), (3, 6), (6, 9), (9, 10)]):
+            psi_1, q_1, _ = ref[last - 1]
+            assert np.array_equal(clicks, sum(c for _, _, c in ref[first:last]))
+            assert np.max(np.abs(psi - psi_1)) <= 1e-12
+            assert np.max(np.abs(q - q_1)) <= 1e-12
 
-        def steps_of(stride, chunk_bytes=channel._DRAW_CHUNK_BYTES):
-            seen = []
-            exact = channel.trajectory_step
-
-            def spy(*args):
-                seen.append(exact(*args))
-                return seen[-1]
-
-            monkeypatch.setattr(channel, "trajectory_step", spy)
-            monkeypatch.setattr(channel, "_DRAW_CHUNK_BYTES", chunk_bytes)
-            run_simulation(model, ChannelConfig(record_stride=stride, **base))
-            monkeypatch.undo()
-            return seen
-
-        ref = steps_of(1)
-        assert len(ref) == 10
-        assert any(clicks.any() for _, clicks in ref)
-        for other in (steps_of(3), steps_of(3, chunk_bytes=2 * 8 * base["reps"])):
-            for (psi_a, clicks_a), (psi_b, clicks_b) in zip(ref, other, strict=True):
-                assert np.array_equal(clicks_a, clicks_b)
-                assert np.array_equal(psi_a, psi_b)
-
-    def test_trajectory_matches_scalar_loop(self):
-        """Each trajectory stepped on its own -- M1 psi or M0 psi with one
-        rng.random() per step from SeedSequence([seed, i]) -- gives the run's
-        means, SEs and click rates."""
+    def test_trajectory_matches_scalar_loop(self, monkeypatch):
+        """Each trajectory on its own in the scalar waiting-time loop, with a
+        threshold from SeedSequence([seed, i]) at the start and after each
+        click, takes the run's clicks; its states agree within 1e-12 at every
+        record, and so do the means, SEs and click rates."""
         model = ModelSpec("tfim", 2, tfim_g=1.2)
         cfg = ChannelConfig(
             tau=0.5, total_time=4.0, backend="trajectory", reps=5, seed=11, record_stride=3
         )
-        rec = run_simulation(model, cfg)
+        rec, spans = self.spans_of(monkeypatch, model, cfg)
         h, spec, a, p = tfim_setup(2)[1:]
-        (m0, m1), _ = build_kraus_pair(spec, a, p, cfg)
+        kraus, _ = build_kraus_pair(spec, a, p, cfg)
         obs = np.empty((2, cfg.reps, cfg.n_steps + 1))
-        clicks = np.zeros(cfg.n_steps + 1)
+        clicks = np.zeros((cfg.reps, cfg.n_steps + 1), dtype=int)
         for i in range(cfg.reps):
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
-            psi = spec.eigenvectors[:, -1]
-            for step in range(cfg.n_steps + 1):
-                if step:
-                    branch1 = m1 @ psi
-                    click = rng.random() < np.vdot(branch1, branch1).real
-                    psi = branch1 if click else m0 @ psi
-                    psi = psi / np.linalg.norm(psi)
-                    clicks[step] += click
+            psi0 = spec.eigenvectors[:, -1]
+            states, clicked, _ = waiting_time_loop(psi0, kraus, cfg.n_steps, rng)
+            clicks[i, clicked] = 1
+            for step, psi in enumerate(states):
                 for k, x in enumerate((h.matrix, ground_projector(spec))):
                     obs[k, i, step] = np.vdot(psi, x @ psi).real
+            for (block, _, span_clicks), (first, last) in zip(spans, zip(rec.steps, rec.steps[1:])):
+                assert span_clicks[i] == clicks[i, first + 1 : last + 1].sum()
+                assert np.max(np.abs(block[:, i] - states[last])) <= 1e-12
         assert clicks.sum() > 0
         for name, ref in zip(("energy", "overlap"), obs[:, :, rec.steps]):
             assert np.max(np.abs(getattr(rec, f"{name}_mean") - ref.mean(axis=0))) <= 1e-12
             se = ref.std(axis=0, ddof=1) / np.sqrt(cfg.reps)
             assert np.max(np.abs(getattr(rec, f"{name}_se") - se)) <= 1e-12
         rate = [
-            clicks[a + 1 : b + 1].sum() / ((b - a) * cfg.reps)
+            clicks[:, a + 1 : b + 1].sum() / ((b - a) * cfg.reps)
             for a, b in zip(rec.steps[:-1], rec.steps[1:])
         ]
         assert np.max(np.abs(np.array(rec.meta["health"]["click_rate"]) - rate)) <= 1e-12
@@ -583,10 +657,31 @@ class TestRunSimulation:
         assert rec.overlap_mean[0] <= 1e-15
 
 
+class TestTrajectoryDensityOracle:
+    """The ``verify`` gate ``trajectory-density-oracle``: pooled trajectory
+    means against the density run, on three committed configs."""
+
+    def test_runs_are_the_committed_configs(self):
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        for name, model, cfg, _ in ORACLE_RUNS:
+            committed = load_run_config(configs / f"{name}.json")
+            assert committed.model == model
+            assert committed.channel == cfg
+            assert committed.filter_overrides == {}
+
+    @pytest.mark.parametrize(
+        "model, cfg, seeds", [run[1:] for run in ORACLE_RUNS], ids=[run[0] for run in ORACLE_RUNS]
+    )
+    def test_gate_on_a_quarter_of_each_run(self, model, cfg, seeds):
+        """The gate's seeds and bound, at a quarter of each config's
+        total_time: 20, 25 and 20."""
+        assert oracle_z(model, replace(cfg, total_time=cfg.total_time / 4), seeds) <= ORACLE_BOUND
+
+
 def dense_rows(model, cfg, psi0):
     """CSV rows and click rates of ``cfg`` (record_stride 1) stepped at full
     size: a dense eigensolve of H, the pair of the full (H, A), the run's
-    uniforms."""
+    thresholds, one span of one step per call."""
     h, a = model.hamiltonian(), coupling_operator(model)
     spec = hermitian_eig(h)
     p = resolve_filter_params({}, spec.spectral_norm, spec.gap)
@@ -603,11 +698,12 @@ def dense_rows(model, cfg, psi0):
             np.random.default_rng(np.random.SeedSequence([cfg.seed, i])) for i in range(cfg.reps)
         ]
         states = [np.repeat(psi0[:, None], cfg.reps, axis=1)]
+        q = np.array([g.random() for g in rngs])
         click_rate = []
         for _ in range(cfg.n_steps):
-            psi, clicks = trajectory_step(states[-1], kraus, np.array([g.random() for g in rngs]))
+            psi, q, clicks = trajectory_step(states[-1], kraus, kraus[0], 1, q, rngs)
             states.append(psi)
-            click_rate.append(np.count_nonzero(clicks) / cfg.reps)
+            click_rate.append(int(clicks.sum()) / cfg.reps)
         obs = [
             [np.einsum("ij,ij->j", psi.conj(), x @ psi).real for psi in states]
             for x in (h.matrix, proj)
