@@ -27,9 +27,9 @@ serves as the oracle.
 Every factor of ``W`` is block-diagonal on the connected components of the
 joint nonzero pattern of ``H`` and ``A`` (:func:`invariant_blocks`), so
 neither the channel nor the dynamics ever links two blocks.
-:func:`run_simulation` partitions ``(H, A)`` once, eigensolves ``H`` one
-block at a time (:func:`blocked_eig`) and then builds and steps only the
-block that holds the initial eigenstate: a block of size ``d`` costs
+:func:`prepare` partitions ``(H, A)`` once, eigensolves ``H`` one block
+at a time (:func:`blocked_eig`) and builds only the block of the initial
+eigenstate, the one :func:`evolve` steps: a block of size ``d`` costs
 ``r * 2 * (2M + 1)`` hops of ``(d, d) @ (d, 2d)``.  This is exact, not an
 approximation.  TFIM is one block; the Hubbard chain splits into its
 (N_up, N_dn) sectors (25 for four sites, the largest of size 36).
@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -82,8 +82,10 @@ __all__ = [
     "step_cost",
     "channel_step_density",
     "trajectory_step",
+    "Preparation",
+    "prepare",
+    "evolve",
     "run_simulation",
-    "step_draws",
     "mean_se",
 ]
 
@@ -589,23 +591,6 @@ def _record_steps(n_steps: int, stride: int) -> np.ndarray:
     return np.asarray(steps, dtype=int)
 
 
-# The random-coupling sampler draws this many bytes at a time, for all its
-# streams together (at least one step).  A generator's draw of c rows holds
-# the same numbers as c draws of one row, so no result depends on this size.
-_DRAW_CHUNK_BYTES = 256 * 1024
-
-
-def step_draws(rngs: list, n_steps: int, width: int, draw: str):
-    """Yield ``n_steps`` arrays of shape ``(len(rngs), width)``, one per step,
-    whose row ``i`` holds the next ``width`` draws of ``rngs[i].<draw>``
-    (``draw`` is a method name such as ``"random"``), drawn in chunks of
-    :data:`_DRAW_CHUNK_BYTES`."""
-    chunk = max(1, _DRAW_CHUNK_BYTES // (8 * width * len(rngs)))
-    for start in range(0, n_steps, chunk):
-        size = (min(chunk, n_steps - start), width)
-        yield from np.stack([getattr(g, draw)(size) for g in rngs], axis=1)
-
-
 def mean_se(samples: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error ``std(ddof=1) / sqrt(n)`` over the n reps along
     ``axis``; one rep has an error of exactly 0."""
@@ -613,12 +598,27 @@ def mean_se(samples: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return samples.mean(axis=axis), samples.std(axis=axis, ddof=min(1, n - 1)) / np.sqrt(n)
 
 
-def run_simulation(
-    model: ModelSpec,
-    cfg: ChannelConfig,
-    filter_overrides: dict | None = None,
-) -> SimulationRecord:
-    """Full time series for one configuration.
+@dataclass(frozen=True)
+class Preparation:
+    """What :func:`prepare` builds for ``cfg``: the filter, ``meta``'s filter,
+    health and spectrum, and the block's H, Kraus pair, ground projector and psi0."""
+
+    # the config fields that no build reads, which :func:`evolve` may change
+    PER_RUN = ("backend", "reps", "seed", "record_stride", "total_time")
+
+    cfg: ChannelConfig
+    params: FilterParams
+    meta: dict
+    h_block: np.ndarray
+    kraus: np.ndarray
+    ground_proj: np.ndarray
+    psi0: np.ndarray
+
+
+def prepare(
+    model: ModelSpec, cfg: ChannelConfig, filter_overrides: dict | None = None
+) -> Preparation:
+    """Everything of a run of ``cfg`` before its first step.
 
     The filter is the parameter rule applied to the computed spectral norm
     and gap, with ``filter_overrides`` (a run config's ``filter`` block) on
@@ -629,25 +629,12 @@ def run_simulation(
     (:func:`blocked_eig`).  All levels are ordered with a stable sort, so
     levels that tie exactly across blocks keep the order of their blocks;
     that order feeds the filter rule, the choice of the initial eigenstate,
-    the spectral-range check and ``meta["spectrum"]``.  The run then
-    evolves only the block that holds the initial eigenstate: the state,
-    the Kraus pair and the ground projector are built from that block's own
-    spectrum, the projector onto its levels within 1e-9 of the global
-    ground energy.  No step leaves the block, so this is exact; a ground
-    state in another block has overlap exactly 0.
-
-    Both backends run the same record loop: advance to the next recorded
-    step, observe, repeat.  The trajectory backend advances all
-    ``cfg.reps`` trajectories as one (n, reps) block over each record span
-    (:func:`trajectory_step`) with the power ``M0^L`` of the span's length
-    L, made once for each distinct length: the stride, and a shorter last
-    span.  Trajectory ``i`` draws from its own ``SeedSequence([cfg.seed,
-    i])`` generator its first threshold and one more after each click, and
-    nothing else, so its clicks depend on neither ``cfg.reps`` nor
-    ``cfg.record_stride``, and a run is byte-identical at a fixed BLAS
-    thread count.  ``health.click_rate`` holds the clicks of each span
-    over ``span * reps``.  The recorded energies must stay within the
-    spectral range up to ``1e-6 * max(1, |H|)``.
+    the spectral-range check of :func:`evolve` and ``meta["spectrum"]``.
+    A run then evolves only the block that holds the initial eigenstate:
+    the state, the Kraus pair and the ground projector are built from that
+    block's own spectrum, the projector onto its levels within 1e-9 of the
+    global ground energy.  No step leaves the block, so this is exact; a
+    ground state in another block has overlap exactly 0.
     """
     h, a = model.hamiltonian(), coupling_operator(model)
     blocks = invariant_blocks(h, a)
@@ -673,17 +660,49 @@ def run_simulation(
     b, j = where[order[_initial_level(cfg, levels.size)]]
     idx, spec = blocks[b], specs[b]
     on_block = np.ix_(idx, idx)
-    h_block = h.matrix[on_block]
     kraus, defect = build_kraus_pair(spec, HermitianOperator(a.matrix[on_block]), p, cfg)
     vg = spec.eigenvectors[:, spec.eigenvalues <= levels[0] + 1e-9]
-    ground_proj = vg @ vg.conj().T
-    psi0 = spec.eigenvectors[:, j]
+    meta = {
+        "filter": {**asdict(p), "grid_radius": p.grid_radius},
+        "health": {"kraus_isometry_defect": defect, "block_dim": int(idx.size)},
+        "spectrum": {"ground_energy": float(levels[0]), "max_energy": float(levels[-1]),
+                     "gap": gap, "spectral_norm": norm_h, "dim": h.dim},
+    }
+    return Preparation(
+        cfg, p, meta, h.matrix[on_block], kraus, vg @ vg.conj().T, spec.eigenvectors[:, j]
+    )
+
+
+def evolve(prep: Preparation, cfg: ChannelConfig) -> SimulationRecord:
+    """Full time series of ``cfg`` from the preparation ``prep``.
+
+    ``cfg`` may differ from ``prep.cfg`` in :attr:`Preparation.PER_RUN`
+    only, so one preparation serves a density run and every seed; any other
+    difference raises ``ValueError`` naming the first field that differs.
+
+    Both backends run the same record loop: advance to the next recorded
+    step, observe, repeat.  The trajectory backend advances all
+    ``cfg.reps`` trajectories as one (n, reps) block over each record span
+    (:func:`trajectory_step`) with the power ``M0^L`` of the span's length
+    L, made once for each distinct length: the stride, and a shorter last
+    span.  Trajectory ``i`` draws from its own ``SeedSequence([cfg.seed,
+    i])`` generator its first threshold and one more after each click, and
+    nothing else, so its clicks depend on neither ``cfg.reps`` nor
+    ``cfg.record_stride``, and a run is byte-identical at a fixed BLAS
+    thread count.  ``health.click_rate`` holds the clicks of each span
+    over ``span * reps``.  The recorded energies must stay within the
+    spectral range up to ``1e-6 * max(1, |H|)``.
+    """
+    for f in fields(ChannelConfig):
+        if f.name not in prep.PER_RUN and getattr(cfg, f.name) != getattr(prep.cfg, f.name):
+            raise ValueError(f"cfg differs from the prepared config in {f.name!r}")
+    kraus, h_block, ground_proj, psi0 = prep.kraus, prep.h_block, prep.ground_proj, prep.psi0
     record_steps = _record_steps(cfg.n_steps, cfg.record_stride)
     spans = np.diff(record_steps)
-    per_step = step_cost(p, cfg)
-    h_time = record_steps * per_step.hamiltonian_time
-    a_gates = record_steps * per_step.controlled_a_count
-    health = {"kraus_isometry_defect": defect, "block_dim": int(idx.size)}
+    per_step = step_cost(prep.params, cfg)
+    meta = {key: dict(part) for key, part in prep.meta.items()}  # each record owns its meta
+    meta["channel"] = {**asdict(cfg), "n_steps": cfg.n_steps}
+    health, spectrum = meta["health"], meta["spectrum"]
 
     if cfg.backend == "density":
         state = DensityMatrix.pure(psi0).matrix
@@ -698,9 +717,8 @@ def run_simulation(
             return np.vdot(h_block, rho).real, np.vdot(ground_proj, rho).real
 
     else:
-        rngs = [
-            np.random.default_rng(np.random.SeedSequence([cfg.seed, i])) for i in range(cfg.reps)
-        ]
+        seeds = (np.random.SeedSequence([cfg.seed, i]) for i in range(cfg.reps))
+        rngs = [np.random.default_rng(seed) for seed in seeds]
         # (block, thresholds): each trajectory's first threshold is its first draw
         state = np.repeat(psi0[:, None], cfg.reps, axis=1), np.array([g.random() for g in rngs])
         powers = {span: np.linalg.matrix_power(kraus[0], span) for span in set(spans.tolist())}
@@ -724,36 +742,25 @@ def run_simulation(
         state = advance(state, span)
         observed.append(observe(state))
     # (recorded step, trajectory); the density backend has one exact column
-    energies = np.array([e for e, _ in observed]).reshape(record_steps.size, -1)
-    overlaps = np.array([o for _, o in observed]).reshape(record_steps.size, -1)
+    energies, overlaps = (np.array(x).reshape(record_steps.size, -1) for x in zip(*observed))
     (e_mean, e_se), (o_mean, o_se) = mean_se(energies, 1), mean_se(overlaps, 1)
 
     if np.any(o_mean < -1e-9) or np.any(o_mean > 1 + 1e-9):
         raise ChannelError("recorded overlap left [0, 1]")
-    slack = 1e-6 * max(1.0, norm_h)
-    if np.any(e_mean < levels[0] - slack) or np.any(e_mean > levels[-1] + slack):
+    slack = 1e-6 * max(1.0, spectrum["spectral_norm"])
+    lo, hi = spectrum["ground_energy"] - slack, spectrum["max_energy"] + slack
+    if np.any(e_mean < lo) or np.any(e_mean > hi):
         raise ChannelError("recorded energy left the spectral range")
 
-    meta = {
-        "filter": {**asdict(p), "grid_radius": p.grid_radius},
-        "channel": {**asdict(cfg), "n_steps": cfg.n_steps},
-        "health": health,
-        "spectrum": {
-            "ground_energy": float(levels[0]),
-            "max_energy": float(levels[-1]),
-            "gap": gap,
-            "spectral_norm": norm_h,
-            "dim": h.dim,
-        },
-    }
-    return SimulationRecord(
-        steps=record_steps,
-        times=record_steps * cfg.tau,
-        h_time=h_time,
-        a_gates=a_gates,
-        energy_mean=e_mean,
-        energy_se=e_se,
-        overlap_mean=o_mean,
-        overlap_se=o_se,
-        meta=meta,
+    h_time = record_steps * per_step.hamiltonian_time
+    a_gates = record_steps * per_step.controlled_a_count
+    return SimulationRecord(  # the fields in COLUMNS order, then meta
+        record_steps, record_steps * cfg.tau, h_time, a_gates, e_mean, e_se, o_mean, o_se, meta
     )
+
+
+def run_simulation(
+    model: ModelSpec, cfg: ChannelConfig, filter_overrides: dict | None = None
+) -> SimulationRecord:
+    """Full time series for one configuration: :func:`evolve` of its :func:`prepare`."""
+    return evolve(prepare(model, cfg, filter_overrides), cfg)

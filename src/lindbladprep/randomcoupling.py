@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import STEP_DRIFT, mean_se, step_draws
+from .channel import STEP_DRIFT, mean_se
 from .filters import FilterParams, f_hat
 from .jump import exact_jump  # noqa: F401  unused; perfbench/traced.py still wraps this name
 from .linalg import HermitianOperator, LinalgError
@@ -224,6 +224,22 @@ def synthetic_spectrum(kind: str, n: int, *, seed: int = 0, span: float = 4.0) -
     raise ValueError(f"unknown spectrum kind {kind!r}")
 
 
+# The sampler draws this many bytes at a time, for all its streams together
+# (at least one step).  A generator's draw of c rows holds the same numbers
+# as c draws of one row, so no result depends on this size.
+_DRAW_CHUNK_BYTES = 256 * 1024
+
+
+def step_draws(rngs: list, n_steps: int, width: int):
+    """Yield ``n_steps`` arrays of shape ``(len(rngs), width)``, one per step,
+    whose row ``i`` holds the next ``width`` standard normals of ``rngs[i]``,
+    drawn in chunks of :data:`_DRAW_CHUNK_BYTES`."""
+    chunk = max(1, _DRAW_CHUNK_BYTES // (8 * width * len(rngs)))
+    for start in range(0, n_steps, chunk):
+        size = (min(chunk, n_steps - start), width)
+        yield from np.stack([g.standard_normal(size) for g in rngs], axis=1)
+
+
 def _resampled_evolution(
     lam: np.ndarray, spec_r: RandomCouplingSpec, p: FilterParams, p0: np.ndarray, tau: float,
     t_final: float, rngs: list, include_coherent: bool, record: int | None,
@@ -257,7 +273,7 @@ def _resampled_evolution(
     k_floats = kj.view(float)[:, :n]
     rho = np.repeat(np.diag(p0.astype(complex))[None], reps, axis=0)
     kept = []
-    draws = step_draws(rngs, n_steps, 2 * n * n + n, "standard_normal")
+    draws = step_draws(rngs, n_steps, 2 * n * n + n)
     for step, z in enumerate(draws, start=1):  # z: (rep, normal)
         np.multiply(z[:, src], scale, out=k_floats)
         kh = k.conj().swapaxes(1, 2)

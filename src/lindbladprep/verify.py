@@ -24,6 +24,8 @@ from .channel import (
     build_w,
     build_w_naive,
     channel_step_density,
+    evolve,
+    prepare,
     run_simulation,
 )
 from .filters import default_params, f_hat, f_time, quadrature_grid
@@ -238,39 +240,33 @@ def check_transition_matrix():
 
 
 def check_trajectory_density_consistency():
-    model = ModelSpec("tfim", 2, tfim_g=1.2)
-    base = dict(tau=0.2, total_time=4.0, mode="continuous", r=1, record_stride=5)
-    dens = run_simulation(model, ChannelConfig(backend="density", **base))
-    traj = run_simulation(model, ChannelConfig(backend="trajectory", reps=400, seed=21, **base))
+    cfg = ChannelConfig(tau=0.2, total_time=4.0, r=1, record_stride=5, backend="density")
+    prep = prepare(ModelSpec("tfim", 2, tfim_g=1.2), cfg)
+    dens = evolve(prep, cfg)
+    traj = evolve(prep, replace(cfg, backend="trajectory", reps=400, seed=21))
     z = np.abs(traj.overlap_mean - dens.overlap_mean) / np.maximum(traj.overlap_se, 1e-6)
     worst = float(np.max(z[1:]))
     return worst <= 3.0, f"max |z| over checkpoints: {worst:.2f}"
 
 
+# The committed configs that the checks run, as in configs/<name>.json.
+_TFIM4 = ModelSpec("tfim", 4, tfim_g=1.2)
+_HUBBARD4 = ModelSpec("hubbard1d", 4, hubbard_t=1.0, hubbard_u=4.0)
+CONFIGS = {
+    "tfim4_continuous": (_TFIM4, ChannelConfig(
+        tau=0.1, total_time=80.0, reps=100, seed=7, record_stride=10)),
+    "hubbard4_continuous": (_HUBBARD4, ChannelConfig(
+        tau=0.025, total_time=100.0, reps=100, seed=7, record_stride=40)),
+    "tfim4_discrete": (_TFIM4, ChannelConfig(
+        tau=1.0, total_time=80.0, mode="discrete", reps=100, seed=7)),
+    "hubbard4_discrete": (_HUBBARD4, ChannelConfig(
+        tau=0.5, total_time=100.0, mode="discrete", r=2, reps=100, seed=7, record_stride=5)),
+}
+
 # The statistical oracle gate: three committed configs, each run at a seed
 # list fixed before the waiting-time sampler was measured against it.
-ORACLE_RUNS = [
-    (
-        "tfim4_continuous",
-        ModelSpec("tfim", 4, tfim_g=1.2),
-        ChannelConfig(tau=0.1, total_time=80.0, mode="continuous", reps=100, seed=7,
-                      record_stride=10),
-        range(40),
-    ),
-    (
-        "hubbard4_continuous",
-        ModelSpec("hubbard1d", 4, hubbard_t=1.0, hubbard_u=4.0),
-        ChannelConfig(tau=0.025, total_time=100.0, mode="continuous", reps=100, seed=7,
-                      record_stride=40),
-        range(20),
-    ),
-    (
-        "tfim4_discrete",
-        ModelSpec("tfim", 4, tfim_g=1.2),
-        ChannelConfig(tau=1.0, total_time=80.0, mode="discrete", reps=100, seed=7),
-        range(20),
-    ),
-]
+ORACLE_SEEDS = {"tfim4_continuous": range(40), "hubbard4_continuous": range(20),
+                "tfim4_discrete": range(20)}
 ORACLE_BOUND = 4.0
 
 
@@ -288,10 +284,11 @@ def oracle_z(model: ModelSpec, cfg: ChannelConfig, seeds) -> float:
     ``[lo, hi]`` with mean mu, which, unlike the sample SE, does not
     collapse while no trajectory has reached a rare state; the subtracted
     term is the density run's own drift bound.  A record with no excess
-    has z = 0, whatever its denominator.
+    has z = 0, whatever its denominator.  All runs evolve one preparation.
     """
-    dens = run_simulation(model, replace(cfg, backend="density"))
-    runs = [run_simulation(model, replace(cfg, seed=seed)) for seed in seeds]
+    prep = prepare(model, cfg)
+    dens = evolve(prep, replace(cfg, backend="density"))
+    runs = [evolve(prep, replace(cfg, seed=seed)) for seed in seeds]
     n = len(runs) * cfg.reps
     spectrum = dens.meta["spectrum"]
     energy_range = spectrum["ground_energy"], spectrum["max_energy"]
@@ -312,7 +309,7 @@ def oracle_z(model: ModelSpec, cfg: ChannelConfig, seeds) -> float:
 
 
 def check_trajectory_density_oracle():
-    worst = {name: oracle_z(model, cfg, seeds) for name, model, cfg, seeds in ORACLE_RUNS}
+    worst = {name: oracle_z(*CONFIGS[name], seeds) for name, seeds in ORACLE_SEEDS.items()}
     detail = ", ".join(f"{name} {z:.2f}" for name, z in worst.items())
     return max(worst.values()) <= ORACLE_BOUND, (
         f"max z of pooled trajectory means vs density: {detail} (<= {ORACLE_BOUND:g})"
@@ -320,11 +317,7 @@ def check_trajectory_density_oracle():
 
 
 def check_tfim4_continuous():
-    cfg = ChannelConfig(
-        tau=0.1, total_time=80.0, mode="continuous", backend="trajectory", reps=100, seed=7,
-        record_stride=10,
-    )
-    rec = run_simulation(ModelSpec("tfim", 4, tfim_g=1.2), cfg)
+    rec = run_simulation(*CONFIGS["tfim4_continuous"])
     spectrum = rec.meta["spectrum"]
     e_err = abs(rec.final_energy - spectrum["ground_energy"])
     ok = rec.final_overlap >= 0.9 and e_err <= 0.1 * spectrum["gap"]
@@ -336,10 +329,9 @@ def check_tfim4_continuous():
 
 def check_tfim4_cost_ratio():
     # record_stride 1: h_time is read at the first step that reaches 0.9
-    model = ModelSpec("tfim", 4, tfim_g=1.2)
-    base = dict(total_time=80.0, backend="trajectory", reps=100, seed=7)
-    cont = run_simulation(model, ChannelConfig(tau=0.1, mode="continuous", **base))
-    disc = run_simulation(model, ChannelConfig(tau=1.0, mode="discrete", r=1, **base))
+    model, cfg = CONFIGS["tfim4_continuous"]
+    cont = run_simulation(model, replace(cfg, record_stride=1))
+    disc = run_simulation(*CONFIGS["tfim4_discrete"])
     hc = cont.h_time_at_overlap(0.9)
     hd = disc.h_time_at_overlap(0.9)
     if hc is None or hd is None or disc.final_overlap < 0.9:
@@ -432,12 +424,7 @@ def check_concentration():
 
 
 def check_hubbard4_discrete():
-    model = ModelSpec("hubbard1d", 4, hubbard_t=1.0, hubbard_u=4.0)
-    cfg = ChannelConfig(
-        tau=0.5, total_time=100.0, mode="discrete", r=2, backend="trajectory",
-        reps=100, seed=7, record_stride=10,
-    )
-    rec = run_simulation(model, cfg)
+    rec = run_simulation(*CONFIGS["hubbard4_discrete"])
     return rec.final_overlap >= 0.85, f"final overlap {rec.final_overlap:.3f} (>= 0.85)"
 
 

@@ -14,8 +14,10 @@ from lindbladprep.channel import (
     build_w,
     build_w_naive,
     channel_step_density,
+    evolve,
     invariant_blocks,
     mean_se,
+    prepare,
     run_simulation,
     step_cost,
     trajectory_step,
@@ -32,7 +34,7 @@ from lindbladprep.linalg import (
 )
 from lindbladprep.models import ModelSpec, coupling_operator
 from lindbladprep.reference import exact_dilated_step
-from lindbladprep.verify import ORACLE_BOUND, ORACLE_RUNS, oracle_z
+from lindbladprep.verify import CONFIGS, ORACLE_BOUND, ORACLE_SEEDS, oracle_z
 
 from conftest import PAULI_X, PAULI_Y, ground_projector, random_density, random_state
 
@@ -502,6 +504,31 @@ class TestRunSimulation:
         r2 = run_simulation(model, cfg)
         assert np.array_equal(r1.energy_mean, r2.energy_mean)
         assert np.array_equal(r1.overlap_mean, r2.overlap_mean)
+        # run_simulation is evolve of prepare
+        r3 = evolve(prepare(model, cfg), cfg)
+        assert list(r3.rows()) == list(r1.rows()) and r3.meta == r1.meta
+
+    def test_evolve_takes_only_run_fields(self):
+        """One preparation evolves any backend, reps, seed, record_stride or
+        total_time, as a run of that config would; any other field of the
+        config must be the prepared one."""
+        model = ModelSpec("tfim", 2, tfim_g=1.2)
+        cfg = ChannelConfig(tau=0.5, total_time=2.0, record_stride=2, reps=3, seed=4)
+        prep = prepare(model, cfg)
+        for other in (
+            replace(cfg, seed=9), replace(cfg, backend="density"), replace(cfg, reps=5),
+            replace(cfg, record_stride=1), replace(cfg, total_time=3.0),
+        ):
+            rec, ref = evolve(prep, other), run_simulation(model, other)
+            assert list(rec.rows()) == list(ref.rows()) and rec.meta == ref.meta
+        for name, value in (
+            ("tau", 0.25), ("r", 2), ("include_coherent", False), ("initial_state", "ground"),
+        ):
+            with pytest.raises(ValueError, match=f"'{name}'"):
+                evolve(prep, replace(cfg, **{name: value}))
+        # a record owns its meta: changing one leaves the next run alone
+        evolve(prep, cfg).meta["spectrum"]["gap"] = None
+        assert evolve(prep, cfg).meta == run_simulation(model, cfg).meta
 
     def spans_of(self, monkeypatch, model, cfg):
         """The run of ``cfg`` and what each call of ``trajectory_step``, one
@@ -530,6 +557,8 @@ class TestRunSimulation:
         r1, r2 = run_simulation(model, cfg), run_simulation(model, cfg)
         assert np.array_equal(r1.energy_mean, r2.energy_mean)
         assert np.array_equal(r1.overlap_se, r2.overlap_se)
+        r3 = evolve(prepare(model, cfg), cfg)  # run_simulation is evolve of prepare
+        assert list(r3.rows()) == list(r1.rows()) and r3.meta == r1.meta
 
         _, full = self.spans_of(monkeypatch, model, cfg)
         assert len(full) == 3  # records at steps 0, 3, 6 and 8
@@ -662,20 +691,38 @@ class TestTrajectoryDensityOracle:
     means against the density run, on three committed configs."""
 
     def test_runs_are_the_committed_configs(self):
+        """``verify.CONFIGS`` are the committed configs, and the gate runs
+        three of them."""
         configs = Path(__file__).resolve().parents[1] / "configs"
-        for name, model, cfg, _ in ORACLE_RUNS:
+        assert sorted(CONFIGS) == [
+            "hubbard4_continuous", "hubbard4_discrete", "tfim4_continuous", "tfim4_discrete"
+        ]
+        for name, (model, cfg) in CONFIGS.items():
             committed = load_run_config(configs / f"{name}.json")
             assert committed.model == model
             assert committed.channel == cfg
             assert committed.filter_overrides == {}
+        assert set(ORACLE_SEEDS) < set(CONFIGS)
 
-    @pytest.mark.parametrize(
-        "model, cfg, seeds", [run[1:] for run in ORACLE_RUNS], ids=[run[0] for run in ORACLE_RUNS]
-    )
-    def test_gate_on_a_quarter_of_each_run(self, model, cfg, seeds):
+    @pytest.mark.parametrize("name", list(ORACLE_SEEDS))
+    def test_gate_on_a_quarter_of_each_run(self, monkeypatch, name):
         """The gate's seeds and bound, at a quarter of each config's
-        total_time: 20, 25 and 20."""
-        assert oracle_z(model, replace(cfg, total_time=cfg.total_time / 4), seeds) <= ORACLE_BOUND
+        total_time: 20, 25 and 20.  The density run and every seed evolve
+        one preparation: one Kraus build."""
+        import lindbladprep.channel as channel
+
+        builds = []
+        exact = channel.build_kraus_pair
+
+        def spy(*args):
+            builds.append(args[-1])
+            return exact(*args)
+
+        monkeypatch.setattr(channel, "build_kraus_pair", spy)
+        model, cfg = CONFIGS[name]
+        quarter = replace(cfg, total_time=cfg.total_time / 4)
+        assert oracle_z(model, quarter, ORACLE_SEEDS[name]) <= ORACLE_BOUND
+        assert builds == [quarter]
 
 
 def dense_rows(model, cfg, psi0):

@@ -310,7 +310,7 @@ class TestResampledEvolution:
         p = clamped_params(4.0, float(lam[1] - lam[0]))
         spec_r = RandomCouplingSpec.uniform(8, 0.5)
         p0 = np.full(8, 1 / 8)
-        assert channel._DRAW_CHUNK_BYTES // (8 * (2 * 64 + 8) * 3) < 120
+        assert randomcoupling._DRAW_CHUNK_BYTES // (8 * (2 * 64 + 8) * 3) < 120
 
         def rngs():
             return [np.random.default_rng(np.random.SeedSequence([9, i])) for i in range(3)]
@@ -326,7 +326,7 @@ class TestResampledEvolution:
         spec_r = RandomCouplingSpec.uniform(4, 0.5)
 
         def run(chunk_bytes):
-            monkeypatch.setattr(channel, "_DRAW_CHUNK_BYTES", chunk_bytes)
+            monkeypatch.setattr(randomcoupling, "_DRAW_CHUNK_BYTES", chunk_bytes)
             rngs = [np.random.default_rng(np.random.SeedSequence([4, i])) for i in range(2)]
             return self.evolve(rngs, spec_r, 0.05, 0.5, record=4)[1]
 
