@@ -13,8 +13,8 @@ Every command claims its files before it computes, inside
 directory, and an empty output path is refused.
 
 Exit codes, which ``main`` alone picks from what a command raises: 0 success,
-1 runtime failure / failed verification / a path that cannot be read or
-written, 2 invalid configuration or arguments.
+1 runtime failure (out of memory too) / failed verification / a path that
+cannot be read or written, 2 invalid configuration or arguments.
 """
 
 from __future__ import annotations
@@ -160,6 +160,13 @@ def cmd_filter_table(args) -> int:
     out_dir = output_path("--out-dir", args.out_dir)
     if args.points < 0:
         raise ConfigError(f"--points must be non-negative, got {args.points}")
+    grid_bytes = 8 * args.points
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if grid_bytes > memory:
+        raise ConfigError(
+            f"--points {args.points} needs {grid_bytes} bytes for one grid, "
+            f"more than the {memory} bytes of physical memory"
+        )
     model = _model_from_args(args)
     freq_csv, time_csv = out_dir / "filter_freq.csv", out_dir / "filter_time.csv"
     with _publish([freq_csv, time_csv]) as temps:
@@ -262,9 +269,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ConfigError, ChannelError, LinalgError, PlotError, OSError) as exc:
-        # invalid input exits 2; a failed run, or an unreadable input or
-        # unwritable output path, exits 1
+    except (ConfigError, ChannelError, LinalgError, PlotError, OSError, MemoryError) as exc:
+        # invalid input exits 2; a failed run (out of memory too), or an
+        # unreadable input or unwritable output path, exits 1
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_RUNTIME
 

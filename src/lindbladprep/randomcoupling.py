@@ -242,20 +242,20 @@ def step_draws(rngs: list, n_steps: int, width: int):
 
 def _resampled_evolution(
     lam: np.ndarray, spec_r: RandomCouplingSpec, p: FilterParams, p0: np.ndarray, tau: float,
-    t_final: float, rngs: list, include_coherent: bool, record: int | None,
+    t_final: float, rngs: list, record: int | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evolve ``diag(p0)`` once per generator: every ``tau``, draw a coupling
     ``A`` and take one RK4 step of the master equation with ``H = diag(lam)``
     and ``K = F o A``, ``F_ij = fhat(lam_i - lam_j)`` (no eigenbasis needed).
     The generator ``L x = K x K^dag - (K^dag K x + x K^dag K)/2 - i[H, x]`` is
-    applied as ``K x K^dag + J x + (J x)^dag`` with ``J = -K^dag K/2 - iH``
-    (``J = -K^dag K/2`` without the coherent term), since every stage input
-    is Hermitian; ``K x`` and ``J x`` come from one product with the stacked
-    ``[K; J]``.  With ``K`` and ``J`` fixed across the step, the classical
-    RK4 step is ``T4(tau L) rho``, evaluated by Horner's rule as ``rho + tau
-    L(rho + tau/2 L(rho + tau/3 L(rho + tau/4 L rho)))``.  A step fails if it
-    moves a rep's trace by more than ``channel.STEP_DRIFT`` or to NaN; else it
-    is re-Hermitized and renormalized in one pass.  Each generator draws its
+    applied as ``K x K^dag + J x + (J x)^dag`` with ``J = -K^dag K/2 - iH``,
+    since every stage input is Hermitian; ``K x`` and ``J x`` come from one
+    product with the stacked ``[K; J]``.  With ``K`` and ``J`` fixed across
+    the step, the classical RK4 step is ``T4(tau L) rho``, evaluated by
+    Horner's rule as ``rho + tau L(rho + tau/2 L(rho + tau/3 L(rho + tau/4 L
+    rho)))``.  A step fails if it moves a rep's trace by more than
+    ``channel.STEP_DRIFT`` or to NaN; else it is re-Hermitized and
+    renormalized in one pass.  Each generator draws its
     normals for a chunk of steps at a time (:func:`step_draws`); the couplings
     are built one step at a time.  Returns ``record`` evenly spaced checkpoint
     steps (None: the last step only) and the states there, ``(rep, step, n, n)``.
@@ -279,8 +279,7 @@ def _resampled_evolution(
         kh = k.conj().swapaxes(1, 2)
         np.matmul(kh, k, out=j)
         j *= -0.5
-        if include_coherent:
-            j += coherent
+        j += coherent
         x = rho
         for order in (4, 3, 2, 1):
             kx_jx = kj @ x
@@ -304,10 +303,13 @@ def _resampled_evolution(
     return steps, np.stack(kept, axis=1)
 
 
+N_CHECKPOINTS = 10  # evenly spaced steps at which an ergodicity run compares populations
+
+
 @dataclass
 class ErgodicityReport:
     checkpoints: np.ndarray  # times
-    mc_mean: np.ndarray  # (n_checkpoints, dim)
+    mc_mean: np.ndarray  # (N_CHECKPOINTS, dim)
     mc_se: np.ndarray
     ode: np.ndarray
     max_abs_deviation: float
@@ -347,16 +349,16 @@ def ergodicity_experiment(
     t_final: float,
     reps: int,
     seed: int = 0,
-    n_checkpoints: int = 10,
-    include_coherent: bool = True,
 ) -> ErgodicityReport:
     """Monte Carlo mean populations vs the rate-equation prediction.
 
     Each rep evolves a diagonal initial state, redrawing the coupling every
     ``tau`` and integrating the master equation across the interval (one
-    RK4 step; the local error is far below the sampling noise).  Per-rep
-    RNG streams derive from (seed, rep), so a rep's path does not depend on
-    ``reps``, which must be at least 2 for a standard error.
+    RK4 step; the local error is far below the sampling noise).  The mean
+    populations are compared at :data:`N_CHECKPOINTS` (10) evenly spaced
+    steps, the last of them at ``t_final``.  Per-rep RNG streams derive
+    from (seed, rep), so a rep's path does not depend on ``reps``, which
+    must be at least 2 for a standard error.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2 (the standard error needs two samples)")
@@ -368,7 +370,7 @@ def ergodicity_experiment(
         np.random.default_rng(np.random.SeedSequence([seed, rep])) for rep in range(reps)
     ]
     check_steps, states = _resampled_evolution(
-        lam, spec_r, p, p0, tau, t_final, rngs, include_coherent, n_checkpoints
+        lam, spec_r, p, p0, tau, t_final, rngs, N_CHECKPOINTS
     )
     diag_samples = np.diagonal(states, axis1=2, axis2=3).real  # (rep, checkpoint, level)
     mc_mean, mc_se = mean_se(diag_samples, 0)
@@ -486,7 +488,6 @@ def concentration_experiment(
     t_final: float,
     reps: int,
     seed: int = 0,
-    include_coherent: bool = True,
 ) -> ConcentrationReport:
     """Single-run deviation from the expected dynamics vs resampling step.
 
@@ -505,9 +506,7 @@ def concentration_experiment(
     for tau_idx, tau in enumerate(taus):
         seqs = (np.random.SeedSequence([seed, tau_idx, rep]) for rep in range(reps))
         rngs = [np.random.default_rng(q) for q in seqs]
-        _, states = _resampled_evolution(
-            lam, spec_r, p, p0, tau, t_final, rngs, include_coherent, None
-        )
+        _, states = _resampled_evolution(lam, spec_r, p, p0, tau, t_final, rngs, None)
         mean, se = mean_se(np.array([np.linalg.norm(rho - target) for rho in states[:, -1]]), 0)
         devs.append(mean)
         ses.append(se)

@@ -5,9 +5,7 @@
 * ``superoperator_matrix`` / ``superoperator_expm_step``: the vectorized
   generator and its dense exponential (small dimensions only);
 * ``exact_dilated_step``: one exact dilated-unitary step
-  ``Tr_a exp(-i Ktilde sqrt(tau)) [|0><0| x rho] exp(i Ktilde sqrt(tau))``;
-* ``discrete_map_exact``: the dilated step followed by the exact coherent
-  conjugation ``e^{-iH tau} (.) e^{iH tau}``.
+  ``Tr_a exp(-i Ktilde sqrt(tau)) [|0><0| x rho] exp(i Ktilde sqrt(tau))``.
 
 All steps re-Hermitize their output and are trace preserving to roundoff.
 """
@@ -18,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jump import DilatedJump, JumpOperator, dilate
+from .jump import DilatedJump, JumpOperator
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
     LinalgError,
-    SpectralDecomposition,
     evolution_unitary,
     hermitian_eig,
     partial_trace_ancilla,
@@ -35,14 +32,11 @@ __all__ = [
     "evolve_ode",
     "superoperator_matrix",
     "superoperator_expm_step",
-    "exact_dissipative_step",
     "exact_dilated_step",
-    "discrete_map_exact",
 ]
 
 # Superoperator exponentials are only built for tiny systems.
 _SUPEROP_MAX_DIM = 16
-_DISSIPATIVE_SUBSTEPS = 1000  # RK4 steps of exact_dissipative_step
 
 
 @dataclass(frozen=True)
@@ -144,17 +138,6 @@ def superoperator_expm_step(
     return DensityMatrix(out / np.trace(out).real, check_positivity=False)
 
 
-def exact_dissipative_step(k: JumpOperator, rho: DensityMatrix, tau: float) -> DensityMatrix:
-    """Oracle ``exp(L_K tau)`` with the coherent part switched off."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    if tau == 0:
-        return rho
-    h0 = HermitianOperator(np.zeros((k.dim, k.dim)))
-    sys = LindbladSystem(h0, k, include_coherent=False)
-    return evolve_ode(sys, rho, tau, tau / _DISSIPATIVE_SUBSTEPS)
-
-
 def exact_dilated_step(
     kd: DilatedJump, rho: DensityMatrix, tau: float
 ) -> DensityMatrix:
@@ -173,26 +156,3 @@ def exact_dilated_step(
     out = partial_trace_ancilla(big)
     out = (out + out.conj().T) / 2
     return DensityMatrix(out, check_positivity=False)
-
-
-def discrete_map_exact(
-    sys: LindbladSystem, rho: DensityMatrix, tau: float,
-    spec: SpectralDecomposition | None = None,
-) -> DensityMatrix:
-    """Exact dilated dissipative step followed by ``e^{-iH tau}`` conjugation.
-
-    This is the map the r-segment circuit scheme converges to as the
-    segment count grows; with the coherent flag off the conjugation is
-    skipped.
-    """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    out = exact_dilated_step(dilate(sys.k), rho, tau)
-    if not sys.include_coherent:
-        return out
-    if spec is None:
-        spec = hermitian_eig(sys.h)
-    u = evolution_unitary(spec, tau)
-    m = u @ out.matrix @ u.conj().T
-    m = (m + m.conj().T) / 2
-    return DensityMatrix(m, check_positivity=False)

@@ -635,7 +635,7 @@ lam = rc.synthetic_spectrum("equispaced", 3)
 p = default_params(4.0, 2.0, clamp=True)
 sigma = rc.RandomCouplingSpec.uniform(3)
 p0 = np.full(3, 1 / 3)
-rc.ergodicity_experiment(lam, sigma, p, p0, tau=0.5, t_final=1.0, reps=2, n_checkpoints=2)
+rc.ergodicity_experiment(lam, sigma, p, p0, tau=0.5, t_final=1.0, reps=2)
 rc.concentration_experiment(lam, sigma, p, p0, taus=[0.5], t_final=1.0, reps=2)
 rc.mixing_layers_experiment(lam, sigma, p, [2, 0], n_times=3)
 model = ModelSpec("tfim", 2, tfim_g=1.2)
@@ -646,6 +646,19 @@ assert main(["filter-table", "--out-dir", out, "--points", "5"]) == 0
 assert main(["jump-report", "--sites", "2", "--sparsity-out", out + "/k.csv"]) == 0
 """
         assert modules_after(code, "scipy") == []
+
+    def test_every_export_resolves(self):
+        """Each name in a module's ``__all__`` is defined there, so a deletion
+        cannot leave a stale export."""
+        import importlib
+        import pkgutil
+
+        infos = pkgutil.iter_modules(lindbladprep.__path__, "lindbladprep.")
+        modules = [importlib.import_module(info.name) for info in infos]
+        exported = [m for m in modules if hasattr(m, "__all__")]
+        assert len(exported) >= 10
+        stale = [f"{m.__name__}.{name}" for m in exported for name in m.__all__ if not hasattr(m, name)]
+        assert stale == []
 
 
 class TestPlotting:
@@ -930,6 +943,8 @@ BAD_AUX = [
     ("verify fast --report {tmp}/dir", 1),
     ("plot {tmp}/good.csv --kind energy-time --out {tmp}/p.svg --label a\x01b", 2),
     ("plot {tmp}/r\udcff.csv --kind energy-time --out {tmp}/p.svg", 2),
+    # refused before any allocation: 8 bytes a point is more than any machine's memory
+    ("filter-table --sites 2 --points 4611686018427387904 --out-dir {tmp}/tables", 2),
 ]
 
 
@@ -945,7 +960,7 @@ class TestBadAuxInput:
             "filter-table-out-dir-is-file", "jump-report-sparsity-out-is-directory",
             "filter-table-time-csv-is-directory", "plot-out-empty", "filter-table-out-dir-empty",
             "jump-report-sparsity-out-empty", "verify-report-empty", "verify-report-is-directory",
-            "plot-label-not-xml", "plot-csv-stem-not-utf8",
+            "plot-label-not-xml", "plot-csv-stem-not-utf8", "filter-table-points-too-many",
         ],
     )
     def test_one_error_line(self, tmp_path, monkeypatch, capsys, argv, code):
@@ -986,6 +1001,7 @@ class TestExitCodeMap:
             (ChannelError("step failed"), 1),
             (LinalgError("eigensolve failed"), 1),
             (OSError("disk full"), 1),
+            (MemoryError("cannot allocate the state"), 1),
         ]:
             def failing(args, exc=exc):
                 raise exc

@@ -8,7 +8,6 @@ from lindbladprep.jump import exact_jump
 from lindbladprep.linalg import DensityMatrix, HermitianOperator, LinalgError, hermitian_eig
 from lindbladprep.randomcoupling import (
     RandomCouplingSpec,
-    TransitionMatrix,
     _expm,
     _resampled_evolution,
     concentration_experiment,
@@ -26,14 +25,14 @@ def clamped_params(norm_h, gap):
     return default_params(norm_h, gap, clamp=True)
 
 
-def rk4_oracle(lam, spec_r, p, p0, tau, n_steps, rngs, include_coherent):
+def rk4_oracle(lam, spec_r, p, p0, tau, n_steps, rngs):
     """The classical k1..k4 RK4 loop of the resampled evolution, with one draw
     of ``2n^2 + n`` normals per step and generator; the state after every
     step, ``(rep, step, n, n)``."""
     n = lam.size
     f = f_hat(lam[:, None] - lam[None, :], p)
     std = np.sqrt(spec_r.sigma / 2)
-    coherent = -1j * np.diag(lam) if include_coherent else 0.0
+    coherent = -1j * np.diag(lam)
     rho = np.repeat(np.diag(p0.astype(complex))[None], len(rngs), axis=0)
     states = []
 
@@ -221,7 +220,7 @@ class TestErgodicity:
         rate = f_hat(-1.0, p) ** 2 * s
         rep = ergodicity_experiment(
             lam, RandomCouplingSpec.uniform(2, s), p, np.array([0.0, 1.0]),
-            tau=0.02, t_final=1.6, reps=800, seed=12, n_checkpoints=8,
+            tau=0.02, t_final=1.6, reps=800, seed=12,
         )
         # fit the excited-population decay rate from the MC means
         fitted = -np.polyfit(rep.checkpoints, np.log(rep.mc_mean[:, 1]), 1)[0]
@@ -284,27 +283,21 @@ class TestResampledEvolution:
     p = clamped_params(2.5, 1.0)
     p0 = np.array([0.1, 0.4, 0.3, 0.2])
 
-    def evolve(self, rngs, spec_r, tau, t_final, record=None, include_coherent=True):
-        return _resampled_evolution(
-            self.lam, spec_r, self.p, self.p0, tau, t_final, rngs, include_coherent, record
-        )
+    def evolve(self, rngs, spec_r, tau, t_final, record=None):
+        return _resampled_evolution(self.lam, spec_r, self.p, self.p0, tau, t_final, rngs, record)
 
-    @pytest.mark.parametrize("include_coherent", [True, False])
-    def test_one_step_matches_rk4_oracle(self, include_coherent):
+    def test_one_step_matches_rk4_oracle(self):
         spec_r = RandomCouplingSpec.uniform(4, 0.5)
         a = sample_coupling(spec_r, np.random.default_rng(11))
         h = HermitianOperator(np.diag(self.lam))
         k = exact_jump(hermitian_eig(h), a, self.p)
         rho0 = DensityMatrix(np.diag(self.p0), check_positivity=False)
-        expect = evolve_ode(LindbladSystem(h, k, include_coherent), rho0, 0.2, 0.2).matrix
+        expect = evolve_ode(LindbladSystem(h, k), rho0, 0.2, 0.2).matrix
         # the kernel's first draw from an identically seeded stream is the same coupling
-        _, states = self.evolve(
-            [np.random.default_rng(11)], spec_r, 0.2, 0.2, include_coherent=include_coherent
-        )
+        _, states = self.evolve([np.random.default_rng(11)], spec_r, 0.2, 0.2)
         assert np.max(np.abs(states[0, -1] - expect)) <= 1e-12
 
-    @pytest.mark.parametrize("include_coherent", [True, False])
-    def test_many_steps_match_rk4_oracle(self, include_coherent):
+    def test_many_steps_match_rk4_oracle(self):
         # 120 steps of 3 reps on 8 levels cross a boundary of the coupling draws
         lam = synthetic_spectrum("equispaced", 8, span=4.0)
         p = clamped_params(4.0, float(lam[1] - lam[0]))
@@ -315,11 +308,9 @@ class TestResampledEvolution:
         def rngs():
             return [np.random.default_rng(np.random.SeedSequence([9, i])) for i in range(3)]
 
-        steps, states = _resampled_evolution(
-            lam, spec_r, p, p0, 0.01, 1.2, rngs(), include_coherent, 120
-        )
+        steps, states = _resampled_evolution(lam, spec_r, p, p0, 0.01, 1.2, rngs(), 120)
         assert list(steps) == list(range(1, 121))
-        expect = rk4_oracle(lam, spec_r, p, p0, 0.01, 120, rngs(), include_coherent)
+        expect = rk4_oracle(lam, spec_r, p, p0, 0.01, 120, rngs())
         assert np.max(np.abs(states - expect)) <= 1e-13
 
     def test_independent_of_draw_chunk_size(self, monkeypatch):

@@ -14,10 +14,8 @@ from lindbladprep.linalg import (
 from lindbladprep.models import ModelSpec, build_tfim, coupling_operator
 from lindbladprep.reference import (
     LindbladSystem,
-    discrete_map_exact,
     evolve_ode,
     exact_dilated_step,
-    exact_dissipative_step,
     lindbladian_apply,
     superoperator_expm_step,
     superoperator_matrix,
@@ -106,31 +104,6 @@ class TestEvolveOde:
             evolve_ode(sys, rho, 1e5, 1e5)
 
 
-class TestExactDissipativeStep:
-    def test_zero_time(self, rng):
-        sys, _ = tfim2_system()
-        rho = random_density(rng, 4)
-        assert exact_dissipative_step(sys.k, rho, 0.0) is rho
-
-    def test_ground_state_fixed(self):
-        sys, spec = tfim2_system(clamp=True)
-        rho_g = DensityMatrix.pure(spec.ground_state)
-        for tau in (0.1, 1.0, 5.0):
-            out = exact_dissipative_step(sys.k, rho_g, tau)
-            assert trace_norm(out.matrix - rho_g.matrix) <= 1e-10
-
-    def test_superoperator_oracle(self, rng):
-        sys, _ = tfim2_system()
-        rho = random_density(rng, 4)
-        out = exact_dissipative_step(sys.k, rho, 0.1)
-        ref = superoperator_expm_step(
-            LindbladSystem(HermitianOperator(np.zeros((4, 4))), sys.k, include_coherent=False),
-            rho,
-            0.1,
-        )
-        assert np.max(np.abs(out.matrix - ref.matrix)) <= 1e-9
-
-
 class TestExactDilatedStep:
     def test_zero_time_and_zero_jump(self, rng):
         sys, spec = tfim2_system()
@@ -168,47 +141,12 @@ class TestExactDilatedStep:
         assert np.min(np.linalg.eigvalsh(out.matrix)) >= -1e-8
 
 
-class TestDiscreteMapExact:
-    def test_ground_state_fixed_any_tau(self):
-        sys, spec = tfim2_system(clamp=True)
-        rho_g = DensityMatrix.pure(spec.ground_state)
-        for tau in (0.5, 1.0, 3.0):
-            out = discrete_map_exact(sys, rho_g, tau, spec=spec)
-            assert trace_norm(out.matrix - rho_g.matrix) <= 1e-10
-
-    def test_zero_jump_is_conjugation(self, rng):
-        model = ModelSpec("tfim", 2, tfim_g=1.2)
-        h = model.hamiltonian()
-        spec = hermitian_eig(h)
-        p = default_params(spec.spectral_norm, spec.gap)
-        k0 = quadrature_jump(spec, HermitianOperator(np.zeros((4, 4))), p)
-        sys = LindbladSystem(h, k0)
-        rho = random_density(rng, 4)
-        out = discrete_map_exact(sys, rho, 0.8, spec=spec)
-        u = scipy.linalg.expm(-0.8j * h.matrix)
-        assert np.max(np.abs(out.matrix - u @ rho.matrix @ u.conj().T)) <= 1e-10
-
-    def test_first_order_convergence_to_ode(self, rng):
-        sys, spec = tfim2_system()
-        rho0 = random_density(rng, 4)
-        ref = evolve_ode(sys, rho0, 1.0, 1e-4)
-        errs, taus = [], [0.2, 0.1, 0.05, 0.025]
-        for tau in taus:
-            rho = rho0
-            for _ in range(int(round(1.0 / tau))):
-                rho = discrete_map_exact(sys, rho, tau, spec=spec)
-            errs.append(trace_norm(rho.matrix - ref.matrix))
-        slope = np.polyfit(np.log(taus), np.log(errs), 1)[0]
-        assert abs(slope - 1.0) <= 0.2
-
-
 class TestChannelProperties:
     def test_step_preserves_state_invariants(self, rng):
-        sys, spec = tfim2_system()
+        sys, _ = tfim2_system()
         rho = random_density(rng, 4)
         for step in (
             lambda r: exact_dilated_step(dilate(sys.k), r, 0.4),
-            lambda r: discrete_map_exact(sys, r, 0.4, spec=spec),
             lambda r: superoperator_expm_step(sys, r, 0.4),
         ):
             out = step(rho)
@@ -217,13 +155,12 @@ class TestChannelProperties:
             assert np.min(np.linalg.eigvalsh(out.matrix)) >= -1e-8
 
     def test_contractivity(self, rng):
-        sys, spec = tfim2_system()
+        sys, _ = tfim2_system()
         for _ in range(10):
             r1, r2 = random_density(rng, 4), random_density(rng, 4)
             base = trace_norm(r1.matrix - r2.matrix)
             for step in (
                 lambda r: exact_dilated_step(dilate(sys.k), r, 0.4),
-                lambda r: discrete_map_exact(sys, r, 0.4, spec=spec),
                 lambda r: superoperator_expm_step(sys, r, 0.4),
             ):
                 after = trace_norm(step(r1).matrix - step(r2).matrix)
