@@ -27,11 +27,11 @@ serves as the oracle.
 Every factor of ``W`` is block-diagonal on the connected components of the
 joint nonzero pattern of ``H`` and ``A`` (:func:`invariant_blocks`), so
 neither the channel nor the dynamics ever links two blocks.
-:func:`prepare` partitions ``(H, A)`` once, eigensolves ``H`` one block
-at a time (:func:`blocked_eig`) and builds only the block of the initial
-eigenstate, the one :func:`evolve` steps: a block of size ``d`` costs
-``r * 2 * (2M + 1)`` hops of ``(d, d) @ (d, 2d)``.  This is exact, not an
-approximation.  TFIM is one block; the Hubbard chain splits into its
+:func:`spectrum` partitions ``(H, A)`` once and eigensolves ``H`` one block
+at a time (:func:`blocked_eig`); :func:`prepare` builds only the block of
+the initial eigenstate, the one :func:`evolve` steps: a block of size ``d``
+costs ``r * 2 * (2M + 1)`` hops of ``(d, d) @ (d, 2d)``.  This is exact,
+not an approximation.  TFIM is one block; the Hubbard chain splits into its
 (N_up, N_dn) sectors (25 for four sites, the largest of size 36).
 
 The trajectory backend samples waiting times, the quantum-jump method of
@@ -53,6 +53,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -78,6 +79,8 @@ __all__ = [
     "build_w_naive",
     "blocked_eig",
     "invariant_blocks",
+    "restrict",
+    "spectrum",
     "isometry_defect",
     "step_cost",
     "channel_step_density",
@@ -348,13 +351,18 @@ def invariant_blocks(*ops: HermitianOperator) -> list[np.ndarray]:
     return blocks
 
 
+def restrict(op: HermitianOperator, idx: np.ndarray) -> HermitianOperator:
+    """``op`` on the basis indices ``idx``, and ``op`` itself, not a copy, on all of them."""
+    return op if idx.size == op.dim else HermitianOperator(op.matrix[np.ix_(idx, idx)])
+
+
 def blocked_eig(h: HermitianOperator, blocks: list[np.ndarray]) -> list[SpectralDecomposition]:
     """Spectrum of ``h`` on each block of ``blocks``, one eigensolve per block.
 
     ``blocks`` must be invariant under ``h`` (see :func:`invariant_blocks`);
     entry ``k`` is the spectrum of ``h`` restricted to ``blocks[k]``.
     """
-    return [hermitian_eig(HermitianOperator(h.matrix[np.ix_(idx, idx)])) for idx in blocks]
+    return [hermitian_eig(restrict(h, idx)) for idx in blocks]
 
 
 def isometry_defect(m0: np.ndarray, m1: np.ndarray) -> float:
@@ -598,6 +606,40 @@ def mean_se(samples: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return samples.mean(axis=axis), samples.std(axis=axis, ddof=min(1, n - 1)) / np.sqrt(n)
 
 
+Spectrum = namedtuple("Spectrum", "h a blocks specs order levels gap norm_h params")
+
+
+def spectrum(model: ModelSpec, filter_overrides: dict | None = None) -> Spectrum:
+    """Levels and filter of ``model``: ``(H, A)`` is partitioned once into
+    its invariant blocks (:func:`invariant_blocks`) and ``H`` eigensolved
+    one block at a time (:func:`blocked_eig`).  ``levels[i]`` is level
+    ``order[i]`` of the blocks' levels in turn, by a stable sort, so
+    levels that tie exactly across blocks keep the order of their blocks.
+    The filter ``params`` is the parameter rule applied to their spectral
+    norm and gap, with ``filter_overrides`` (a run config's ``filter``
+    block) on top; invalid overrides raise ``ConfigError``.
+    """
+    h, a = model.hamiltonian(), coupling_operator(model)
+    blocks = invariant_blocks(h, a)
+    specs = blocked_eig(h, blocks)
+    levels = np.concatenate([s.eigenvalues for s in specs])
+    order = np.argsort(levels, kind="stable")
+    levels = levels[order]
+    gap = float(levels[1] - levels[0]) if levels.size > 1 else 0.0
+    norm_h = float(np.max(np.abs(levels)))
+    from .config import MIN_GAP, resolve_filter_params  # config imports this module
+
+    # without a gap this raises ConfigError unless every filter field is given
+    p = resolve_filter_params(filter_overrides or {}, norm_h, gap)
+    if gap <= MIN_GAP:
+        warnings.warn(
+            f"ground space is (near-)degenerate (gap <= {MIN_GAP:g}); overlap is "
+            "measured against the full ground-space projector",
+            stacklevel=3,
+        )
+    return Spectrum(h, a, blocks, specs, order, levels, gap, norm_h, p)
+
+
 @dataclass(frozen=True)
 class Preparation:
     """What :func:`prepare` builds for ``cfg``: the filter, ``meta``'s filter,
@@ -620,47 +662,20 @@ def prepare(
 ) -> Preparation:
     """Everything of a run of ``cfg`` before its first step.
 
-    The filter is the parameter rule applied to the computed spectral norm
-    and gap, with ``filter_overrides`` (a run config's ``filter`` block) on
-    top; invalid overrides raise ``ConfigError``.
-
-    ``(H, A)`` is partitioned once into its invariant blocks
-    (:func:`invariant_blocks`) and ``H`` eigensolved one block at a time
-    (:func:`blocked_eig`).  All levels are ordered with a stable sort, so
-    levels that tie exactly across blocks keep the order of their blocks;
-    that order feeds the filter rule, the choice of the initial eigenstate,
-    the spectral-range check of :func:`evolve` and ``meta["spectrum"]``.
-    A run then evolves only the block that holds the initial eigenstate:
-    the state, the Kraus pair and the ground projector are built from that
-    block's own spectrum, the projector onto its levels within 1e-9 of the
-    global ground energy.  No step leaves the block, so this is exact; a
-    ground state in another block has overlap exactly 0.
+    :func:`spectrum` owns the partition and the level order; the order
+    picks the initial eigenstate and feeds the spectral-range check of
+    :func:`evolve` and ``meta["spectrum"]``.  A run evolves only the block
+    of the initial eigenstate: its state, Kraus pair and ground projector
+    come from that block's own spectrum, the projector onto its levels
+    within 1e-9 of the global ground energy.  No step leaves the block, so
+    this is exact; a ground state in another block has overlap exactly 0.
     """
-    h, a = model.hamiltonian(), coupling_operator(model)
-    blocks = invariant_blocks(h, a)
-    specs = blocked_eig(h, blocks)
-    levels = np.concatenate([s.eigenvalues for s in specs])
-    order = np.argsort(levels, kind="stable")
-    levels = levels[order]
-    gap = float(levels[1] - levels[0]) if levels.size > 1 else 0.0
-    norm_h = float(np.max(np.abs(levels)))
-    from .config import MIN_GAP, resolve_filter_params  # config imports this module
-
-    # without a gap this raises ConfigError unless every filter field is given
-    p = resolve_filter_params(filter_overrides or {}, norm_h, gap)
-    if gap <= MIN_GAP:
-        warnings.warn(
-            f"ground space is (near-)degenerate (gap <= {MIN_GAP:g}); overlap is "
-            "measured against the full ground-space projector",
-            stacklevel=2,
-        )
-
+    h, a, blocks, specs, order, levels, gap, norm_h, p = spectrum(model, filter_overrides)
     # (block, column) of every level, in ascending order
     where = [(b, j) for b, s in enumerate(specs) for j in range(s.dim)]
     b, j = where[order[_initial_level(cfg, levels.size)]]
     idx, spec = blocks[b], specs[b]
-    on_block = np.ix_(idx, idx)
-    kraus, defect = build_kraus_pair(spec, HermitianOperator(a.matrix[on_block]), p, cfg)
+    kraus, defect = build_kraus_pair(spec, restrict(a, idx), p, cfg)
     vg = spec.eigenvectors[:, spec.eigenvalues <= levels[0] + 1e-9]
     meta = {
         "filter": {**asdict(p), "grid_radius": p.grid_radius},
@@ -669,7 +684,7 @@ def prepare(
                      "gap": gap, "spectral_norm": norm_h, "dim": h.dim},
     }
     return Preparation(
-        cfg, p, meta, h.matrix[on_block], kraus, vg @ vg.conj().T, spec.eigenvectors[:, j]
+        cfg, p, meta, restrict(h, idx).matrix, kraus, vg @ vg.conj().T, spec.eigenvectors[:, j]
     )
 
 
@@ -702,7 +717,7 @@ def evolve(prep: Preparation, cfg: ChannelConfig) -> SimulationRecord:
     per_step = step_cost(prep.params, cfg)
     meta = {key: dict(part) for key, part in prep.meta.items()}  # each record owns its meta
     meta["channel"] = {**asdict(cfg), "n_steps": cfg.n_steps}
-    health, spectrum = meta["health"], meta["spectrum"]
+    health, spectral = meta["health"], meta["spectrum"]
 
     if cfg.backend == "density":
         state = DensityMatrix.pure(psi0).matrix
@@ -747,8 +762,8 @@ def evolve(prep: Preparation, cfg: ChannelConfig) -> SimulationRecord:
 
     if np.any(o_mean < -1e-9) or np.any(o_mean > 1 + 1e-9):
         raise ChannelError("recorded overlap left [0, 1]")
-    slack = 1e-6 * max(1.0, spectrum["spectral_norm"])
-    lo, hi = spectrum["ground_energy"] - slack, spectrum["max_energy"] + slack
+    slack = 1e-6 * max(1.0, spectral["spectral_norm"])
+    lo, hi = spectral["ground_energy"] - slack, spectral["max_energy"] + slack
     if np.any(e_mean < lo) or np.any(e_mean > hi):
         raise ChannelError("recorded energy left the spectral range")
 

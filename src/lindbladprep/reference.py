@@ -41,11 +41,10 @@ _SUPEROP_MAX_DIM = 16
 
 @dataclass(frozen=True)
 class LindbladSystem:
-    """Generator data: Hamiltonian, jump operator, coherent-part switch."""
+    """Generator data: Hamiltonian and jump operator."""
 
     h: HermitianOperator
     k: JumpOperator
-    include_coherent: bool = True
 
     def __post_init__(self):
         if self.h.dim != self.k.dim:
@@ -58,13 +57,10 @@ class LindbladSystem:
 
 def lindbladian_apply(sys: LindbladSystem, rho: np.ndarray) -> np.ndarray:
     """Apply the generator to a (not necessarily normalized) matrix."""
-    k = sys.k.matrix
+    h, k = sys.h.matrix, sys.k.matrix
     kdk = k.conj().T @ k
     out = k @ rho @ k.conj().T - 0.5 * (kdk @ rho + rho @ kdk)
-    if sys.include_coherent:
-        h = sys.h.matrix
-        out = out - 1j * (h @ rho - rho @ h)
-    return out
+    return out - 1j * (h @ rho - rho @ h)
 
 
 def _rk4_step(sys: LindbladSystem, rho: np.ndarray, dt: float) -> np.ndarray:
@@ -116,13 +112,10 @@ def superoperator_matrix(sys: LindbladSystem) -> np.ndarray:
     if n > _SUPEROP_MAX_DIM:
         raise ValueError(f"superoperator matrix restricted to dim <= {_SUPEROP_MAX_DIM}")
     eye = np.eye(n, dtype=complex)
-    k = sys.k.matrix
+    h, k = sys.h.matrix, sys.k.matrix
     kdk = k.conj().T @ k
     m = np.kron(k.conj(), k) - 0.5 * (np.kron(eye, kdk) + np.kron(kdk.T, eye))
-    if sys.include_coherent:
-        h = sys.h.matrix
-        m = m - 1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    return m
+    return m - 1j * (np.kron(eye, h) - np.kron(h.T, eye))
 
 
 def superoperator_expm_step(

@@ -27,6 +27,7 @@ from .channel import (
     evolve,
     prepare,
     run_simulation,
+    spectrum,
 )
 from .filters import default_params, f_hat, f_time, quadrature_grid
 from .jump import dilate, exact_jump, ground_residual, quadrature_jump
@@ -37,7 +38,7 @@ from .linalg import (
     hermitian_eig,
     trace_norm,
 )
-from .models import ModelSpec, coupling_operator
+from .models import ModelSpec
 from .randomcoupling import (
     RandomCouplingSpec,
     concentration_experiment,
@@ -65,11 +66,8 @@ class CheckResult:
 
 
 def _tfim_setup(sites: int = 2, clamp: bool = False):
-    model = ModelSpec("tfim", sites, tfim_g=1.2)
-    h = model.hamiltonian()
-    spec = hermitian_eig(h)
-    p = default_params(spec.spectral_norm, spec.gap, clamp=clamp)
-    return h, spec, coupling_operator(model), p
+    sp = spectrum(ModelSpec("tfim", sites, tfim_g=1.2))  # TFIM is one block
+    return sp.h, sp.specs[0], sp.a, sp.params.with_clamp(clamp)
 
 
 def _random_density(rng, dim) -> DensityMatrix:
@@ -163,7 +161,7 @@ def check_lemma1_slope():
     rng = np.random.default_rng(5)
     rho = _random_density(rng, 4)
     h0 = HermitianOperator(np.zeros((4, 4)))
-    sys_k = LindbladSystem(h0, k, include_coherent=False)
+    sys_k = LindbladSystem(h0, k)
     taus = np.logspace(-3, -1, 5)
     errs = [
         trace_norm(exact_dilated_step(kd, rho, t).matrix - superoperator_expm_step(sys_k, rho, t).matrix)
@@ -290,13 +288,13 @@ def oracle_z(model: ModelSpec, cfg: ChannelConfig, seeds) -> float:
     dens = evolve(prep, replace(cfg, backend="density"))
     runs = [evolve(prep, replace(cfg, seed=seed)) for seed in seeds]
     n = len(runs) * cfg.reps
-    spectrum = dens.meta["spectrum"]
-    energy_range = spectrum["ground_energy"], spectrum["max_energy"]
+    spectral = dens.meta["spectrum"]
+    energy_range = spectral["ground_energy"], spectral["max_energy"]
     drift = dens.steps[1:] * STEP_DRIFT
     worst = 0.0
     for name, (lo, hi), c in (
         ("overlap", (0.0, 1.0), 1.0),
-        ("energy", energy_range, max(1.0, spectrum["spectral_norm"])),
+        ("energy", energy_range, max(1.0, spectral["spectral_norm"])),
     ):
         mu = getattr(dens, f"{name}_mean")[1:]
         mean = np.mean([getattr(run, f"{name}_mean")[1:] for run in runs], axis=0)
@@ -318,12 +316,12 @@ def check_trajectory_density_oracle():
 
 def check_tfim4_continuous():
     rec = run_simulation(*CONFIGS["tfim4_continuous"])
-    spectrum = rec.meta["spectrum"]
-    e_err = abs(rec.final_energy - spectrum["ground_energy"])
-    ok = rec.final_overlap >= 0.9 and e_err <= 0.1 * spectrum["gap"]
+    spectral = rec.meta["spectrum"]
+    e_err = abs(rec.final_energy - spectral["ground_energy"])
+    ok = rec.final_overlap >= 0.9 and e_err <= 0.1 * spectral["gap"]
     return ok, (
         f"final overlap {rec.final_overlap:.3f} (>= 0.9), "
-        f"energy error {e_err:.3f} (<= {0.1 * spectrum['gap']:.3f})"
+        f"energy error {e_err:.3f} (<= {0.1 * spectral['gap']:.3f})"
     )
 
 
@@ -362,7 +360,7 @@ def check_tfim4_nyquist():
 def check_global_first_order():
     h, spec, a, p = _tfim_setup()
     kq = quadrature_jump(spec, a, p)
-    sys_mod = LindbladSystem(h, kq, include_coherent=True)
+    sys_mod = LindbladSystem(h, kq)
     rng = np.random.default_rng(11)
     rho_i = _random_density(rng, 4)
     u_g = evolution_unitary(spec, p.grid_radius)

@@ -845,6 +845,65 @@ class TestAuxCommands:
         assert lines[0] == "i,j,abs_k"
         assert len(lines) == 17  # 4x4 entries + header
 
+    def test_filter_table_and_jump_report_eigensolve_only_blocks(self, tmp_path, monkeypatch, capsys):
+        """On Hubbard-2 both commands eigensolve H one invariant block at a
+        time, as ``run`` does, and nothing of the full size 16."""
+        import lindbladprep.channel as channel
+        import lindbladprep.cli as cli
+        import lindbladprep.linalg as linalg
+
+        assert not hasattr(cli, "hermitian_eig")  # a name bound in cli would escape the spy
+        exact = linalg.hermitian_eig
+        solved = []
+
+        def spy(op):
+            solved.append(op.matrix)
+            return exact(op)
+
+        monkeypatch.setattr(linalg, "hermitian_eig", spy)
+        monkeypatch.setattr(channel, "hermitian_eig", spy)
+        model = ModelSpec("hubbard1d", 2, hubbard_t=1.0, hubbard_u=4.0)
+        h = model.hamiltonian().matrix
+        blocks = invariant_blocks(model.hamiltonian(), coupling_operator(model))
+        assert len(blocks) == 9
+        argv = ["--model", "hubbard1d", "--sites", "2"]
+        for command in (["filter-table", *argv, "--out-dir", str(tmp_path)], ["jump-report", *argv]):
+            solved.clear()
+            assert main(command) == 0
+            assert len(solved) == len(blocks)
+            for got, idx in zip(solved, blocks):
+                assert np.array_equal(got, h[np.ix_(idx, idx)])
+        capsys.readouterr()
+
+    def test_filter_table_and_jump_report_take_the_run_filter(self, tmp_path, capsys):
+        """On Hubbard-2 both tables are the ones of the filter that a run of
+        the same model records in its manifest, byte for byte, and the gap
+        row is the manifest's gap."""
+        from lindbladprep.filters import FilterParams, f_hat, f_time
+        from lindbladprep.plotting import write_csv
+
+        data = tiny_config(tmp_path)
+        data["model"] = {"kind": "hubbard1d", "sites": 2, "t": 1.0, "u": 4.0}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["run", str(cfg_path)]) == 0
+        resolved = json.loads((tmp_path / "run.manifest.json").read_text())["resolved"]
+        derived = ("m_half", "grid_radius")
+        p = FilterParams(**{k: v for k, v in resolved["filter"].items() if k not in derived})
+        argv = ["--model", "hubbard1d", "--sites", "2"]
+        assert main(["filter-table", *argv, "--out-dir", str(tmp_path / "tables"), "--points", "41"]) == 0
+        omegas = np.linspace(-(p.a + 6 * p.delta_a), 6 * p.delta_b, 41)
+        ss = np.linspace(-p.grid_radius, p.grid_radius, 41)
+        f = f_time(ss, p)
+        write_csv(tmp_path / "freq.csv", ["omega", "f_hat"], zip(omegas.tolist(), f_hat(omegas, p).tolist()))
+        write_csv(tmp_path / "time.csv", ["s", "re_f", "im_f"], zip(ss.tolist(), f.real.tolist(), f.imag.tolist()))
+        for table, expected in (("filter_freq.csv", "freq.csv"), ("filter_time.csv", "time.csv")):
+            assert (tmp_path / "tables" / table).read_bytes() == (tmp_path / expected).read_bytes()
+        capsys.readouterr()
+        assert main(["jump-report", *argv]) == 0
+        rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines())
+        assert float(rows["gap"]) == resolved["spectrum"]["gap"]
+
     @pytest.mark.parametrize(
         "argv, model",
         [
@@ -880,6 +939,8 @@ class TestAuxCommands:
         assert rows.keys() == expect.keys()
         for name, value in expect.items():
             assert abs(rows[name] - value) <= 1e-12, name
+        # column 0 of the clamped matrix is exactly zero: fhat vanishes at w >= 0
+        assert rows["ground_residual_clamped"] == 0.0
         v = spec.eigenvectors
         table = np.loadtxt(tmp_path / "k.csv", delimiter=",", skiprows=1)
         n = spec.dim

@@ -24,13 +24,13 @@ from lindbladprep.reference import (
 from conftest import PAULI_Z, random_density
 
 
-def tfim2_system(clamp=False, coherent=True):
+def tfim2_system(clamp=False):
     model = ModelSpec("tfim", 2, tfim_g=1.2)
     h = model.hamiltonian()
     spec = hermitian_eig(h)
     p = default_params(spec.spectral_norm, spec.gap, clamp=clamp)
     k = exact_jump(spec, coupling_operator(model), p)
-    return LindbladSystem(h, k, include_coherent=coherent), spec
+    return LindbladSystem(h, k), spec
 
 
 class TestLindbladianApply:
@@ -120,7 +120,7 @@ class TestExactDilatedStep:
         kd = dilate(sys.k)
         rho = random_density(rng, 4)
         zero_h = HermitianOperator(np.zeros((4, 4)))
-        sys_k = LindbladSystem(zero_h, sys.k, include_coherent=False)
+        sys_k = LindbladSystem(zero_h, sys.k)
         taus = np.logspace(-3, -1, 5)
         errs = [
             trace_norm(
@@ -171,10 +171,8 @@ class TestChannelProperties:
         sys, _ = tfim2_system()
         zero_h = HermitianOperator(np.zeros((4, 4)))
         m_full = superoperator_matrix(sys)
-        m_h = superoperator_matrix(
-            LindbladSystem(sys.h, _zero_jump(), include_coherent=True)
-        )
-        m_k = superoperator_matrix(LindbladSystem(zero_h, sys.k, include_coherent=False))
+        m_h = superoperator_matrix(LindbladSystem(sys.h, _zero_jump()))
+        m_k = superoperator_matrix(LindbladSystem(zero_h, sys.k))
         rho = random_density(rng, 4).matrix.reshape(-1, order="F")
         ts = np.logspace(-3, -1, 5)
         errs = []
