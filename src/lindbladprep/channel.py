@@ -60,12 +60,14 @@ import numpy as np
 
 from .filters import FilterParams, f_time, quadrature_grid
 from .linalg import (
+    STEP_DRIFT,
     DensityMatrix,
     HermitianOperator,
     SpectralDecomposition,
     evolution_unitary,
     hermitian_eig,
     max_abs,
+    mean_se,
 )
 from .models import ModelSpec, coupling_operator
 
@@ -89,14 +91,9 @@ __all__ = [
     "prepare",
     "evolve",
     "run_simulation",
-    "mean_se",
 ]
 
 _EIGENSTATE = re.compile(r"eigenstate:([0-9]+)")
-
-# The most one Monte Carlo step may move a density matrix's trace, a
-# trajectory's norm or a random-coupling rep's trace; k steps, k times it.
-STEP_DRIFT = 1e-9
 
 
 class ChannelError(RuntimeError):
@@ -597,13 +594,6 @@ def _record_steps(n_steps: int, stride: int) -> np.ndarray:
     if steps[-1] != n_steps:
         steps.append(n_steps)
     return np.asarray(steps, dtype=int)
-
-
-def mean_se(samples: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error ``std(ddof=1) / sqrt(n)`` over the n reps along
-    ``axis``; one rep has an error of exactly 0."""
-    n = samples.shape[axis]
-    return samples.mean(axis=axis), samples.std(axis=axis, ddof=min(1, n - 1)) / np.sqrt(n)
 
 
 Spectrum = namedtuple("Spectrum", "h a blocks specs order levels gap norm_h params")

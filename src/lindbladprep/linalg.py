@@ -24,7 +24,12 @@ __all__ = [
     "trace_norm",
     "frob",
     "max_abs",
+    "mean_se",
 ]
+
+# The most one Monte Carlo step may move a density matrix's trace, a
+# trajectory's norm or a random-coupling rep's trace; k steps, k times it.
+STEP_DRIFT = 1e-9
 
 # Relative tolerance for Hermiticity at construction.
 _HERM_RTOL = 1e-12
@@ -47,6 +52,13 @@ def frob(m: np.ndarray) -> float:
 def max_abs(m: np.ndarray) -> float:
     """Entrywise max-abs norm."""
     return float(np.max(np.abs(m))) if m.size else 0.0
+
+
+def mean_se(samples: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error ``std(ddof=1) / sqrt(n)`` over the n reps along
+    ``axis``; one rep has an error of exactly 0."""
+    n = samples.shape[axis]
+    return samples.mean(axis=axis), samples.std(axis=axis, ddof=min(1, n - 1)) / np.sqrt(n)
 
 
 def _hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:

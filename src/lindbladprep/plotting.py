@@ -18,8 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import SimulationRecord
-
 __all__ = ["PlotError", "PLOT_KINDS", "write_timeseries_csv", "read_timeseries", "render_plot"]
 
 
@@ -67,13 +65,16 @@ def write_json(path: str | Path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def write_timeseries_csv(record: SimulationRecord, path: str | Path) -> None:
-    write_csv(path, SimulationRecord.COLUMNS, record.rows())
+def write_timeseries_csv(record, path: str | Path) -> None:
+    """Write a run's ``channel.SimulationRecord`` as CSV, one row per recorded step."""
+    write_csv(path, record.COLUMNS, record.rows())
 
 
 def read_timeseries(path: str | Path) -> dict:
     """Load a run CSV; non-UTF-8 text, a field beyond the csv size limit, missing
     columns, an empty table, and a short row or a bad or non-finite cell are errors."""
+    from .channel import SimulationRecord  # kept off the random-coupling import path
+
     path = Path(path)
     if not path.exists():
         raise PlotError(f"no such CSV: {path}")

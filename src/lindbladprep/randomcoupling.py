@@ -24,10 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import STEP_DRIFT, mean_se
 from .filters import FilterParams, f_hat
 from .jump import exact_jump  # noqa: F401  unused; perfbench/traced.py still wraps this name
-from .linalg import HermitianOperator, LinalgError
+from .linalg import STEP_DRIFT, HermitianOperator, LinalgError, mean_se
 from .plotting import write_csv, write_json
 from .reference import evolve_ode  # noqa: F401  unused; as exact_jump
 
@@ -105,34 +104,40 @@ def sample_coupling(
 
     Off-diagonal entries are complex Gaussian with ``E |A_ij|^2 =
     sigma_ij`` (independent real/imag parts of variance ``sigma_ij / 2``);
-    diagonal entries are real Gaussian with variance ``sigma_ii``.
+    diagonal entries are real Gaussian with variance ``sigma_ii``.  One
+    draw takes exactly ``n^2`` normals from ``rng``, laid out as
+    :func:`_coupling_gather` reads them.
     """
     n = spec_r.dim
     src, scale = _coupling_gather(spec_r, np.ones((n, n)))
     a = np.empty((n, n), dtype=complex)
-    np.multiply(rng.standard_normal(2 * n * n + n)[src], scale, out=a.view(float))
+    np.multiply(rng.standard_normal(n * n)[src], scale, out=a.view(float))
     return HermitianOperator(a)
 
 
 def _coupling_gather(spec_r: RandomCouplingSpec, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(src, scale)`` such that ``z[src] * scale`` is ``F o A`` read as
-    floats, for a row ``z`` of ``2n^2 + n`` standard normals: entries
-    ``(i, 2j)`` and ``(i, 2j + 1)`` of the ``(n, 2n)`` result are the real
-    and imaginary parts of ``(F o A)_ij``.
+    floats, for a row ``z`` of ``n^2`` standard normals: entries ``(i, 2j)``
+    and ``(i, 2j + 1)`` of the ``(n, 2n)`` result are the real and imaginary
+    parts of ``(F o A)_ij``.
 
-    The row holds ``re`` (n^2), ``im`` (n^2), then the diagonal ``d`` (n):
-    ``A_ij = sqrt(sigma_ij / 2) (re_ij + i im_ij)`` above the diagonal,
-    ``A_ji = conj(A_ij)`` below it and ``A_ii = sqrt(sigma_ii) d_i``.
-    ``F = 1`` gives the coupling ``A`` itself.
+    With the ``m = n(n - 1)/2`` entries above the diagonal numbered in
+    row-major order, the row holds ``re`` (m), ``im`` (m), then the diagonal
+    ``d`` (n): ``A_ij = sqrt(sigma_ij / 2) (re_k + i im_k)`` for the k-th
+    entry ``i < j``, ``A_ji = conj(A_ij)`` and ``A_ii = sqrt(sigma_ii) d_i``,
+    so every normal is used once.  ``F = 1`` gives the coupling ``A`` itself.
     """
     n = spec_r.dim
+    m = n * (n - 1) // 2
+    upper = np.zeros((n, n), dtype=int)  # k of the entry above the diagonal, mirrored below
+    upper[np.triu_indices(n, 1)] = np.arange(m)
+    upper += upper.T
     i, j = np.indices((n, n))
-    upper = np.minimum(i, j) * n + np.maximum(i, j)  # where (re, im) of A_ij sit
-    src = np.stack([upper, n * n + upper], axis=-1)
+    src = np.stack([upper, m + upper], axis=-1)
     std = f * np.sqrt(spec_r.sigma / 2)
     scale = np.stack([std, np.sign(j - i) * std], axis=-1)  # Im A_ii is 0
     d = np.arange(n)
-    src[d, d, 0] = 2 * n * n + d
+    src[d, d] = 2 * m + d[:, None]
     scale[d, d, 0] = np.diag(f) * np.sqrt(np.diag(spec_r.sigma))
     return src.reshape(n, 2 * n), scale.reshape(n, 2 * n)
 
@@ -240,6 +245,19 @@ def step_draws(rngs: list, n_steps: int, width: int):
         yield from np.stack([g.standard_normal(size) for g in rngs], axis=1)
 
 
+def _step_count(tau: float, t_final: float) -> int:
+    """The number of ``tau`` steps that make ``t_final``; ValueError unless
+    both are finite and positive and ``t_final`` is a positive multiple of
+    ``tau``."""
+    for name, value in (("tau", tau), ("t_final", t_final)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    n_steps = int(round(t_final / tau))
+    if n_steps < 1 or abs(n_steps * tau - t_final) > 1e-9:
+        raise ValueError("t_final must be a positive multiple of tau")
+    return n_steps
+
+
 def _resampled_evolution(
     lam: np.ndarray, spec_r: RandomCouplingSpec, p: FilterParams, p0: np.ndarray, tau: float,
     t_final: float, rngs: list, record: int | None,
@@ -254,15 +272,17 @@ def _resampled_evolution(
     the step, the classical RK4 step is ``T4(tau L) rho``, evaluated by
     Horner's rule as ``rho + tau L(rho + tau/2 L(rho + tau/3 L(rho + tau/4 L
     rho)))``.  A step fails if it moves a rep's trace by more than
-    ``channel.STEP_DRIFT`` or to NaN; else it is re-Hermitized and
-    renormalized in one pass.  Each generator draws its
-    normals for a chunk of steps at a time (:func:`step_draws`); the couplings
-    are built one step at a time.  Returns ``record`` evenly spaced checkpoint
-    steps (None: the last step only) and the states there, ``(rep, step, n, n)``.
+    ``linalg.STEP_DRIFT`` or to NaN; else it is re-Hermitized and
+    renormalized in one pass.  Each step takes the next ``n^2`` normals of
+    every generator, so its first coupling is the one :func:`sample_coupling`
+    draws from an identically seeded generator; a generator draws its normals
+    for a chunk of steps at a time (:func:`step_draws`), and the couplings are
+    built one step at a time.  ``tau`` and ``t_final`` are checked by
+    :func:`_step_count` before any draw.  Returns ``record`` evenly spaced
+    checkpoint steps (None: the last step only) and the states there,
+    ``(rep, step, n, n)``.
     """
-    n_steps = int(round(t_final / tau))
-    if abs(n_steps * tau - t_final) > 1e-9:
-        raise ValueError("t_final must be a multiple of tau")
+    n_steps = _step_count(tau, t_final)
     steps = np.array([n_steps]) if record is None else np.linspace(1, n_steps, record).round()
     steps = steps[np.diff(steps, prepend=0) > 0].astype(int)  # np.unique would import numpy.ma
     n, reps = lam.size, len(rngs)
@@ -273,7 +293,7 @@ def _resampled_evolution(
     k_floats = kj.view(float)[:, :n]
     rho = np.repeat(np.diag(p0.astype(complex))[None], reps, axis=0)
     kept = []
-    draws = step_draws(rngs, n_steps, 2 * n * n + n)
+    draws = step_draws(rngs, n_steps, n * n)
     for step, z in enumerate(draws, start=1):  # z: (rep, normal)
         np.multiply(z[:, src], scale, out=k_floats)
         kh = k.conj().swapaxes(1, 2)
@@ -416,7 +436,8 @@ def mixing_layers_experiment(
 ) -> MixingLayersReport:
     """Layered-mixing study on one spectrum.
 
-    ``thresholds`` is the decreasing index sequence R_1 > R_2 > ...; layer
+    ``thresholds`` is the integer sequence N - 1 = R_1 > R_2 > ... >= 0,
+    with at least two entries, or ValueError; layer
     ``l`` requires every source level j in (R_{l+1}, R_l] to feed the band
     {0..R_{l+1}} at a positive total rate.  The report records those rates,
     flags layers below ``rate_floor``, integrates the populations from a
@@ -425,10 +446,14 @@ def mixing_layers_experiment(
     """
     lam = np.asarray(eigenvalues, dtype=float)
     n = lam.size
-    if sorted(thresholds, reverse=True) != list(thresholds):
-        raise ValueError("thresholds must be strictly decreasing")
-    if thresholds[0] != n - 1:
-        raise ValueError("first threshold must be N - 1")
+    th = list(thresholds)
+    integers = all(isinstance(r, (int, np.integer)) and not isinstance(r, bool) for r in th)
+    if not (len(th) >= 2 and integers and th[0] == n - 1 and th[-1] >= 0
+            and all(hi > lo for hi, lo in zip(th, th[1:]))):
+        raise ValueError(
+            f"thresholds must be two or more integers, strictly decreasing from N - 1 = {n - 1}"
+            f" to at least 0; got {th}"
+        )
     tmat = transition_matrix(lam, p, spec_r)
     layer_rates, violated = [], []
     for l in range(len(thresholds) - 1):
@@ -501,6 +526,8 @@ def concentration_experiment(
     lam = np.asarray(eigenvalues, dtype=float)
     p0 = np.asarray(p0, dtype=float)
     tmat = transition_matrix(lam, p, spec_r)
+    for tau in taus:  # every tau is checked before the first draw
+        _step_count(tau, t_final)
     target = np.diag(evolve_populations(tmat, p0, t_final)).astype(complex)
     devs, ses = [], []
     for tau_idx, tau in enumerate(taus):

@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from .channel import (
-    STEP_DRIFT,
     ChannelConfig,
     build_kraus_pair,
     build_w,
@@ -32,6 +31,7 @@ from .channel import (
 from .filters import default_params, f_hat, f_time, quadrature_grid
 from .jump import dilate, exact_jump, ground_residual, quadrature_jump
 from .linalg import (
+    STEP_DRIFT,
     DensityMatrix,
     HermitianOperator,
     evolution_unitary,

@@ -6,7 +6,6 @@ import pytest
 import scipy.linalg
 
 from lindbladprep.channel import (
-    STEP_DRIFT,
     ChannelConfig,
     ChannelError,
     blocked_eig,
@@ -15,7 +14,6 @@ from lindbladprep.channel import (
     channel_step_density,
     evolve,
     invariant_blocks,
-    mean_se,
     prepare,
     run_simulation,
     step_cost,
@@ -25,10 +23,12 @@ from lindbladprep.config import load_run_config, resolve_filter_params
 from lindbladprep.filters import default_params, f_time, quadrature_grid
 from lindbladprep.jump import dilate, quadrature_jump
 from lindbladprep.linalg import (
+    STEP_DRIFT,
     DensityMatrix,
     HermitianOperator,
     evolution_unitary,
     hermitian_eig,
+    mean_se,
     trace_norm,
 )
 from lindbladprep.models import ModelSpec, coupling_operator

@@ -619,6 +619,13 @@ class TestRunCommand:
         loaded = sorted(modules_after("import lindbladprep.cli", "lindbladprep"))
         assert loaded == ["lindbladprep"] + [f"lindbladprep.{m}" for m in run_modules]
 
+    def test_random_coupling_import_loads_no_channel_layer(self):
+        """The random-coupling experiments take ``STEP_DRIFT`` and ``mean_se``
+        from ``linalg``, so they load neither ``channel`` nor ``models``."""
+        rc_modules = ["filters", "jump", "linalg", "plotting", "randomcoupling", "reference"]
+        loaded = sorted(modules_after("import lindbladprep.randomcoupling", "lindbladprep"))
+        assert loaded == ["lindbladprep"] + [f"lindbladprep.{m}" for m in rc_modules]
+
     def test_random_coupling_and_aux_commands_load_no_scipy(self, tmp_path):
         """The random-coupling experiments, ``exact_jump``, ``filter-table``
         and ``jump-report`` use a numpy erf and a numpy ``expm``."""

@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lindbladprep import channel, randomcoupling
+from lindbladprep import randomcoupling
 from lindbladprep.filters import FilterParams, default_params, f_hat
 from lindbladprep.jump import exact_jump
-from lindbladprep.linalg import DensityMatrix, HermitianOperator, LinalgError, hermitian_eig
+from lindbladprep.linalg import (
+    STEP_DRIFT,
+    DensityMatrix,
+    HermitianOperator,
+    LinalgError,
+    hermitian_eig,
+)
 from lindbladprep.randomcoupling import (
     RandomCouplingSpec,
     _expm,
@@ -25,13 +31,28 @@ def clamped_params(norm_h, gap):
     return default_params(norm_h, gap, clamp=True)
 
 
+# (tau, t_final, the refusal); each used to fail later, in another way
+BAD_TIMES = [
+    pytest.param(0.0, 1.0, "tau must be finite and positive, got 0.0", id="tau-zero"),
+    pytest.param(0.1, 0.0, "t_final must be finite and positive, got 0.0", id="t_final-zero"),
+    pytest.param(np.nan, 1.0, "tau must be finite and positive, got nan", id="tau-nan"),
+    pytest.param(0.1, np.nan, "t_final must be finite and positive, got nan", id="t_final-nan"),
+    pytest.param(np.inf, 1.0, "tau must be finite and positive, got inf", id="tau-inf"),
+    pytest.param(0.1, np.inf, "t_final must be finite and positive, got inf", id="t_final-inf"),
+    pytest.param(-0.1, -1.0, "tau must be finite and positive, got -0.1", id="negative"),
+]
+
+
 def rk4_oracle(lam, spec_r, p, p0, tau, n_steps, rngs):
     """The classical k1..k4 RK4 loop of the resampled evolution, with one draw
-    of ``2n^2 + n`` normals per step and generator; the state after every
-    step, ``(rep, step, n, n)``."""
+    of ``n^2`` normals per step and generator: ``re`` and ``im`` of the
+    ``m = n(n-1)/2`` entries above the diagonal in row-major order, then the
+    diagonal; the state after every step, ``(rep, step, n, n)``."""
     n = lam.size
+    m = n * (n - 1) // 2
+    above = np.triu_indices(n, 1)
     f = f_hat(lam[:, None] - lam[None, :], p)
-    std = np.sqrt(spec_r.sigma / 2)
+    std = np.sqrt(spec_r.sigma / 2)[above]
     coherent = -1j * np.diag(lam)
     rho = np.repeat(np.diag(p0.astype(complex))[None], len(rngs), axis=0)
     states = []
@@ -41,11 +62,10 @@ def rk4_oracle(lam, spec_r, p, p0, tau, n_steps, rngs):
         return k @ x @ kh + jx + jx.conj().swapaxes(1, 2)
 
     for _ in range(n_steps):
-        z = np.stack([g.standard_normal(2 * n * n + n) for g in rngs])
-        re = z[:, : n * n].reshape(-1, n, n) * std
-        im = z[:, n * n : 2 * n * n].reshape(-1, n, n) * std
-        upper = np.triu(re + 1j * im, k=1)
-        diag = z[:, 2 * n * n :] * np.sqrt(np.diag(spec_r.sigma))
+        z = np.stack([g.standard_normal(n * n) for g in rngs])
+        upper = np.zeros((len(rngs), n, n), dtype=complex)
+        upper[:, above[0], above[1]] = z[:, :m] * std + 1j * (z[:, m : 2 * m] * std)
+        diag = z[:, 2 * m :] * np.sqrt(np.diag(spec_r.sigma))
         k = f * (upper + upper.conj().swapaxes(1, 2) + diag[:, :, None] * np.eye(n))
         kh = k.conj().swapaxes(1, 2)
         j = coherent - 0.5 * (kh @ k)
@@ -65,6 +85,21 @@ class TestSampleCoupling:
         spec_r = RandomCouplingSpec.uniform(6, 0.7)
         a = sample_coupling(spec_r, rng)
         assert np.max(np.abs(a.matrix - a.matrix.conj().T)) == 0.0
+
+    def test_draws_exactly_n_squared_normals(self):
+        """One coupling uses ``n^2`` normals: ``re`` and ``im`` of the
+        ``m = 15`` entries above the diagonal in row-major order, then the
+        six diagonal entries."""
+        sigma = np.full((6, 6), 0.7)
+        sigma[1, 3] = sigma[3, 1] = 0.2
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        a = sample_coupling(RandomCouplingSpec(sigma), rng).matrix
+        z = twin.standard_normal(36)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        # (1, 3) is entry 5 + 1 = 6 above the diagonal: row 0 holds entries 0..4
+        assert a[1, 3] == np.sqrt(0.1) * z[6] + 1j * (np.sqrt(0.1) * z[15 + 6])
+        assert a[3, 1] == np.conj(a[1, 3])
+        assert np.array_equal(np.diag(a), np.sqrt(0.7) * z[30:] + 0j)
 
     def test_zero_mean_and_variance(self):
         rng = np.random.default_rng(42)
@@ -236,6 +271,15 @@ class TestErgodicity:
                 np.full(4, 0.25), tau=0.05, t_final=0.5, reps=reps,
             )
 
+    @pytest.mark.parametrize("tau, t_final, message", BAD_TIMES)
+    def test_bad_times_rejected(self, tau, t_final, message):
+        lam = synthetic_spectrum("equispaced", 4, span=3.0)
+        with pytest.raises(ValueError, match=message):
+            ergodicity_experiment(
+                lam, RandomCouplingSpec.uniform(4, 0.5), clamped_params(3.0, 1.0),
+                np.full(4, 0.25), tau=tau, t_final=t_final, reps=2,
+            )
+
     def test_improper_p0_rejected_before_evolving(self):
         # 0.5 on each of 8 levels used to end in a trace-drift error that advised a smaller tau
         lam = synthetic_spectrum("equispaced", 8, span=4.0)
@@ -298,19 +342,19 @@ class TestResampledEvolution:
         assert np.max(np.abs(states[0, -1] - expect)) <= 1e-12
 
     def test_many_steps_match_rk4_oracle(self):
-        # 120 steps of 3 reps on 8 levels cross a boundary of the coupling draws
+        # 200 steps of 3 reps on 8 levels cross a boundary of the coupling draws
         lam = synthetic_spectrum("equispaced", 8, span=4.0)
         p = clamped_params(4.0, float(lam[1] - lam[0]))
         spec_r = RandomCouplingSpec.uniform(8, 0.5)
         p0 = np.full(8, 1 / 8)
-        assert randomcoupling._DRAW_CHUNK_BYTES // (8 * (2 * 64 + 8) * 3) < 120
+        assert randomcoupling._DRAW_CHUNK_BYTES // (8 * 64 * 3) < 200
 
         def rngs():
             return [np.random.default_rng(np.random.SeedSequence([9, i])) for i in range(3)]
 
-        steps, states = _resampled_evolution(lam, spec_r, p, p0, 0.01, 1.2, rngs(), 120)
-        assert list(steps) == list(range(1, 121))
-        expect = rk4_oracle(lam, spec_r, p, p0, 0.01, 120, rngs())
+        steps, states = _resampled_evolution(lam, spec_r, p, p0, 0.01, 2.0, rngs(), 200)
+        assert list(steps) == list(range(1, 201))
+        expect = rk4_oracle(lam, spec_r, p, p0, 0.01, 200, rngs())
         assert np.max(np.abs(states - expect)) <= 1e-13
 
     def test_independent_of_draw_chunk_size(self, monkeypatch):
@@ -322,7 +366,7 @@ class TestResampledEvolution:
             return self.evolve(rngs, spec_r, 0.05, 0.5, record=4)[1]
 
         # one step, three steps (10 = 3 + 3 + 3 + 1) and all ten steps per draw
-        per_step = 8 * (2 * 16 + 4) * 2
+        per_step = 8 * 16 * 2
         states = [run(c * per_step) for c in (1, 3, 10)]
         assert np.array_equal(states[0], states[1])
         assert np.array_equal(states[0], states[2])
@@ -369,7 +413,7 @@ class TestResampledEvolution:
         with pytest.raises(LinalgError, match="drifted to") as failed:
             self.evolve([ScaledStream(seed) for seed in (9, 4, 5)], spec_r, 0.05, 0.05)
         tr = float(str(failed.value).split("drifted to ")[1].split(";")[0])
-        assert channel.STEP_DRIFT < abs(tr - 1.0) <= 1e-6
+        assert STEP_DRIFT < abs(tr - 1.0) <= 1e-6
 
     def test_nan_rep_fails(self):
         class NanStream:
@@ -385,6 +429,18 @@ class TestResampledEvolution:
         spec_r = RandomCouplingSpec.uniform(4, 0.5)
         with pytest.raises(ValueError, match="multiple of tau"):
             self.evolve([np.random.default_rng(0)], spec_r, 0.3, 1.0)
+        # rounds to zero steps, which used to end in "need at least one array to stack"
+        with pytest.raises(ValueError, match="positive multiple of tau"):
+            self.evolve([np.random.default_rng(0)], spec_r, 1.0, 1e-12)
+
+    @pytest.mark.parametrize("tau, t_final, message", BAD_TIMES)
+    def test_bad_times_refused_before_any_draw(self, tau, t_final, message):
+        class NoDraws:
+            def standard_normal(self, size):
+                raise AssertionError("drew before checking tau and t_final")
+
+        with pytest.raises(ValueError, match=message):
+            self.evolve([NoDraws()], RandomCouplingSpec.uniform(4, 0.5), tau, t_final)
 
 
 class TestMixingLayers:
@@ -433,6 +489,31 @@ class TestMixingLayers:
         with pytest.raises(ValueError):
             mixing_layers_experiment(lam, RandomCouplingSpec.uniform(4), p, [2, 0])
 
+    @pytest.mark.parametrize(
+        "thresholds",
+        [
+            [7, 3, 3, 0],  # used to end in "min() arg is an empty sequence"
+            [7, 3, -2],  # used to slice rows with -1 and report rate 0.0 at time 0.0
+            [],  # used to raise IndexError
+            [7],
+            [6, 3, 0],
+            [7, 3.0, 0],
+            [7, True],
+        ],
+    )
+    def test_bad_thresholds_rejected(self, thresholds):
+        lam = synthetic_spectrum("equispaced", 8, span=4.0)
+        p = clamped_params(4.0, float(lam[1] - lam[0]))
+        with pytest.raises(ValueError, match="thresholds must be two or more integers"):
+            mixing_layers_experiment(lam, RandomCouplingSpec.uniform(8), p, thresholds, n_times=3)
+
+    def test_numpy_integer_thresholds_accepted(self):
+        lam = synthetic_spectrum("equispaced", 8, span=4.0)
+        p = clamped_params(4.0, float(lam[1] - lam[0]))
+        thresholds = list(np.array([7, 3, 0]))
+        rep = mixing_layers_experiment(lam, RandomCouplingSpec.uniform(8), p, thresholds, n_times=3)
+        assert rep.thresholds == [7, 3, 0] and len(rep.rates) == 2
+
 
 class TestConcentration:
     def test_slope_in_sqrt_regime(self):
@@ -475,6 +556,27 @@ class TestConcentration:
             concentration_experiment(
                 lam, RandomCouplingSpec.uniform(4, 0.5), clamped_params(3.0, 1.0),
                 np.full(4, 0.25), taus=[0.05], t_final=1.0, reps=reps,
+            )
+
+    @pytest.mark.parametrize("tau, t_final, message", BAD_TIMES)
+    def test_bad_times_rejected(self, tau, t_final, message):
+        lam = synthetic_spectrum("equispaced", 4, span=3.0)
+        with pytest.raises(ValueError, match=message):
+            concentration_experiment(
+                lam, RandomCouplingSpec.uniform(4, 0.5), clamped_params(3.0, 1.0),
+                np.full(4, 0.25), taus=[tau, 0.05], t_final=t_final, reps=2,
+            )
+
+    def test_bad_later_tau_rejected_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew before checking every tau")
+
+        monkeypatch.setattr(randomcoupling, "step_draws", no_draws)
+        lam = synthetic_spectrum("equispaced", 4, span=3.0)
+        with pytest.raises(ValueError, match="tau must be finite and positive, got 0.0"):
+            concentration_experiment(
+                lam, RandomCouplingSpec.uniform(4, 0.5), clamped_params(3.0, 1.0),
+                np.full(4, 0.25), taus=[0.05, 0.0], t_final=1.0, reps=2,
             )
 
 
