@@ -247,12 +247,15 @@ def step_draws(rngs: list, n_steps: int, width: int):
 
 def _step_count(tau: float, t_final: float) -> int:
     """The number of ``tau`` steps that make ``t_final``; ValueError unless
-    both are finite and positive and ``t_final`` is a positive multiple of
-    ``tau``."""
+    both are finite and positive, the count fits 64 bits and ``t_final`` is a
+    positive multiple of ``tau``."""
     for name, value in (("tau", tau), ("t_final", t_final)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    n_steps = int(round(t_final / tau))
+    steps = t_final / tau
+    if not steps < 2**63:
+        raise ValueError(f"t_final / tau = {steps:.3g} steps does not fit a 64-bit count")
+    n_steps = int(round(steps))
     if n_steps < 1 or abs(n_steps * tau - t_final) > 1e-9:
         raise ValueError("t_final must be a positive multiple of tau")
     return n_steps
@@ -442,7 +445,10 @@ def mixing_layers_experiment(
     {0..R_{l+1}} at a positive total rate.  The report records those rates,
     flags layers below ``rate_floor``, integrates the populations from a
     uniform start, and returns the first time each layer's tail mass
-    ``sum_{i > R_{l+1}} p_i`` drops below the schedule ``1/2 - 1/(l+3)``.
+    ``sum_{i > R_{l+1}} p_i`` drops below the schedule ``1/2 - 1/(l+3)``,
+    on ``n_times`` evenly spaced times from 0 to ``t_max``.  ``t_max`` must be
+    finite and positive and ``n_times`` an integer >= 1, or ValueError
+    before any work.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     n = lam.size
@@ -454,6 +460,10 @@ def mixing_layers_experiment(
             f"thresholds must be two or more integers, strictly decreasing from N - 1 = {n - 1}"
             f" to at least 0; got {th}"
         )
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ValueError(f"t_max must be finite and positive, got {t_max}")
+    if not (isinstance(n_times, (int, np.integer)) and not isinstance(n_times, bool) and n_times >= 1):
+        raise ValueError(f"n_times must be an integer >= 1, got {n_times!r}")
     tmat = transition_matrix(lam, p, spec_r)
     layer_rates, violated = [], []
     for l in range(len(thresholds) - 1):

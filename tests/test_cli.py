@@ -958,6 +958,59 @@ class TestAuxCommands:
             text = fh.read()
         assert text == "i,j,abs_k\r\n" + "".join(f"{int(i)},{int(j)},{x!r}\r\n" for i, j, x in table.tolist())
 
+    def test_jump_report_rows_match_the_dense_oracle_on_hubbard4(self, capsys):
+        """Hubbard-4 has 25 blocks: the rows taken block by block equal the
+        ones of the jump operators built on the full space.  Its |K| table is
+        left out, as a dense eigensolve picks another basis inside degenerate
+        levels."""
+        from lindbladprep.filters import default_params
+        from lindbladprep.jump import exact_jump, ground_residual, quadrature_jump
+        from lindbladprep.linalg import hermitian_eig
+
+        model = ModelSpec("hubbard1d", 4, hubbard_t=1.0, hubbard_u=4.0)
+        a = coupling_operator(model)
+        assert len(invariant_blocks(model.hamiltonian(), a)) == 25
+        assert main(["jump-report", "--model", "hubbard1d", "--sites", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = {name: float(value) for name, value in (line.split(",") for line in lines[1:])}
+        spec = hermitian_eig(model.hamiltonian())
+        p = default_params(spec.spectral_norm, spec.gap)
+        k, k_quad = exact_jump(spec, a, p), quadrature_jump(spec, a, p)
+        expect = {
+            "dim": spec.dim,
+            "gap": spec.gap,
+            "norm_a": a.norm(),
+            "norm_k_exact": k.norm(),
+            "norm_k_quadrature": k_quad.norm(),
+            "k_minus_ks": np.linalg.norm(k.matrix - k_quad.matrix, 2),
+            "ground_residual_clamped": ground_residual(exact_jump(spec, a, p.with_clamp(True)), spec),
+            "ground_residual_unclamped": ground_residual(k, spec),
+        }
+        assert rows.keys() == expect.keys()
+        for name, value in expect.items():
+            assert abs(rows[name] - value) <= 1e-12, name
+
+    def test_jump_report_takes_no_full_size_norm(self, tmp_path, monkeypatch, capsys):
+        """On Hubbard-2 (dim 16, blocks of at most 4) no matrix whose norm
+        ``jump-report`` takes is larger than the largest block, with the
+        ``|K|`` table written too."""
+        model = ModelSpec("hubbard1d", 2, hubbard_t=1.0, hubbard_u=4.0)
+        blocks = invariant_blocks(model.hamiltonian(), coupling_operator(model))
+        largest = max(idx.size for idx in blocks)
+        assert largest == 4
+        exact = np.linalg.norm
+        shapes = []
+
+        def spy(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return exact(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", spy)
+        argv = ["--model", "hubbard1d", "--sites", "2", "--sparsity-out", str(tmp_path / "k.csv")]
+        assert main(["jump-report", *argv]) == 0
+        assert max(max(shape) for shape in shapes if len(shape) == 2) == largest
+        capsys.readouterr()
+
     def test_failed_table_write_leaves_no_new_file(self, tmp_path, monkeypatch, capsys):
         """A table writer that raises leaves neither the table nor the
         directories made for it."""

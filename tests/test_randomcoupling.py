@@ -40,6 +40,10 @@ BAD_TIMES = [
     pytest.param(np.inf, 1.0, "tau must be finite and positive, got inf", id="tau-inf"),
     pytest.param(0.1, np.inf, "t_final must be finite and positive, got inf", id="t_final-inf"),
     pytest.param(-0.1, -1.0, "tau must be finite and positive, got -0.1", id="negative"),
+    # used to end in OverflowError: t_final / tau is inf
+    pytest.param(5e-324, 1.0, "inf steps does not fit a 64-bit count", id="steps-overflow"),
+    # used to return a 301-digit step count and start that many RK4 steps
+    pytest.param(1e-300, 1.0, r"1e\+300 steps does not fit a 64-bit count", id="steps-beyond-64-bit"),
 ]
 
 
@@ -506,6 +510,34 @@ class TestMixingLayers:
         p = clamped_params(4.0, float(lam[1] - lam[0]))
         with pytest.raises(ValueError, match="thresholds must be two or more integers"):
             mixing_layers_experiment(lam, RandomCouplingSpec.uniform(8), p, thresholds, n_times=3)
+
+    @pytest.mark.parametrize(
+        "t_max, n_times, message",
+        [
+            # used to return crossing_times == [None]
+            pytest.param(np.nan, 3, "t_max must be finite and positive, got nan", id="t_max-nan"),
+            pytest.param(np.inf, 3, "t_max must be finite and positive, got inf", id="t_max-inf"),
+            pytest.param(0.0, 3, "t_max must be finite and positive, got 0.0", id="t_max-zero"),
+            pytest.param(-1.0, 3, "t_max must be finite and positive, got -1.0", id="t_max-negative"),
+            # used to end in numpy's "need at least one array to stack"
+            pytest.param(1.0, 0, "n_times must be an integer >= 1, got 0", id="n_times-zero"),
+            pytest.param(1.0, -2, "n_times must be an integer >= 1, got -2", id="n_times-negative"),
+            pytest.param(1.0, 2.5, "n_times must be an integer >= 1, got 2.5", id="n_times-fraction"),
+            pytest.param(1.0, 3.0, "n_times must be an integer >= 1, got 3.0", id="n_times-float"),
+            pytest.param(1.0, True, "n_times must be an integer >= 1, got True", id="n_times-bool"),
+        ],
+    )
+    def test_bad_times_rejected_before_any_work(self, monkeypatch, t_max, n_times, message):
+        def no_work(*args):
+            raise AssertionError("built the transition matrix before checking t_max and n_times")
+
+        monkeypatch.setattr(randomcoupling, "transition_matrix", no_work)
+        lam = synthetic_spectrum("equispaced", 4, span=3.0)
+        p = clamped_params(3.0, float(lam[1] - lam[0]))
+        with pytest.raises(ValueError, match=message):
+            mixing_layers_experiment(
+                lam, RandomCouplingSpec.uniform(4), p, [3, 0], t_max=t_max, n_times=n_times
+            )
 
     def test_numpy_integer_thresholds_accepted(self):
         lam = synthetic_spectrum("equispaced", 8, span=4.0)
