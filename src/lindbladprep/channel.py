@@ -27,9 +27,10 @@ serves as the oracle.
 Every factor of ``W`` is block-diagonal on the connected components of the
 joint nonzero pattern of ``H`` and ``A`` (:func:`invariant_blocks`), so
 neither the channel nor the dynamics ever links two blocks.
-:func:`spectrum` partitions ``(H, A)`` once and eigensolves ``H`` one block
-at a time (:func:`blocked_eig`); :func:`prepare` builds only the block of
-the initial eigenstate, the one :func:`evolve` steps: a block of size ``d``
+:func:`spectrum` partitions ``(H, A)`` once and hands back one record per
+block: its ``H`` and ``A``, the spectrum of its ``H`` and the global rank of
+each of its levels.  :func:`prepare` builds only the block of the initial
+eigenstate, the one :func:`evolve` steps: a block of size ``d``
 costs ``r * 2 * (2M + 1)`` hops of ``(d, d) @ (d, 2d)``.  This is exact,
 not an approximation.  TFIM is one block; the Hubbard chain splits into its
 (N_up, N_dn) sectors (25 for four sites, the largest of size 36).
@@ -79,7 +80,6 @@ __all__ = [
     "build_kraus_pair",
     "build_w",
     "build_w_naive",
-    "blocked_eig",
     "invariant_blocks",
     "restrict",
     "spectrum",
@@ -353,15 +353,6 @@ def restrict(op: HermitianOperator, idx: np.ndarray) -> HermitianOperator:
     return op if idx.size == op.dim else HermitianOperator(op.matrix[np.ix_(idx, idx)])
 
 
-def blocked_eig(h: HermitianOperator, blocks: list[np.ndarray]) -> list[SpectralDecomposition]:
-    """Spectrum of ``h`` on each block of ``blocks``, one eigensolve per block.
-
-    ``blocks`` must be invariant under ``h`` (see :func:`invariant_blocks`);
-    entry ``k`` is the spectrum of ``h`` restricted to ``blocks[k]``.
-    """
-    return [hermitian_eig(restrict(h, idx)) for idx in blocks]
-
-
 def isometry_defect(m0: np.ndarray, m1: np.ndarray) -> float:
     """max|M0^dag M0 + M1^dag M1 - I|, zero for a trace-preserving pair."""
     return max_abs(m0.conj().T @ m0 + m1.conj().T @ m1 - np.eye(m0.shape[1]))
@@ -596,25 +587,33 @@ def _record_steps(n_steps: int, stride: int) -> np.ndarray:
     return np.asarray(steps, dtype=int)
 
 
-Spectrum = namedtuple("Spectrum", "h a blocks specs order levels gap norm_h params")
+Block = namedtuple("Block", "idx h a spec ranks")
+Spectrum = namedtuple("Spectrum", "dim blocks levels gap norm_h params")
 
 
 def spectrum(model: ModelSpec, filter_overrides: dict | None = None) -> Spectrum:
-    """Levels and filter of ``model``: ``(H, A)`` is partitioned once into
-    its invariant blocks (:func:`invariant_blocks`) and ``H`` eigensolved
-    one block at a time (:func:`blocked_eig`).  ``levels[i]`` is level
-    ``order[i]`` of the blocks' levels in turn, by a stable sort, so
-    levels that tie exactly across blocks keep the order of their blocks.
+    """Levels, invariant blocks and filter of ``model``; the one place that
+    sees the full-space ``H`` and ``A``.
+
+    ``(H, A)`` is partitioned once (:func:`invariant_blocks`), and each
+    block is one :class:`Block` record: its basis indices ``idx``, the two
+    operators restricted to it (``h``, ``a``), the spectrum ``spec`` of its
+    ``h``, one eigensolve per block, and ``ranks``, the place of each of its
+    levels among all ``dim`` levels: ``levels[ranks] == spec.eigenvalues``.
+    ``levels`` is every block's levels in ascending order, by a stable sort,
+    so levels that tie exactly across blocks keep the order of their blocks.
     The filter ``params`` is the parameter rule applied to their spectral
     norm and gap, with ``filter_overrides`` (a run config's ``filter``
     block) on top; invalid overrides raise ``ConfigError``.
     """
     h, a = model.hamiltonian(), coupling_operator(model)
-    blocks = invariant_blocks(h, a)
-    specs = blocked_eig(h, blocks)
+    parts = [(idx, restrict(h, idx), restrict(a, idx)) for idx in invariant_blocks(h, a)]
+    specs = [hermitian_eig(h_block) for _, h_block, _ in parts]
     levels = np.concatenate([s.eigenvalues for s in specs])
     order = np.argsort(levels, kind="stable")
     levels = levels[order]
+    ranks = np.split(np.argsort(order), np.cumsum([s.dim for s in specs])[:-1])
+    blocks = [Block(*part, spec, at) for part, spec, at in zip(parts, specs, ranks)]
     gap = float(levels[1] - levels[0]) if levels.size > 1 else 0.0
     norm_h = float(np.max(np.abs(levels)))
     from .config import MIN_GAP, resolve_filter_params  # config imports this module
@@ -627,13 +626,14 @@ def spectrum(model: ModelSpec, filter_overrides: dict | None = None) -> Spectrum
             "measured against the full ground-space projector",
             stacklevel=3,
         )
-    return Spectrum(h, a, blocks, specs, order, levels, gap, norm_h, p)
+    return Spectrum(h.dim, blocks, levels, gap, norm_h, p)
 
 
 @dataclass(frozen=True)
 class Preparation:
     """What :func:`prepare` builds for ``cfg``: the filter, ``meta``'s filter,
-    health and spectrum, and the block's H, Kraus pair, ground projector and psi0."""
+    health and spectrum, and, on the :class:`Block` of the initial level, its
+    H matrix, Kraus pair, ground projector and psi0."""
 
     # the config fields that no build reads, which :func:`evolve` may change
     PER_RUN = ("backend", "reps", "seed", "record_stride", "total_time")
@@ -652,30 +652,27 @@ def prepare(
 ) -> Preparation:
     """Everything of a run of ``cfg`` before its first step.
 
-    :func:`spectrum` owns the partition and the level order; the order
-    picks the initial eigenstate and feeds the spectral-range check of
-    :func:`evolve` and ``meta["spectrum"]``.  A run evolves only the block
-    of the initial eigenstate: its state, Kraus pair and ground projector
-    come from that block's own spectrum, the projector onto its levels
-    within 1e-9 of the global ground energy.  No step leaves the block, so
-    this is exact; a ground state in another block has overlap exactly 0.
+    :func:`spectrum` owns the partition and the level ranks; the initial
+    level's rank picks its block, and the levels feed the spectral-range
+    check of :func:`evolve` and ``meta["spectrum"]``.  A run evolves only
+    that block: its state, Kraus pair and ground projector come from the
+    block's own record, the projector onto its levels within 1e-9 of the
+    global ground energy.  No step leaves the block, so this is exact; a
+    ground state in another block has overlap exactly 0.
     """
-    h, a, blocks, specs, order, levels, gap, norm_h, p = spectrum(model, filter_overrides)
-    # (block, column) of every level, in ascending order
-    where = [(b, j) for b, s in enumerate(specs) for j in range(s.dim)]
-    b, j = where[order[_initial_level(cfg, levels.size)]]
-    idx, spec = blocks[b], specs[b]
-    kraus, defect = build_kraus_pair(spec, restrict(a, idx), p, cfg)
+    dim, blocks, levels, gap, norm_h, p = spectrum(model, filter_overrides)
+    k = _initial_level(cfg, dim)
+    idx, h, a, spec, ranks = next(block for block in blocks if k in block.ranks)
+    kraus, defect = build_kraus_pair(spec, a, p, cfg)
     vg = spec.eigenvectors[:, spec.eigenvalues <= levels[0] + 1e-9]
     meta = {
         "filter": {**asdict(p), "grid_radius": p.grid_radius},
         "health": {"kraus_isometry_defect": defect, "block_dim": int(idx.size)},
         "spectrum": {"ground_energy": float(levels[0]), "max_energy": float(levels[-1]),
-                     "gap": gap, "spectral_norm": norm_h, "dim": h.dim},
+                     "gap": gap, "spectral_norm": norm_h, "dim": dim},
     }
-    return Preparation(
-        cfg, p, meta, restrict(h, idx).matrix, kraus, vg @ vg.conj().T, spec.eigenvectors[:, j]
-    )
+    psi0 = spec.eigenvectors[:, ranks.tolist().index(k)]
+    return Preparation(cfg, p, meta, h.matrix, kraus, vg @ vg.conj().T, psi0)
 
 
 def evolve(prep: Preparation, cfg: ChannelConfig) -> SimulationRecord:

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelError, restrict, run_simulation, spectrum
+from .channel import ChannelError, run_simulation, spectrum
 from .config import ConfigError, load_run_config, manifest_dict, output_path
 from .filters import f_hat, f_time
 from .linalg import LinalgError
@@ -182,16 +182,14 @@ def cmd_jump_report(args) -> int:
     path = output_path("--sparsity-out", args.sparsity_out)
     model = _model_from_args(args)
     with _publish([] if path is None else [path]) as temps:
-        h, a, blocks, specs, order, _, gap, _, p = spectrum(model)
+        dim, blocks, _, gap, _, p = spectrum(model)
         # norms, ground residuals and |K| entries are unitarily invariant, so every row comes
         # from F o (V^dag A V) in the energy basis. A links no two blocks, so each matrix is
         # zero between them: its 2-norm is the largest block 2-norm, and the ground state e_0
-        # lives in the block whose levels start at level 0. `at` holds a block's level numbers.
-        places = np.split(np.argsort(order), np.cumsum([s.dim for s in specs])[:-1])
+        # lives in the block whose levels start at level 0. `at` holds a block's level ranks.
         norm_a = norm_exact = norm_quad = k_minus_ks = 0.0
-        k_abs = None if path is None else np.zeros((h.dim, h.dim))
-        for idx, spec, at in zip(blocks, specs, places):
-            a_block = restrict(a, idx)
+        k_abs = None if path is None else np.zeros((dim, dim))
+        for _, _, a_block, spec, at in blocks:
             a_eig = coupling_in_eigenbasis(spec, a_block)
             m_exact = exact_filter(spec.eigenvalues, p) * a_eig
             m_clamped = exact_filter(spec.eigenvalues, p.with_clamp(True)) * a_eig
@@ -208,7 +206,7 @@ def cmd_jump_report(args) -> int:
         writer = csv.writer(sys.stdout)
         writer.writerow(["metric", "value"])
         rows = [
-            ("dim", h.dim),
+            ("dim", dim),
             ("gap", gap),
             ("norm_a", norm_a),
             ("norm_k_exact", norm_exact),

@@ -66,8 +66,9 @@ class CheckResult:
 
 
 def _tfim_setup(sites: int = 2, clamp: bool = False):
-    sp = spectrum(ModelSpec("tfim", sites, tfim_g=1.2))  # TFIM is one block
-    return sp.h, sp.specs[0], sp.a, sp.params.with_clamp(clamp)
+    sp = spectrum(ModelSpec("tfim", sites, tfim_g=1.2))
+    (block,) = sp.blocks  # TFIM is one block
+    return block.h, block.spec, block.a, sp.params.with_clamp(clamp)
 
 
 def _random_density(rng, dim) -> DensityMatrix:

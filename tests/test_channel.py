@@ -8,7 +8,6 @@ import scipy.linalg
 from lindbladprep.channel import (
     ChannelConfig,
     ChannelError,
-    blocked_eig,
     build_kraus_pair,
     build_w,
     channel_step_density,
@@ -16,6 +15,7 @@ from lindbladprep.channel import (
     invariant_blocks,
     prepare,
     run_simulation,
+    spectrum,
     step_cost,
     trajectory_step,
 )
@@ -213,21 +213,31 @@ class TestBuildKrausPair:
 class TestBlockedEig:
     @pytest.mark.parametrize("sites", [2, 4])
     def test_matches_dense_spectrum(self, sites):
-        _, h, a = hubbard_setup(sites)
-        blocks = invariant_blocks(h, a)
-        specs = blocked_eig(h, blocks)
-        levels = np.sort(np.concatenate([s.eigenvalues for s in specs]))
-        assert np.max(np.abs(levels - hermitian_eig(h).eigenvalues)) <= 1e-12
-        for idx, spec in zip(blocks, specs, strict=True):
-            assert np.max(np.abs(spec.reconstruct() - h.matrix[np.ix_(idx, idx)])) <= 1e-12
+        model, h, a = hubbard_setup(sites)
+        sp = spectrum(model)
+        assert sp.dim == h.dim
+        assert np.max(np.abs(sp.levels - hermitian_eig(h).eigenvalues)) <= 1e-12
+        ranks = np.concatenate([block.ranks for block in sp.blocks])
+        assert np.array_equal(np.sort(ranks), np.arange(h.dim))
+        for block, idx in zip(sp.blocks, invariant_blocks(h, a), strict=True):
+            assert np.array_equal(block.idx, idx)
+            assert np.array_equal(block.h.matrix, h.matrix[np.ix_(idx, idx)])
+            assert np.array_equal(block.a.matrix, a.matrix[np.ix_(idx, idx)])
+            assert np.array_equal(sp.levels[block.ranks], block.spec.eigenvalues)
+            assert np.max(np.abs(block.spec.reconstruct() - block.h.matrix)) <= 1e-12
 
     def test_tfim_equals_dense_spectrum(self):
         model = ModelSpec("tfim", 4, tfim_g=1.2)
-        h = model.hamiltonian()
-        (spec,) = blocked_eig(h, invariant_blocks(h, coupling_operator(model)))
+        h, a = model.hamiltonian(), coupling_operator(model)
+        sp = spectrum(model)
+        (block,) = sp.blocks
         dense = hermitian_eig(h)
-        assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
-        assert np.array_equal(spec.eigenvectors, dense.eigenvectors)
+        assert np.array_equal(block.idx, np.arange(16))
+        assert np.array_equal(block.h.matrix, h.matrix)
+        assert np.array_equal(block.a.matrix, a.matrix)
+        assert np.array_equal(sp.levels[block.ranks], block.spec.eigenvalues)
+        assert np.array_equal(block.spec.eigenvalues, dense.eigenvalues)
+        assert np.array_equal(block.spec.eigenvectors, dense.eigenvectors)
 
 
 class TestChannelStepDensity:
@@ -773,27 +783,27 @@ class TestRestrictedRun:
     @pytest.mark.parametrize("backend", ["density", "trajectory"])
     @pytest.mark.parametrize("initial_state", ["highest_excited", "eigenstate:8"])
     def test_matches_full_size_steps(self, backend, initial_state):
-        model, h, a = hubbard_setup(2)
+        model, h, _ = hubbard_setup(2)
         cfg = ChannelConfig(
             tau=0.5, total_time=3.0, mode="discrete", r=2, backend=backend, reps=8, seed=5,
             initial_state=initial_state,
         )
-        blocks = invariant_blocks(h, a)
-        specs = blocked_eig(h, blocks)
-        # block and column of every level in the run's stable ascending order
-        order = np.argsort(np.concatenate([s.eigenvalues for s in specs]), kind="stable")
-        home = np.repeat(np.arange(len(specs)), [s.dim for s in specs])[order]
-        column = np.concatenate([np.arange(s.dim) for s in specs])[order]
+        blocks = spectrum(model).blocks
+
+        def place(level):  # the record that holds a level, and its column there, by the ranks
+            return next((b, b.ranks.tolist().index(level)) for b in blocks if level in b.ranks)
+
         k = cfg.eigenstate_index if cfg.eigenstate_index is not None else h.dim - 1
+        (home, column), (ground, _) = place(k), place(0)
         # the run's own initial vector at full size: a degenerate level's
         # dense eigenvector would mix sectors
         psi0 = np.zeros(h.dim, dtype=complex)
-        psi0[blocks[home[k]]] = specs[home[k]].eigenvectors[:, column[k]]
+        psi0[home.idx] = home.spec.eigenvectors[:, column]
         if initial_state == "highest_excited":
             dense = hermitian_eig(h).eigenvectors[:, -1]
             assert abs(abs(np.vdot(dense, psi0)) - 1) <= 1e-12
         else:
-            assert home[k] != home[0]  # the ground state lies in another block
+            assert home is not ground  # the ground state lies in another block
         rec = run_simulation(model, cfg)
         rows, click_rate = dense_rows(model, cfg, psi0)
         got = list(rec.rows())

@@ -860,6 +860,7 @@ class TestAuxCommands:
         import lindbladprep.linalg as linalg
 
         assert not hasattr(cli, "hermitian_eig")  # a name bound in cli would escape the spy
+        assert not hasattr(cli, "restrict")  # jump-report takes each block's A from spectrum
         exact = linalg.hermitian_eig
         solved = []
 
