@@ -77,11 +77,13 @@ class TransitionMatrix:
 
     def __post_init__(self):
         t = np.asarray(self.matrix, dtype=float)
+        if not np.isfinite(t).all():
+            raise ValueError(f"transition matrix entries must be finite, got {t[~np.isfinite(t)][0]}")
         col_sums = np.abs(t.sum(axis=0))
-        if np.max(col_sums) > 1e-12 * max(1.0, np.max(np.abs(t))):
+        if not np.max(col_sums) <= 1e-12 * max(1.0, np.max(np.abs(t))):
             raise ValueError("transition matrix columns must sum to zero")
         off = t - np.diag(np.diag(t))
-        if np.min(off) < 0:
+        if not np.min(off) >= 0:
             raise ValueError("off-diagonal rates must be nonnegative")
         t.setflags(write=False)
         object.__setattr__(self, "matrix", t)
@@ -151,6 +153,8 @@ def transition_matrix(
     if not p.clamp_nonnegative:
         raise ValueError("transition matrix requires the clamped filter")
     lam = np.asarray(eigenvalues, dtype=float)
+    if not np.isfinite(lam).all():
+        raise ValueError(f"eigenvalues must be finite, got {lam.tolist()}")
     if lam.size != spec_r.dim:
         raise ValueError("spectrum and variance profile dimension mismatch")
     omega = lam[:, None] - lam[None, :]
@@ -162,12 +166,16 @@ def transition_matrix(
 
 def evolve_populations(t: TransitionMatrix, p0: np.ndarray, time: float) -> np.ndarray:
     """``exp(T time) p0``; the result stays a probability vector.  The
-    exponential is :func:`_expm`, checked against ``scipy.linalg.expm``."""
+    exponential is :func:`_expm`, checked against ``scipy.linalg.expm``.
+    ``time`` must be finite and nonnegative, with ``|T time|_1 < 2^1023``
+    so that the scaling of :func:`_expm` cannot overflow, or ValueError."""
     p = _probability_vector(p0, t.dim)
-    if time < 0:
-        raise ValueError("time must be nonnegative")
+    time = float(time)
+    scaled = np.linalg.norm(t.matrix, 1).item() * time  # Python floats: inf, not a warning
+    if not (time >= 0 and scaled < 2.0**1023):  # NaN and inf fail too
+        raise ValueError(f"time must be finite and nonnegative with |T time|_1 < 2^1023, got {time}")
     out = _expm(t.matrix * time) @ p
-    if np.min(out) < -1e-9 or abs(out.sum() - 1.0) > 1e-9:
+    if not (np.min(out) >= -1e-9 and abs(out.sum() - 1.0) <= 1e-9):
         raise ValueError("population evolution left the simplex")
     return out
 
@@ -178,8 +186,8 @@ def _probability_vector(p0: np.ndarray, dim: int) -> np.ndarray:
     p = np.asarray(p0, dtype=float)
     if p.ndim != 1 or p.size != dim:
         raise ValueError("population vector dimension mismatch")
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("p0 must be a probability vector")
+    if not (np.all(p >= -1e-12) and abs(p.sum() - 1.0) <= 1e-9):  # NaN fails too
+        raise ValueError(f"p0 must be a probability vector, got {p.tolist()}")
     return p
 
 
@@ -211,10 +219,14 @@ def synthetic_spectrum(kind: str, n: int, *, seed: int = 0, span: float = 4.0) -
 
     ``equispaced``: uniform ladder on [0, span].  ``clustered``: two tight
     bands separated by the span.  ``random``: sorted uniform draws with a
-    unit gap enforced below the bulk.
+    unit gap enforced below the bulk.  ``span`` must be finite and positive,
+    and above 1 for ``random``, or ValueError.
     """
     if n < 2:
         raise ValueError("need at least two levels")
+    low = 1.0 if kind == "random" else 0.0  # the random bulk is drawn from [1, span)
+    if not (math.isfinite(span) and span > low):
+        raise ValueError(f"span must be finite and greater than {low:g} for kind {kind!r}, got {span}")
     if kind == "equispaced":
         return np.linspace(0.0, span, n)
     if kind == "clustered":

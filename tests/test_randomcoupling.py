@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -165,6 +167,14 @@ class TestTransitionMatrix:
                 tau=0.05, t_final=0.5, reps=2,
             )
 
+    def test_non_finite_rates_rejected(self):
+        # a NaN eigenvalue used to give NaN rates, which both checks let through
+        p = clamped_params(3.0, 1.0)
+        with pytest.raises(ValueError, match=r"eigenvalues must be finite, got \[0.0, nan, 2.0, 3.0\]"):
+            transition_matrix(np.array([0.0, np.nan, 2.0, 3.0]), p, RandomCouplingSpec.uniform(4))
+        with pytest.raises(ValueError, match="transition matrix entries must be finite, got nan"):
+            randomcoupling.TransitionMatrix(np.array([[0.0, np.nan], [0.0, np.nan]]))
+
     def test_ground_indicator_is_null_vector(self):
         lam = synthetic_spectrum("equispaced", 6, span=3.0)
         p = clamped_params(3.0, float(lam[1] - lam[0]))
@@ -218,6 +228,17 @@ class TestEvolvePopulations:
             q = q + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         assert np.max(np.abs(evolve_populations(self.t, p0, t_final) - q)) <= 1e-8
 
+
+    # nan used to return NaN populations, inf and 1e308 the same after overflow warnings
+    @pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf, 1e308])
+    def test_bad_time_rejected(self, time):
+        with pytest.raises(ValueError, match=re.escape(f"< 2^1023, got {time}")):
+            evolve_populations(self.t, np.full(8, 1 / 8), time)
+
+    def test_nan_result_rejected(self, monkeypatch):
+        monkeypatch.setattr(randomcoupling, "_expm", lambda m: np.full(m.shape, np.nan))
+        with pytest.raises(ValueError, match="left the simplex"):
+            evolve_populations(self.t, np.full(8, 1 / 8), 1.0)
 
     @pytest.mark.parametrize("kind", ["equispaced", "clustered", "random"])
     def test_expm_matches_scipy_oracle(self, kind):
@@ -296,6 +317,15 @@ class TestErgodicity:
             ergodicity_experiment(
                 lam, RandomCouplingSpec.uniform(8, 0.5), clamped_params(4.0, 0.5),
                 np.full(6, 1 / 6), tau=0.01, t_final=0.1, reps=4,
+            )
+
+    def test_nan_p0_rejected_before_evolving(self):
+        # used to fail after the first step, as a trace drift to nan that advised a smaller tau
+        lam = synthetic_spectrum("equispaced", 4, span=3.0)
+        with pytest.raises(ValueError, match=r"p0 must be a probability vector, got \[nan, 0.5"):
+            ergodicity_experiment(
+                lam, RandomCouplingSpec.uniform(4, 0.5), clamped_params(3.0, 1.0),
+                np.array([np.nan, 0.5, 0.25, 0.25]), tau=0.05, t_final=0.5, reps=2,
             )
 
     def test_profile_dimension_mismatch_rejected_before_evolving(self):
@@ -539,6 +569,12 @@ class TestMixingLayers:
                 lam, RandomCouplingSpec.uniform(4), p, [3, 0], t_max=t_max, n_times=n_times
             )
 
+    def test_nan_eigenvalue_rejected(self):
+        # used to return rates [nan] and crossing times [None]
+        p = clamped_params(3.0, 1.0)
+        with pytest.raises(ValueError, match="eigenvalues must be finite"):
+            mixing_layers_experiment([0.0, np.nan, 2.0, 3.0], RandomCouplingSpec.uniform(4), p, [3, 0])
+
     def test_numpy_integer_thresholds_accepted(self):
         lam = synthetic_spectrum("equispaced", 8, span=4.0)
         p = clamped_params(4.0, float(lam[1] - lam[0]))
@@ -642,3 +678,16 @@ class TestSyntheticSpectrum:
         assert ra[0] == 0.0 and np.all(np.diff(ra) >= 0)
         with pytest.raises(ValueError):
             synthetic_spectrum("weird", 4)
+
+    # each used to return a spectrum (descending, NaN, flat or all zero) or end
+    # in numpy's "high - low < 0"
+    @pytest.mark.parametrize(
+        "kind, span, low",
+        [
+            ("equispaced", -3.0, 0), ("equispaced", np.nan, 0), ("clustered", 0.0, 0),
+            ("clustered", np.inf, 0), ("random", 0.5, 1), ("random", 1.0, 1),
+        ],
+    )
+    def test_bad_span_rejected(self, kind, span, low):
+        with pytest.raises(ValueError, match=f"span must be finite and greater than {low} for kind '{kind}', got {span}"):
+            synthetic_spectrum(kind, 4, span=span)
