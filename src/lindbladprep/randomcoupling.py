@@ -77,8 +77,9 @@ class TransitionMatrix:
 
     def __post_init__(self):
         t = np.asarray(self.matrix, dtype=float)
-        if not np.isfinite(t).all():
-            raise ValueError(f"transition matrix entries must be finite, got {t[~np.isfinite(t)][0]}")
+        bad = t[~np.isfinite(t)]
+        if bad.size:
+            raise ValueError(f"transition matrix entries must be finite, got {bad[0]}")
         col_sums = np.abs(t.sum(axis=0))
         if not np.max(col_sums) <= 1e-12 * max(1.0, np.max(np.abs(t))):
             raise ValueError("transition matrix columns must sum to zero")
@@ -171,7 +172,7 @@ def evolve_populations(t: TransitionMatrix, p0: np.ndarray, time: float) -> np.n
     so that the scaling of :func:`_expm` cannot overflow, or ValueError."""
     p = _probability_vector(p0, t.dim)
     time = float(time)
-    scaled = np.linalg.norm(t.matrix, 1).item() * time  # Python floats: inf, not a warning
+    scaled = np.linalg.norm(t.matrix, 1).item() * time  # a Python float overflows to inf silently
     if not (time >= 0 and scaled < 2.0**1023):  # NaN and inf fail too
         raise ValueError(f"time must be finite and nonnegative with |T time|_1 < 2^1023, got {time}")
     out = _expm(t.matrix * time) @ p

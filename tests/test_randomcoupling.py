@@ -228,7 +228,6 @@ class TestEvolvePopulations:
             q = q + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         assert np.max(np.abs(evolve_populations(self.t, p0, t_final) - q)) <= 1e-8
 
-
     # nan used to return NaN populations, inf and 1e308 the same after overflow warnings
     @pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf, 1e308])
     def test_bad_time_rejected(self, time):
@@ -239,6 +238,7 @@ class TestEvolvePopulations:
         monkeypatch.setattr(randomcoupling, "_expm", lambda m: np.full(m.shape, np.nan))
         with pytest.raises(ValueError, match="left the simplex"):
             evolve_populations(self.t, np.full(8, 1 / 8), 1.0)
+
 
     @pytest.mark.parametrize("kind", ["equispaced", "clustered", "random"])
     def test_expm_matches_scipy_oracle(self, kind):
@@ -689,5 +689,6 @@ class TestSyntheticSpectrum:
         ],
     )
     def test_bad_span_rejected(self, kind, span, low):
-        with pytest.raises(ValueError, match=f"span must be finite and greater than {low} for kind '{kind}', got {span}"):
+        message = f"span must be finite and greater than {low} for kind '{kind}', got {span}"
+        with pytest.raises(ValueError, match=message):
             synthetic_spectrum(kind, 4, span=span)
