@@ -51,7 +51,6 @@ simulation time, so one step costs ``r * 2 * (2M + 1)`` gates and
 
 from __future__ import annotations
 
-import math
 import re
 import warnings
 from collections import namedtuple
@@ -59,7 +58,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .filters import FilterParams, f_time, quadrature_grid
+from .filters import MIN_GAP, FilterParams, f_time, quadrature_grid
 from .linalg import (
     STEP_DRIFT,
     DensityMatrix,
@@ -69,6 +68,7 @@ from .linalg import (
     hermitian_eig,
     max_abs,
     mean_se,
+    step_count,
 )
 from .models import ModelSpec, coupling_operator
 
@@ -107,7 +107,7 @@ class ChannelConfig:
     ``mode`` is documentation of the regime: ``continuous`` means a small
     step with ``r = 1``; ``discrete`` allows a large step refined by ``r``
     unitary segments ``W(sqrt(tau)/r)`` per step.  ``total_time / tau``
-    must be an integer step count.
+    must be an integer step count, by the rule in :func:`linalg.step_count`.
     """
 
     tau: float
@@ -126,19 +126,9 @@ class ChannelConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.backend not in ("trajectory", "density"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if not (math.isfinite(self.tau) and math.isfinite(self.total_time)):
-            raise ValueError("tau and total_time must be finite")
-        if self.tau <= 0 or self.total_time <= 0:
-            raise ValueError("tau and total_time must be positive")
+        self.n_steps  # refuses a time span that is not a step count
         if self.r < 1:
             raise ValueError("segment count r must be >= 1")
-        steps = self.total_time / self.tau
-        if not steps < 2**63:
-            raise ValueError(f"total_time / tau = {steps:.3g} steps does not fit a 64-bit count")
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError("total_time must be an integer multiple of tau")
-        if round(steps) < 1:
-            raise ValueError(f"total_time / tau = {steps:.3g} is less than one step")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.record_stride < 1:
@@ -154,15 +144,24 @@ class ChannelConfig:
                 "'ground' or 'eigenstate:<index>')"
             )
 
-    @property
-    def eigenstate_index(self) -> int | None:
-        """The index ``k`` of ``initial_state = "eigenstate:k"``, else None."""
-        match = _EIGENSTATE.fullmatch(self.initial_state)
-        return int(match[1]) if match else None
+    def initial_level(self, dim: int) -> int:
+        """Index of the initial eigenstate among ``dim`` ascending levels;
+        ValueError when ``eigenstate:k`` names no level."""
+        if self.initial_state == "highest_excited":
+            return dim - 1
+        if self.initial_state == "ground":
+            return 0
+        k = int(_EIGENSTATE.fullmatch(self.initial_state)[1])
+        if k >= dim:
+            raise ValueError(
+                f"initial_state {self.initial_state!r} is out of range: "
+                f"the model has {dim} eigenstates (indices 0..{dim - 1})"
+            )
+        return k
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.total_time / self.tau))
+        return step_count(self.tau, self.total_time, ("tau", "total_time"))
 
     @property
     def tau_eff(self) -> float:
@@ -358,6 +357,27 @@ def isometry_defect(m0: np.ndarray, m1: np.ndarray) -> float:
     return max_abs(m0.conj().T @ m0 + m1.conj().T @ m1 - np.eye(m0.shape[1]))
 
 
+def _w_columns(
+    spec: SpectralDecomposition, a: HermitianOperator, p: FilterParams, tau_eff: float, r: int,
+    ancillas: tuple[int, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(va, cols)``: the eigenvectors ``va`` of ``A`` and, for ``spec`` the
+    spectrum of ``H``, the (2, N, k N) columns of ``W(sqrt(tau_eff))^r`` on
+    the k ancilla states ``ancillas``, with the rows in the eigenbasis of
+    ``A``: ``cols[b][:, j N:(j + 1) N] = va^dag <b| W^r |ancillas[j]>``."""
+    if spec.dim != a.dim:
+        raise ValueError("dimension mismatch between spectrum and coupling")
+    a_spec = hermitian_eig(a)
+    va = a_spec.eigenvectors
+    n = spec.dim
+    x = np.zeros((n, 2, len(ancillas) * n), dtype=complex)
+    for j, b in enumerate(ancillas):
+        x[:, b, j * n : (j + 1) * n] = va.conj().T
+    hop = _frame_hop(spec, va, p.tau_s)
+    x = _apply_w(x, hop, a_spec.eigenvalues, _node_angles(p, tau_eff), r)
+    return va, x.transpose(1, 0, 2)
+
+
 def build_kraus_pair(
     spec: SpectralDecomposition,
     a: HermitianOperator,
@@ -373,17 +393,9 @@ def build_kraus_pair(
     and ``defect`` its :func:`isometry_defect`; the pair is refused unless
     that is at most 1e-10.
     """
-    if spec.dim != a.dim:
-        raise ValueError("dimension mismatch between spectrum and coupling")
-    a_spec = hermitian_eig(a)
-    va = a_spec.eigenvectors
-    n = spec.dim
-    x = np.zeros((n, 2, n), dtype=complex)
-    x[:, 0] = va.conj().T
-    hop = _frame_hop(spec, va, p.tau_s)
-    x = _apply_w(x, hop, a_spec.eigenvalues, _node_angles(p, cfg.tau_eff), cfg.r)
+    va, cols = _w_columns(spec, a, p, cfg.tau_eff, cfg.r, (0,))
     back = evolution_unitary(spec, cfg.tau) @ va if cfg.include_coherent else va
-    kraus = back @ x.transpose(1, 0, 2)
+    kraus = back @ cols
     defect = isometry_defect(*kraus)
     if not defect <= 1e-10:
         raise ChannelError(
@@ -409,17 +421,9 @@ def build_w(
     """
     if tau_eff <= 0:
         raise ValueError("tau_eff must be positive")
-    if spec.dim != a.dim:
-        raise ValueError("dimension mismatch between spectrum and coupling")
-    a_spec = hermitian_eig(a)
-    va = a_spec.eigenvectors
-    n = spec.dim
-    x = np.zeros((n, 2, 2 * n), dtype=complex)
-    x[:, 0, :n] = x[:, 1, n:] = va.conj().T
-    hop = _frame_hop(spec, va, p.tau_s)
-    x = _apply_w(x, hop, a_spec.eigenvalues, _node_angles(p, tau_eff), 1)
-    w = np.concatenate([va @ x[:, 0], va @ x[:, 1]])
-    defect = max_abs(w.conj().T @ w - np.eye(2 * n))
+    va, cols = _w_columns(spec, a, p, tau_eff, 1, (0, 1))
+    w = np.concatenate(va @ cols)
+    defect = isometry_defect(*np.split(w, 2))  # max|W^dag W - I|
     if not defect <= 1e-10:
         raise ChannelError(f"W lost unitarity: max|W^dag W - I| = {defect:.3e}")
     return w
@@ -510,10 +514,10 @@ def trajectory_step(
     survival never rises (up to the pair's defect), a column whose
     survival at the end is at least its threshold did not click.  Only the
     others are stepped again, one M0 product per step, with M1 applied in
-    one product to the columns that click at that step; at ``span`` 1 the
-    re-step reuses the first product.  Nothing is renormalised inside the
-    span: a clicked column keeps its branch, whose weight then scales its
-    next draw.
+    one product to the columns that click at that step.  The spans split
+    the run's step count, :func:`linalg.step_count`.  Nothing is
+    renormalised inside the span: a clicked column keeps its branch, whose
+    weight then scales its next draw.
 
     Returns ``(block, thresholds, clicks)``: the block normalised, each
     threshold divided by its column's survival, so that it stands against
@@ -547,9 +551,7 @@ def trajectory_step(
 
     late = np.flatnonzero(survival < q)
     q = q.copy()
-    if late.size and span == 1:  # each late column clicks at the one step
-        out[:, late], survival[late], q[late] = click(psi[:, late], nrm2[late], late)
-    elif late.size:  # step the late columns again, one step at a time
+    if late.size:  # step the late columns again, one step at a time
         x, before, q_late = psi[:, late], nrm2[late], q[late]
         for _ in range(span):
             after = m0 @ x
@@ -566,18 +568,6 @@ def trajectory_step(
         raise ChannelError("measurement branch 0 has vanishing probability; trajectory aborted")
     out *= 1.0 / np.sqrt(survival)
     return out, q / survival, clicks
-
-
-def _initial_level(cfg: ChannelConfig, dim: int) -> int:
-    """Index of the initial eigenstate among the ``dim`` ascending levels."""
-    if cfg.initial_state == "highest_excited":
-        return dim - 1
-    if cfg.initial_state == "ground":
-        return 0
-    idx = cfg.eigenstate_index
-    if idx >= dim:
-        raise ValueError(f"eigenstate index {idx} out of range for dimension {dim}")
-    return idx
 
 
 def _record_steps(n_steps: int, stride: int) -> np.ndarray:
@@ -616,7 +606,7 @@ def spectrum(model: ModelSpec, filter_overrides: dict | None = None) -> Spectrum
     blocks = [Block(*part, spec, at) for part, spec, at in zip(parts, specs, ranks)]
     gap = float(levels[1] - levels[0]) if levels.size > 1 else 0.0
     norm_h = float(np.max(np.abs(levels)))
-    from .config import MIN_GAP, resolve_filter_params  # config imports this module
+    from .config import resolve_filter_params  # config imports this module
 
     # without a gap this raises ConfigError unless every filter field is given
     p = resolve_filter_params(filter_overrides or {}, norm_h, gap)
@@ -656,15 +646,16 @@ def prepare(
     level's rank picks its block, and the levels feed the spectral-range
     check of :func:`evolve` and ``meta["spectrum"]``.  A run evolves only
     that block: its state, Kraus pair and ground projector come from the
-    block's own record, the projector onto its levels within 1e-9 of the
-    global ground energy.  No step leaves the block, so this is exact; a
-    ground state in another block has overlap exactly 0.
+    block's own record, the projector onto its levels within
+    :data:`filters.MIN_GAP` of the global ground energy, the spacing below
+    which the filter rule sees no gap.  No step leaves the block, so this
+    is exact; a ground state in another block has overlap exactly 0.
     """
     dim, blocks, levels, gap, norm_h, p = spectrum(model, filter_overrides)
-    k = _initial_level(cfg, dim)
+    k = cfg.initial_level(dim)
     idx, h, a, spec, ranks = next(block for block in blocks if k in block.ranks)
     kraus, defect = build_kraus_pair(spec, a, p, cfg)
-    vg = spec.eigenvectors[:, spec.eigenvalues <= levels[0] + 1e-9]
+    vg = spec.eigenvectors[:, spec.eigenvalues <= levels[0] + MIN_GAP]
     meta = {
         "filter": {**asdict(p), "grid_radius": p.grid_radius},
         "health": {"kraus_isometry_defect": defect, "block_dim": int(idx.size)},

@@ -9,8 +9,9 @@ Subcommands::
     jump-report   numeric diagnostics of the jump operator for a model
 
 Every command claims its files before it computes, inside
-``with _publish(targets) as temps:``; a failed command leaves no new file or
-directory, and an empty output path is refused.
+``with _publish(targets, inputs) as temps:``; a failed command leaves no new
+file or directory, and an empty output path, or one that is an input of the
+command, is refused.
 
 Exit codes, which ``main`` alone picks from what a command raises: 0 success,
 1 runtime failure (out of memory too) / failed verification / a path that
@@ -76,7 +77,7 @@ def _model_from_args(args) -> ModelSpec:
 def cmd_run(args) -> int:
     run = load_run_config(args.config)
     csv_path, manifest_path, *svgs = run.output_paths
-    with _publish(run.output_paths) as temps:
+    with _publish(run.output_paths, [args.config]) as temps:
         # the filter overrides are resolved against the spectrum the run computes
         record = run_simulation(run.model, run.channel, run.filter_overrides)
         write_timeseries_csv(record, temps[csv_path])
@@ -89,11 +90,16 @@ def cmd_run(args) -> int:
 
 
 @contextlib.contextmanager
-def _publish(targets: list[Path]):
-    """Claim the files ``targets`` before the work: refuse a directory, make the
-    missing parents and yield a map from each target to a temporary name beside
-    it; a clean exit renames the files into place, and any exception leaves no
-    new file or directory."""
+def _publish(targets: list[Path], inputs=()):
+    """Claim the files ``targets`` before the work: refuse one that resolves to
+    a path of ``inputs``, the files the command reads, and a directory, make
+    the missing parents and yield a map from each target to a temporary name
+    beside it; a clean exit renames the files into place, and any exception
+    leaves no new file or directory."""
+    read = {Path(path).resolve() for path in inputs}
+    for target in targets:
+        if target.resolve() in read:
+            raise ConfigError(f"output path {str(target)!r} is an input of the command")
     temps = {}
     made = []  # directories made here, parents first
     try:
@@ -141,7 +147,7 @@ def cmd_verify(args) -> int:
 
 def cmd_plot(args) -> int:
     out = output_path("--out", args.out)
-    with _publish([out]) as temps:
+    with _publish([out], args.csv) as temps:
         try:
             render_plot(args.csv, args.kind, temps[out], args.label)
         except PlotError as exc:  # here the CSVs are user input, not a run's own output

@@ -29,11 +29,11 @@ from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from .channel import ChannelConfig
-from .filters import FilterParams, default_params
+from .filters import MIN_GAP, FilterParams, default_params
 from .models import MODEL_PARAMS, ModelSpec
 from .plotting import PLOT_KINDS, not_xml_text
 
-__all__ = ["ConfigError", "MIN_GAP", "RunConfig", "load_run_config", "resolve_filter_params"]
+__all__ = ["ConfigError", "RunConfig", "load_run_config", "resolve_filter_params"]
 
 
 class ConfigError(ValueError):
@@ -174,11 +174,10 @@ def parse_run_config(data) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid channel block: {exc}") from exc
     csv_path, manifest, plots = _parse_output(_require(data, "output", "top-level"))
-    if channel.eigenstate_index is not None and channel.eigenstate_index >= model.dim:
-        raise ConfigError(
-            f"channel.initial_state {channel.initial_state!r} is out of range: "
-            f"the model has {model.dim} eigenstates (indices 0..{model.dim - 1})"
-        )
+    try:
+        channel.initial_level(model.dim)
+    except ValueError as exc:
+        raise ConfigError(f"channel.{exc}") from exc
     run = RunConfig(model, filt, channel, csv_path, manifest, plots)
     real = [path.resolve() for path in run.output_paths]
     for path in real:
@@ -204,11 +203,6 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-# A ground-level spacing at or below this counts as no gap: the rule's
-# ``s_radius = 5 / gap`` would ask for an unbounded quadrature grid.
-MIN_GAP = 1e-9
 
 
 def resolve_filter_params(overrides: dict, norm_h: float, gap: float) -> FilterParams:

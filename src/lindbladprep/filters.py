@@ -24,7 +24,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-__all__ = ["FilterParams", "default_params", "f_hat", "f_time", "quadrature_grid"]
+__all__ = ["MIN_GAP", "FilterParams", "default_params", "f_hat", "f_time", "quadrature_grid"]
+
+# A ground-level spacing at or below this counts as no gap: the rule's
+# ``s_radius = 5 / gap`` would ask for an unbounded quadrature grid.  The
+# levels within it of the ground energy are the ground space of a run.
+MIN_GAP = 1e-9
 
 # Below this |s| the closed form suffers catastrophic cancellation; a
 # second-order Taylor expansion around s = 0 takes over.

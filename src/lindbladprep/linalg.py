@@ -10,6 +10,7 @@ immutable after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "frob",
     "max_abs",
     "mean_se",
+    "step_count",
 ]
 
 # The most one Monte Carlo step may move a density matrix's trace, a
@@ -59,6 +61,24 @@ def mean_se(samples: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     ``axis``; one rep has an error of exactly 0."""
     n = samples.shape[axis]
     return samples.mean(axis=axis), samples.std(axis=axis, ddof=min(1, n - 1)) / np.sqrt(n)
+
+
+def step_count(tau: float, total: float, names: tuple[str, str]) -> int:
+    """The number of ``tau`` steps that make the span ``total``, whose names
+    in the messages are ``names``; ValueError unless both are finite and
+    positive, the count fits 64 bits and ``total`` is a positive multiple of
+    ``tau`` to within 1e-9 of a step."""
+    for name, value in zip(names, (tau, total)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    step, span = names
+    steps = total / tau
+    if not steps < 2**63:
+        raise ValueError(f"{span} / {step} = {steps:.3g} steps does not fit a 64-bit count")
+    n_steps = round(steps)
+    if n_steps < 1 or abs(steps - n_steps) > 1e-9:
+        raise ValueError(f"{span} must be a positive multiple of {step}")
+    return n_steps
 
 
 def _hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:

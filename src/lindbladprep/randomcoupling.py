@@ -26,7 +26,7 @@ import numpy as np
 
 from .filters import FilterParams, f_hat
 from .jump import exact_jump  # noqa: F401  unused; perfbench/traced.py still wraps this name
-from .linalg import STEP_DRIFT, HermitianOperator, LinalgError, mean_se
+from .linalg import STEP_DRIFT, HermitianOperator, LinalgError, mean_se, step_count
 from .plotting import write_csv, write_json
 from .reference import evolve_ode  # noqa: F401  unused; as exact_jump
 
@@ -258,22 +258,6 @@ def step_draws(rngs: list, n_steps: int, width: int):
         yield from np.stack([g.standard_normal(size) for g in rngs], axis=1)
 
 
-def _step_count(tau: float, t_final: float) -> int:
-    """The number of ``tau`` steps that make ``t_final``; ValueError unless
-    both are finite and positive, the count fits 64 bits and ``t_final`` is a
-    positive multiple of ``tau``."""
-    for name, value in (("tau", tau), ("t_final", t_final)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
-    steps = t_final / tau
-    if not steps < 2**63:
-        raise ValueError(f"t_final / tau = {steps:.3g} steps does not fit a 64-bit count")
-    n_steps = int(round(steps))
-    if n_steps < 1 or abs(n_steps * tau - t_final) > 1e-9:
-        raise ValueError("t_final must be a positive multiple of tau")
-    return n_steps
-
-
 def _resampled_evolution(
     lam: np.ndarray, spec_r: RandomCouplingSpec, p: FilterParams, p0: np.ndarray, tau: float,
     t_final: float, rngs: list, record: int | None,
@@ -294,11 +278,11 @@ def _resampled_evolution(
     draws from an identically seeded generator; a generator draws its normals
     for a chunk of steps at a time (:func:`step_draws`), and the couplings are
     built one step at a time.  ``tau`` and ``t_final`` are checked by
-    :func:`_step_count` before any draw.  Returns ``record`` evenly spaced
+    :func:`linalg.step_count` before any draw.  Returns ``record`` evenly spaced
     checkpoint steps (None: the last step only) and the states there,
     ``(rep, step, n, n)``.
     """
-    n_steps = _step_count(tau, t_final)
+    n_steps = step_count(tau, t_final, ("tau", "t_final"))
     steps = np.array([n_steps]) if record is None else np.linspace(1, n_steps, record).round()
     steps = steps[np.diff(steps, prepend=0) > 0].astype(int)  # np.unique would import numpy.ma
     n, reps = lam.size, len(rngs)
@@ -448,7 +432,6 @@ def mixing_layers_experiment(
     t_max: float = 50.0,
     n_times: int = 400,
     rate_floor: float = 1e-12,
-    p0: np.ndarray | None = None,
 ) -> MixingLayersReport:
     """Layered-mixing study on one spectrum.
 
@@ -487,8 +470,7 @@ def mixing_layers_experiment(
         layer_rates.append(rate)
         if rate < rate_floor:
             violated.append(l + 1)
-    if p0 is None:
-        p0 = np.full(n, 1.0 / n)
+    p0 = np.full(n, 1.0 / n)
     times = np.linspace(0.0, t_max, n_times)
     pops = np.stack([evolve_populations(tmat, p0, t) for t in times])
     tails = np.stack(
@@ -550,7 +532,7 @@ def concentration_experiment(
     p0 = np.asarray(p0, dtype=float)
     tmat = transition_matrix(lam, p, spec_r)
     for tau in taus:  # every tau is checked before the first draw
-        _step_count(tau, t_final)
+        step_count(tau, t_final, ("tau", "t_final"))
     target = np.diag(evolve_populations(tmat, p0, t_final)).astype(complex)
     devs, ses = [], []
     for tau_idx, tau in enumerate(taus):

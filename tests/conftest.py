@@ -9,6 +9,23 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+# (tau, t_final, the refusal of linalg.step_count); in the random-coupling
+# experiments each used to fail later, in another way
+BAD_TIMES = [
+    pytest.param(0.0, 1.0, "tau must be finite and positive, got 0.0", id="tau-zero"),
+    pytest.param(0.1, 0.0, "t_final must be finite and positive, got 0.0", id="t_final-zero"),
+    pytest.param(np.nan, 1.0, "tau must be finite and positive, got nan", id="tau-nan"),
+    pytest.param(0.1, np.nan, "t_final must be finite and positive, got nan", id="t_final-nan"),
+    pytest.param(np.inf, 1.0, "tau must be finite and positive, got inf", id="tau-inf"),
+    pytest.param(0.1, np.inf, "t_final must be finite and positive, got inf", id="t_final-inf"),
+    pytest.param(-0.1, -1.0, "tau must be finite and positive, got -0.1", id="negative"),
+    # used to end in OverflowError: t_final / tau is inf
+    pytest.param(5e-324, 1.0, "inf steps does not fit a 64-bit count", id="steps-overflow"),
+    # used to return a 301-digit step count and start that many RK4 steps
+    pytest.param(1e-300, 1.0, r"1e\+300 steps does not fit a 64-bit count", id="steps-beyond-64-bit"),
+]
+
+
 def random_hermitian(rng, dim: int) -> HermitianOperator:
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return HermitianOperator((x + x.conj().T) / 2)

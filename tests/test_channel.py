@@ -35,7 +35,7 @@ from lindbladprep.models import ModelSpec, coupling_operator
 from lindbladprep.reference import exact_dilated_step
 from lindbladprep.verify import CONFIGS, ORACLE_BOUND, ORACLE_SEEDS, oracle_z
 
-from conftest import PAULI_X, PAULI_Y, ground_projector, random_density, random_state
+from conftest import BAD_TIMES, PAULI_X, PAULI_Y, ground_projector, random_density, random_state
 
 
 def tfim_setup(sites=2, clamp=False):
@@ -59,6 +59,12 @@ class TestChannelConfig:
     def test_non_integer_steps_rejected(self):
         with pytest.raises(ValueError):
             ChannelConfig(tau=0.3, total_time=1.0)
+
+    @pytest.mark.parametrize("tau, t_final, message", BAD_TIMES)
+    def test_bad_times_rejected(self, tau, t_final, message):
+        """The step rule of the random-coupling experiments, with ``total_time`` for the span."""
+        with pytest.raises(ValueError, match=message.replace("t_final", "total_time")):
+            ChannelConfig(tau=tau, total_time=t_final)
 
     def test_tau_eff_segments(self):
         cfg = ChannelConfig(tau=1.0, total_time=2.0, mode="discrete", r=2)
@@ -793,7 +799,7 @@ class TestRestrictedRun:
         def place(level):  # the record that holds a level, and its column there, by the ranks
             return next((b, b.ranks.tolist().index(level)) for b in blocks if level in b.ranks)
 
-        k = cfg.eigenstate_index if cfg.eigenstate_index is not None else h.dim - 1
+        k = cfg.initial_level(h.dim)
         (home, column), (ground, _) = place(k), place(0)
         # the run's own initial vector at full size: a degenerate level's
         # dense eigenvector would mix sectors

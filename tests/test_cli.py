@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import lindbladprep
-from lindbladprep.channel import ChannelConfig, invariant_blocks, run_simulation
+from lindbladprep.channel import ChannelConfig, invariant_blocks, prepare, run_simulation
 from lindbladprep.cli import main
 from lindbladprep.config import ConfigError, load_run_config, parse_run_config, resolve_filter_params
 from lindbladprep.models import ModelSpec, coupling_operator
@@ -362,6 +362,23 @@ class TestRunCommand:
         assert_one_error_line(capsys, ["run", str(cfg_path)], 2)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "link.json"]
 
+    def test_manifest_onto_its_own_config_exit_2(self, tmp_path, monkeypatch, capsys):
+        """A manifest path that is the config itself, spelled another way, is
+        refused before the run simulates or makes a directory; the config is
+        left as it was."""
+        import lindbladprep.cli as cli
+
+        monkeypatch.setattr(cli, "run_simulation", lambda *args: pytest.fail("simulated"))
+        monkeypatch.chdir(tmp_path)
+        data = tiny_config(tmp_path)
+        data["output"] = {"csv": str(tmp_path / "new" / "run.csv"), "manifest": "./cfg.json"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        before = cfg_path.read_bytes()
+        assert_one_error_line(capsys, ["run", "cfg.json"], 2)
+        assert cfg_path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     @pytest.mark.parametrize(
         "stem, plots, code",
         [("r\x01d", "plots", 2), ("r\udcffd", "plots", 2), ("r\x01d", None, 0)],
@@ -494,6 +511,18 @@ class TestRunCommand:
         assert message in err
         assert err.count("\n") == 1
         assert not (tmp_path / "run.csv").exists()
+
+    def test_prepare_refuses_an_eigenstate_as_the_config_does(self, tmp_path, capsys):
+        """One rule places the initial level: ``prepare`` refuses ``eigenstate:99``
+        of TFIM-2 with the config's text, less its ``channel.`` prefix."""
+        data = tiny_config(tmp_path, initial_state="eigenstate:99")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        with pytest.raises(ValueError) as refusal:
+            prepare(ModelSpec("tfim", 2, tfim_g=1.2), ChannelConfig(**data["channel"]))
+        assert err == f"error: channel.{refusal.value}\n"
 
     def test_last_eigenstate_index_accepted(self, tmp_path):
         data = tiny_config(tmp_path, initial_state="eigenstate:3")
@@ -770,6 +799,16 @@ class TestPlotting:
         empty = tmp_path / "none.csv"
         empty.write_text("")
         assert main(["plot", str(empty), "--kind", "energy-time", "--out", str(out)]) == 2
+
+    def test_plot_onto_its_own_csv_exit_2(self, tmp_path, monkeypatch, capsys):
+        """An SVG path that is one of the plotted CSVs, spelled another way, is
+        refused; the CSV is left as it was."""
+        path = self.make_csv(tmp_path)
+        before = path.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        argv = ["plot", str(path), "--kind", "energy-time", "--out", "./series.csv"]
+        assert_one_error_line(capsys, argv, 2)
+        assert path.read_bytes() == before
 
 
 def svg_texts(path) -> list:
