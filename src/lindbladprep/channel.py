@@ -26,10 +26,12 @@ serves as the oracle.
 
 Every factor of ``W`` is block-diagonal on the connected components of the
 joint nonzero pattern of ``H`` and ``A`` (:func:`invariant_blocks`), so
-neither the channel nor the dynamics ever links two blocks.
-:func:`spectrum` partitions ``(H, A)`` once and hands back one record per
-block: its ``H`` and ``A``, the spectrum of its ``H`` and the global rank of
-each of its levels.  :func:`prepare` builds only the block of the initial
+neither the channel nor the dynamics ever links two blocks.  The models
+hand over their nonzero terms, not matrices: :func:`spectrum` partitions
+those terms once, densifies each block alone, so a model of many blocks
+never has a ``2^n x 2^n`` array, and hands back one record per block: its
+``H`` and ``A``, the spectrum of its ``H`` and the global rank of each of
+its levels.  :func:`prepare` builds only the block of the initial
 eigenstate, the one :func:`evolve` steps: a block of size ``d``
 costs ``r * 2 * (2M + 1)`` hops of ``(d, d) @ (d, 2d)``.  This is exact,
 not an approximation.  TFIM is one block; the Hubbard chain splits into its
@@ -70,7 +72,7 @@ from .linalg import (
     mean_se,
     step_count,
 )
-from .models import ModelSpec, coupling_operator
+from .models import ModelSpec, SparseOperator, coupling_operator
 
 __all__ = [
     "ChannelConfig",
@@ -81,7 +83,6 @@ __all__ = [
     "build_w",
     "build_w_naive",
     "invariant_blocks",
-    "restrict",
     "spectrum",
     "isometry_defect",
     "step_cost",
@@ -324,32 +325,34 @@ def _apply_w(
     return x
 
 
-def invariant_blocks(*ops: HermitianOperator) -> list[np.ndarray]:
-    """Connected components of the joint nonzero pattern of ``ops``.
+def invariant_blocks(*ops: SparseOperator) -> list[np.ndarray]:
+    """Connected components of the joint nonzero pattern of ``ops``, the
+    terms of operators on one space.
 
     Each component is an ascending array of basis indices; components are
     ordered by their first index.  Every operator, and so every function of
-    one, is block-diagonal on them.  The pattern is exact (``!= 0``, no
-    tolerance), so an entry of 1e-300 still links its two indices.
+    one, is block-diagonal on them.  The pattern is exact (``vals != 0``, no
+    tolerance), so an entry of 1e-300 still links its two indices.  Every
+    index starts as its own label; each round, an index takes the smallest
+    label across its terms and then its label's label, until no label
+    changes.  A component's label is then its first index.
     """
-    linked = np.logical_or.reduce([op.matrix != 0 for op in ops])
-    unseen = np.ones(linked.shape[0], dtype=bool)
-    blocks = []
-    while unseen.any():
-        block = np.zeros_like(unseen)
-        frontier = block.copy()
-        frontier[np.argmax(unseen)] = True
-        while frontier.any():  # breadth-first: each row is read once
-            block |= frontier
-            frontier = linked[frontier].any(axis=0) & ~block
-        unseen &= ~block
-        blocks.append(np.flatnonzero(block))
-    return blocks
-
-
-def restrict(op: HermitianOperator, idx: np.ndarray) -> HermitianOperator:
-    """``op`` on the basis indices ``idx``, and ``op`` itself, not a copy, on all of them."""
-    return op if idx.size == op.dim else HermitianOperator(op.matrix[np.ix_(idx, idx)])
+    dim = ops[0].dim
+    if any(op.dim != dim for op in ops):
+        raise ValueError("the operators act on spaces of different dimensions")
+    rows = np.concatenate([op.rows[op.vals != 0] for op in ops])
+    cols = np.concatenate([op.cols[op.vals != 0] for op in ops])
+    label = np.arange(dim)
+    while True:
+        lower = label.copy()
+        np.minimum.at(lower, rows, label[cols])
+        np.minimum.at(lower, cols, label[rows])
+        lower = lower[lower]
+        if np.array_equal(lower, label):
+            break
+        label = lower
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
 def isometry_defect(m0: np.ndarray, m1: np.ndarray) -> float:
@@ -583,13 +586,14 @@ Spectrum = namedtuple("Spectrum", "dim blocks levels gap norm_h params")
 
 def spectrum(model: ModelSpec, filter_overrides: dict | None = None) -> Spectrum:
     """Levels, invariant blocks and filter of ``model``; the one place that
-    sees the full-space ``H`` and ``A``.
+    sees the full-space ``H`` and ``A``, as the model's sparse terms.
 
-    ``(H, A)`` is partitioned once (:func:`invariant_blocks`), and each
-    block is one :class:`Block` record: its basis indices ``idx``, the two
-    operators restricted to it (``h``, ``a``), the spectrum ``spec`` of its
-    ``h``, one eigensolve per block, and ``ranks``, the place of each of its
-    levels among all ``dim`` levels: ``levels[ranks] == spec.eigenvalues``.
+    The terms of ``(H, A)`` are partitioned once (:func:`invariant_blocks`),
+    and each block is one :class:`Block` record: its basis indices ``idx``,
+    the two operators densified on it alone (``h``, ``a``), the spectrum
+    ``spec`` of its ``h``, one eigensolve per block, and ``ranks``, the
+    place of each of its levels among all ``dim`` levels:
+    ``levels[ranks] == spec.eigenvalues``.
     ``levels`` is every block's levels in ascending order, by a stable sort,
     so levels that tie exactly across blocks keep the order of their blocks.
     The filter ``params`` is the parameter rule applied to their spectral
@@ -597,7 +601,7 @@ def spectrum(model: ModelSpec, filter_overrides: dict | None = None) -> Spectrum
     block) on top; invalid overrides raise ``ConfigError``.
     """
     h, a = model.hamiltonian(), coupling_operator(model)
-    parts = [(idx, restrict(h, idx), restrict(a, idx)) for idx in invariant_blocks(h, a)]
+    parts = [(idx, h.dense(idx), a.dense(idx)) for idx in invariant_blocks(h, a)]
     specs = [hermitian_eig(h_block) for _, h_block, _ in parts]
     levels = np.concatenate([s.eigenvalues for s in specs])
     order = np.argsort(levels, kind="stable")

@@ -96,8 +96,8 @@ class FilterParams:
     ``grid_radius = m_half * tau_s >= s_radius``.  With
     ``clamp_nonnegative`` set, the frequency profile is forced to 0 for
     ``w >= 0`` (exact energy-decrease condition).  Values that are not
-    finite, overflow ``f``'s small-``s`` expansion or need 2^63 or more
-    grid nodes are refused.
+    finite, overflow ``f``'s small-``s`` expansion or need 2^59 or more
+    grid nodes, whose complex values would take 2^63 bytes, are refused.
     """
 
     a: float
@@ -122,8 +122,11 @@ class FilterParams:
         if not all(math.isfinite(c) for c in _taylor_coefficients(self)):
             raise ValueError("filter too large: the small-s expansion of f overflows")
         ratio = self.s_radius / self.tau_s
-        if not 2 * ratio + 1 < 2**63:
-            raise ValueError(f"s_radius / tau_s = {ratio:.3g} needs 2^63 or more grid nodes")
+        if not 2 * ratio + 1 < 2**59:
+            raise ValueError(
+                f"s_radius / tau_s = {ratio:.3g} needs {2 * ratio + 1:.3g} grid nodes, "
+                "2^59 or more: their complex values would take 2^63 bytes"
+            )
         object.__setattr__(self, "m_half", max(math.ceil(ratio - 1e-12), 1))
 
     @property

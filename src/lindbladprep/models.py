@@ -1,6 +1,6 @@
 """Benchmark Hamiltonians and their coupling operators.
 
-Two families are provided as dense matrices:
+Two families are provided as sparse terms (:class:`SparseOperator`):
 
 * transverse-field Ising chain (open boundary),
   ``H = -sum_i Z_i Z_{i+1} - g sum_i X_i`` on ``L`` qubits;
@@ -16,18 +16,19 @@ Bit convention: in basis state ``i`` of ``n`` qubits, qubit (or mode)
 ``q`` is bit ``n - 1 - q`` of ``i``, so qubit 0 is the most significant
 bit.  A qubit reads 0 for ``Z = +1`` and a mode reads 1 when occupied.
 
-Every operator here is filled straight from the table of these bits
+Every operator here is read straight off the table of these bits
 (:func:`_bits`, ``n x 2^n`` small integers), never from Kronecker
 products.  Diagonal terms (``Z_i Z_{i+1}``, ``Z_1``, the Hubbard
-interaction) are sums over the table.  Off-diagonal terms flip a fixed set
-of bits, so each is one scatter of its coefficient to ``(i ^ mask, i)``:
-``X_q`` flips bit ``q`` of every state, and the hopping
-``c^dag_p c_q + c^dag_q c_p`` flips modes ``p < q`` of the states where
-they differ, with the Jordan-Wigner sign ``(-1)`` to the number of
-occupied modes strictly between ``p`` and ``q``.  Each entry receives the
-same exact ``+/-1``, ``+/-t``, ``+/-g`` or ``+/-U/4`` terms, in the same
-order, as the Kronecker-product sums, so the matrices agree bit for bit;
-the only ``dim x dim`` array is the returned one.
+interaction) are sums over the table, one entry per basis state.
+Off-diagonal terms flip a fixed set of bits, so each is one coefficient
+per state ``i`` at ``(i ^ mask, i)``: ``X_q`` flips bit ``q`` of every
+state, and the hopping ``c^dag_p c_q + c^dag_q c_p`` flips modes ``p < q``
+of the states where they differ, with the Jordan-Wigner sign ``(-1)`` to
+the number of occupied modes strictly between ``p`` and ``q``.  Each entry
+is the same exact ``+/-1``, ``+/-t``, ``+/-g`` or ``+/-U/4`` terms, summed
+in the same order, as the Kronecker-product sums, so the densified
+matrices agree with them bit for bit.  No array of ``dim x dim`` is formed
+until :meth:`SparseOperator.dense` is asked for one.
 """
 
 from __future__ import annotations
@@ -42,16 +43,52 @@ from .linalg import HermitianOperator
 __all__ = [
     "MODEL_PARAMS",
     "ModelSpec",
+    "SparseOperator",
     "build_tfim",
     "build_hubbard_1d",
     "coupling_operator",
 ]
 
-# Dense storage ceiling: 12 qubits = 4096 x 4096.
+# Qubit ceiling: a TFIM block is the whole space, 4096 x 4096 at 12 qubits.
 MAX_QUBITS = 12
 
 # The couplings of each model kind: config key (and CLI flag) -> ModelSpec field.
 MODEL_PARAMS = {"tfim": {"g": "tfim_g"}, "hubbard1d": {"t": "hubbard_t", "u": "hubbard_u"}}
+
+
+@dataclass(frozen=True)
+class SparseOperator:
+    """A Hermitian operator on ``dim`` basis states as its terms: the entry
+    ``vals[k]`` at ``(rows[k], cols[k])``, and zero elsewhere.  Terms that
+    share a ``(row, col)`` pair add up."""
+
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def dense(self, idx: np.ndarray | None = None) -> HermitianOperator:
+        """The operator on the ascending basis indices ``idx``, the whole
+        space when ``idx`` is None, as a dense :class:`HermitianOperator`:
+        ``dense()[np.ix_(idx, idx)]`` bit for bit.  ValueError when a
+        nonzero term links ``idx`` to an index outside it."""
+        idx = np.arange(self.dim) if idx is None else idx
+        pos = np.full(self.dim, -1)
+        pos[idx] = np.arange(idx.size)
+        rows, cols = pos[self.rows], pos[self.cols]
+        row_in, col_in = rows >= 0, cols >= 0
+        if np.any((row_in != col_in) & (self.vals != 0)):
+            raise ValueError("a nonzero term links the index set to the rest of the space")
+        inside = row_in & col_in
+        out = np.zeros((idx.size, idx.size), dtype=complex)
+        np.add.at(out.reshape(-1), rows[inside] * idx.size + cols[inside], self.vals[inside])
+        return HermitianOperator(out)
+
+
+def _terms(dim: int, parts: list[tuple]) -> SparseOperator:
+    """One :class:`SparseOperator` from ``(rows, cols, vals)`` parts."""
+    rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
+    return SparseOperator(dim, rows, cols, vals.astype(float))
 
 
 @dataclass(frozen=True)
@@ -94,7 +131,7 @@ class ModelSpec:
     def dim(self) -> int:
         return 2**self.n_qubits
 
-    def hamiltonian(self) -> HermitianOperator:
+    def hamiltonian(self) -> SparseOperator:
         if self.kind == "tfim":
             return build_tfim(self.sites, self.tfim_g)
         return build_hubbard_1d(self.sites, self.hubbard_t, self.hubbard_u)
@@ -111,14 +148,14 @@ def _mask(n_qubits: int, *qubits: int) -> int:
     return sum(1 << (n_qubits - 1 - q) for q in qubits)
 
 
-def _add_hopping(out: np.ndarray, bits: np.ndarray, p: int, q: int, coeff: float) -> None:
-    """``out += coeff (c^dag_p c_q + c^dag_q c_p)`` for modes ``p < q``."""
+def _hopping(bits: np.ndarray, p: int, q: int, coeff: float) -> tuple:
+    """Terms of ``coeff (c^dag_p c_q + c^dag_q c_p)`` for modes ``p < q``."""
     moved = np.flatnonzero(bits[p] != bits[q])
     parity = bits[p + 1 : q, moved].sum(axis=0) & 1
-    out[moved ^ _mask(bits.shape[0], p, q), moved] += coeff * (1 - 2 * parity)
+    return moved ^ _mask(bits.shape[0], p, q), moved, coeff * (1 - 2 * parity)
 
 
-def build_tfim(sites: int, g: float) -> HermitianOperator:
+def build_tfim(sites: int, g: float) -> SparseOperator:
     """Open-boundary transverse-field Ising chain on ``sites`` qubits."""
     if sites < 2:
         raise ValueError("TFIM needs at least 2 sites")
@@ -128,15 +165,12 @@ def build_tfim(sites: int, g: float) -> HermitianOperator:
     diag = np.zeros(2**sites)
     for i in range(sites - 1):
         diag -= z[i] * z[i + 1]
-    h = np.zeros((diag.size, diag.size), dtype=complex)
-    np.fill_diagonal(h, diag)
     states = np.arange(diag.size)
-    for i in range(sites):
-        h[states ^ _mask(sites, i), states] -= g
-    return HermitianOperator(h)
+    flips = [(states ^ _mask(sites, i), states, np.full(diag.size, -g)) for i in range(sites)]
+    return _terms(diag.size, [(states, states, diag), *flips])
 
 
-def build_hubbard_1d(sites: int, t: float, u: float) -> HermitianOperator:
+def build_hubbard_1d(sites: int, t: float, u: float) -> SparseOperator:
     """Spinful 1-D Hubbard chain, open boundary, half-filling convention.
 
     ``H = -t sum_{j,s} (c^dag_{j,s} c_{j+1,s} + h.c.)
@@ -151,19 +185,18 @@ def build_hubbard_1d(sites: int, t: float, u: float) -> HermitianOperator:
             f"(ceiling {MAX_QUBITS})"
         )
     bits = _bits(n_modes)
-    h = np.zeros((bits.shape[1], bits.shape[1]), dtype=complex)
-    for j in range(sites - 1):
-        for s in (0, 1):
-            _add_hopping(h, bits, 2 * j + s, 2 * (j + 1) + s, -t)
+    hops = [
+        _hopping(bits, 2 * j + s, 2 * (j + 1) + s, -t) for j in range(sites - 1) for s in (0, 1)
+    ]
     half = bits - 0.5
     diag = np.zeros(bits.shape[1])
     for j in range(sites):
         diag += u * (half[2 * j] * half[2 * j + 1])
-    np.fill_diagonal(h, diag)
-    return HermitianOperator(h)
+    states = np.arange(diag.size)
+    return _terms(diag.size, [*hops, (states, states, diag)])
 
 
-def coupling_operator(model: ModelSpec) -> HermitianOperator:
+def coupling_operator(model: ModelSpec) -> SparseOperator:
     """The system-environment coupling used in the experiments.
 
     TFIM: ``A = Z`` on the first site.  Hubbard: the Hermitian hopping
@@ -172,10 +205,7 @@ def coupling_operator(model: ModelSpec) -> HermitianOperator:
         = sum_s (c^dag_{1,s} c_{2,s} + c^dag_{2,s} c_{1,s})``.
     """
     bits = _bits(model.n_qubits)
-    a = np.zeros((model.dim, model.dim), dtype=complex)
     if model.kind == "tfim":
-        np.fill_diagonal(a, 1 - 2 * bits[0])
-    else:
-        for s in (0, 1):
-            _add_hopping(a, bits, s, 2 + s, 1.0)
-    return HermitianOperator(a)
+        states = np.arange(model.dim)
+        return _terms(model.dim, [(states, states, 1 - 2 * bits[0])])
+    return _terms(model.dim, [_hopping(bits, s, 2 + s, 1.0) for s in (0, 1)])

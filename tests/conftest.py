@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lindbladprep.linalg import DensityMatrix, HermitianOperator
+from lindbladprep.models import SparseOperator
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -41,6 +42,21 @@ def ground_projector(spec) -> np.ndarray:
     """Projector onto the eigenvectors within 1e-9 of the lowest eigenvalue."""
     vg = spec.eigenvectors[:, spec.eigenvalues <= spec.eigenvalues[0] + 1e-9]
     return vg @ vg.conj().T
+
+
+def sparse(matrix) -> SparseOperator:
+    """The terms of a dense matrix, one per nonzero entry."""
+    m = np.asarray(matrix)
+    rows, cols = np.nonzero(m)
+    return SparseOperator(m.shape[0], rows, cols, m[rows, cols])
+
+
+def pattern(op: SparseOperator) -> np.ndarray:
+    """The ``dim x dim`` boolean pattern of the nonzero terms of ``op``."""
+    out = np.zeros((op.dim, op.dim), dtype=bool)
+    nonzero = op.vals != 0
+    out[op.rows[nonzero], op.cols[nonzero]] = True
+    return out
 
 
 def random_state(rng, dim: int) -> np.ndarray:

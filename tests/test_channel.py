@@ -35,20 +35,29 @@ from lindbladprep.models import ModelSpec, coupling_operator
 from lindbladprep.reference import exact_dilated_step
 from lindbladprep.verify import CONFIGS, ORACLE_BOUND, ORACLE_SEEDS, oracle_z
 
-from conftest import BAD_TIMES, PAULI_X, PAULI_Y, ground_projector, random_density, random_state
+from conftest import (
+    BAD_TIMES,
+    PAULI_X,
+    PAULI_Y,
+    ground_projector,
+    pattern,
+    random_density,
+    random_state,
+    sparse,
+)
 
 
 def tfim_setup(sites=2, clamp=False):
     model = ModelSpec("tfim", sites, tfim_g=1.2)
-    h = model.hamiltonian()
+    h = model.hamiltonian().dense()
     spec = hermitian_eig(h)
     p = default_params(spec.spectral_norm, spec.gap, clamp=clamp)
-    return model, h, spec, coupling_operator(model), p
+    return model, h, spec, coupling_operator(model).dense(), p
 
 
 def hubbard_setup(sites):
     model = ModelSpec("hubbard1d", sites, hubbard_t=1.0, hubbard_u=4.0)
-    return model, model.hamiltonian(), coupling_operator(model)
+    return model, model.hamiltonian().dense(), coupling_operator(model).dense()
 
 
 class TestChannelConfig:
@@ -151,9 +160,8 @@ class TestBuildKrausPair:
     def test_matches_block_column_of_w_power(self, model, r, coherent):
         """(M0, M1) is the ancilla-|0> block column of W^r, with e^{-iH tau}
         folded in when the coherent part is on."""
-        h = model.hamiltonian()
-        spec = hermitian_eig(h)
-        a = coupling_operator(model)
+        spec = hermitian_eig(model.hamiltonian().dense())
+        a = coupling_operator(model).dense()
         # Hubbard-3's ground level is a spin doublet: take the gap above it
         spacings = np.diff(spec.eigenvalues)
         p = default_params(spec.spectral_norm, spacings[spacings > 1e-9][0])
@@ -172,7 +180,7 @@ class TestBuildKrausPair:
         pairs, and the pair must follow A across them."""
         h = HermitianOperator(np.diag([0.0, 0.7, 1.5, 2.6]))
         a = HermitianOperator(np.kron(PAULI_X, np.eye(2)))
-        assert [list(b) for b in invariant_blocks(h, a)] == [[0, 2], [1, 3]]
+        assert [list(b) for b in invariant_blocks(sparse(h.matrix), sparse(a.matrix))] == [[0, 2], [1, 3]]
         spec = hermitian_eig(h)
         p = default_params(spec.spectral_norm, spec.gap)
         cfg = ChannelConfig(tau=0.5, total_time=0.5, include_coherent=False)
@@ -225,7 +233,8 @@ class TestBlockedEig:
         assert np.max(np.abs(sp.levels - hermitian_eig(h).eigenvalues)) <= 1e-12
         ranks = np.concatenate([block.ranks for block in sp.blocks])
         assert np.array_equal(np.sort(ranks), np.arange(h.dim))
-        for block, idx in zip(sp.blocks, invariant_blocks(h, a), strict=True):
+        blocks = invariant_blocks(model.hamiltonian(), coupling_operator(model))
+        for block, idx in zip(sp.blocks, blocks, strict=True):
             assert np.array_equal(block.idx, idx)
             assert np.array_equal(block.h.matrix, h.matrix[np.ix_(idx, idx)])
             assert np.array_equal(block.a.matrix, a.matrix[np.ix_(idx, idx)])
@@ -234,7 +243,7 @@ class TestBlockedEig:
 
     def test_tfim_equals_dense_spectrum(self):
         model = ModelSpec("tfim", 4, tfim_g=1.2)
-        h, a = model.hamiltonian(), coupling_operator(model)
+        h, a = model.hamiltonian().dense(), coupling_operator(model).dense()
         sp = spectrum(model)
         (block,) = sp.blocks
         dense = hermitian_eig(h)
@@ -244,6 +253,25 @@ class TestBlockedEig:
         assert np.array_equal(sp.levels[block.ranks], block.spec.eigenvalues)
         assert np.array_equal(block.spec.eigenvalues, dense.eigenvalues)
         assert np.array_equal(block.spec.eigenvectors, dense.eigenvectors)
+
+
+    def test_hubbard5_spectrum_forms_no_full_space_matrix(self):
+        """Hubbard-5 (dim 1024, blocks of at most 100): the traced peak of
+        ``spectrum`` stays below 16 MB, the size of one dense complex
+        operator.  Its ground level is degenerate, so every filter field is
+        given."""
+        import tracemalloc
+
+        model = ModelSpec("hubbard1d", 5, hubbard_t=1.0, hubbard_u=4.0)
+        fields = dict(a=40.0, delta_a=8.0, b=0.5, delta_b=0.5, s_radius=10.0, tau_s=0.05)
+        tracemalloc.start()
+        try:
+            with pytest.warns(UserWarning, match="degenerate"):
+                spectrum(model, fields)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024**2
 
 
 class TestChannelStepDensity:
@@ -718,7 +746,7 @@ def dense_rows(model, cfg, psi0):
     """CSV rows and click rates of ``cfg`` (record_stride 1) stepped at full
     size: a dense eigensolve of H, the pair of the full (H, A), the run's
     thresholds, one span of one step per call."""
-    h, a = model.hamiltonian(), coupling_operator(model)
+    h, a = model.hamiltonian().dense(), coupling_operator(model).dense()
     spec = hermitian_eig(h)
     p = resolve_filter_params({}, spec.spectral_norm, spec.gap)
     kraus, _ = build_kraus_pair(spec, a, p, cfg)
@@ -760,8 +788,9 @@ class TestRestrictedRun:
     eigenstate; stepping the full space gives the same rows."""
 
     def test_partitions_once_and_eigensolves_only_blocks(self, monkeypatch):
-        """Hubbard-4: one partition of the model's (H, A), and no eigensolve
-        larger than the largest block (36 states)."""
+        """Hubbard-4: one partition of the model's sparse (H, A), whose
+        pattern is the dense one, and no eigensolve larger than the largest
+        block (36 states)."""
         import lindbladprep.channel as channel
 
         model = ModelSpec("hubbard1d", 4, hubbard_t=1.0, hubbard_u=4.0)
@@ -769,7 +798,7 @@ class TestRestrictedRun:
         exact_blocks, exact_eig = channel.invariant_blocks, channel.hermitian_eig
 
         def blocks_spy(*ops):
-            partitions.append([op.matrix for op in ops])
+            partitions.append(ops)
             return exact_blocks(*ops)
 
         def eig_spy(op):
@@ -781,9 +810,9 @@ class TestRestrictedRun:
         cfg = ChannelConfig(tau=0.5, total_time=1.0, mode="discrete", r=2, backend="density")
         run_simulation(model, cfg)
         assert len(partitions) == 1
-        h, a = partitions[0]
-        assert np.array_equal(h, model.hamiltonian().matrix)
-        assert np.array_equal(a, coupling_operator(model).matrix)
+        dense = model.hamiltonian().dense(), coupling_operator(model).dense()
+        for op, full in zip(partitions[0], dense, strict=True):
+            assert np.array_equal(pattern(op), full.matrix != 0)
         assert len(solved) == 26 and max(solved) == 36  # 25 blocks of H, then A on one
 
     @pytest.mark.parametrize("backend", ["density", "trajectory"])

@@ -442,6 +442,20 @@ class TestRunCommand:
         assert err.count("\n") == 1
         assert not (tmp_path / "run.csv").exists()
 
+    def test_grid_too_big_for_its_values_exit_2(self, tmp_path, capsys):
+        """s_radius / tau_s = 1e18 needs 2e18 grid nodes, below 2^63 but
+        16 bytes each for the values of f: refused with one line, where
+        numpy's "array is too big" traceback used to end the run with exit 1."""
+        data = tiny_config(tmp_path)
+        data["filter"] = {"s_radius": 1e15, "tau_s": 1e-3}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "2e+18 grid nodes" in err
+        assert not (tmp_path / "run.csv").exists()
+
     def test_run_eigensolves_h_once(self, tmp_path, monkeypatch):
         import lindbladprep.channel as channel
         import lindbladprep.linalg as linalg
@@ -460,8 +474,8 @@ class TestRunCommand:
         assert main(["run", str(cfg_path)]) == 0
         model = ModelSpec("tfim", 2, tfim_g=1.2)
         assert len(solved) == 2
-        assert np.array_equal(solved[0], model.hamiltonian().matrix)
-        assert np.array_equal(solved[1], coupling_operator(model).matrix)
+        assert np.array_equal(solved[0], model.hamiltonian().dense().matrix)
+        assert np.array_equal(solved[1], coupling_operator(model).dense().matrix)
 
         # Hubbard-2: H one invariant block at a time, A only on the block
         # that holds the (non-degenerate) highest eigenstate
@@ -471,9 +485,9 @@ class TestRunCommand:
         cfg_path.write_text(json.dumps(data))
         assert main(["run", str(cfg_path)]) == 0
         model = ModelSpec("hubbard1d", 2, hubbard_t=1.0, hubbard_u=4.0)
-        h, a = model.hamiltonian().matrix, coupling_operator(model).matrix
+        h, a = model.hamiltonian().dense().matrix, coupling_operator(model).dense().matrix
         blocks = invariant_blocks(model.hamiltonian(), coupling_operator(model))
-        top = exact(model.hamiltonian()).eigenvectors[:, -1]
+        top = exact(model.hamiltonian().dense()).eigenvectors[:, -1]
         (live,) = [idx for idx in blocks if np.max(np.abs(top[idx])) > 1e-6]
         expected = [h[np.ix_(idx, idx)] for idx in blocks] + [a[np.ix_(live, live)]]
         assert len(blocks) == 9 and len(solved) == len(expected)
@@ -675,8 +689,8 @@ rc.ergodicity_experiment(lam, sigma, p, p0, tau=0.5, t_final=1.0, reps=2)
 rc.concentration_experiment(lam, sigma, p, p0, taus=[0.5], t_final=1.0, reps=2)
 rc.mixing_layers_experiment(lam, sigma, p, [2, 0], n_times=3)
 model = ModelSpec("tfim", 2, tfim_g=1.2)
-spec = hermitian_eig(model.hamiltonian())
-exact_jump(spec, coupling_operator(model), default_params(spec.spectral_norm, spec.gap))
+spec = hermitian_eig(model.hamiltonian().dense())
+exact_jump(spec, coupling_operator(model).dense(), default_params(spec.spectral_norm, spec.gap))
 out = {str(tmp_path)!r}
 assert main(["filter-table", "--out-dir", out, "--points", "5"]) == 0
 assert main(["jump-report", "--sites", "2", "--sparsity-out", out + "/k.csv"]) == 0
@@ -910,7 +924,7 @@ class TestAuxCommands:
         monkeypatch.setattr(linalg, "hermitian_eig", spy)
         monkeypatch.setattr(channel, "hermitian_eig", spy)
         model = ModelSpec("hubbard1d", 2, hubbard_t=1.0, hubbard_u=4.0)
-        h = model.hamiltonian().matrix
+        h = model.hamiltonian().dense().matrix
         blocks = invariant_blocks(model.hamiltonian(), coupling_operator(model))
         assert len(blocks) == 9
         argv = ["--model", "hubbard1d", "--sites", "2"]
@@ -968,8 +982,8 @@ class TestAuxCommands:
         assert main(["jump-report", *argv, "--sparsity-out", str(tmp_path / "k.csv")]) == 0
         lines = capsys.readouterr().out.splitlines()
         rows = {name: float(value) for name, value in (line.split(",") for line in lines[1:])}
-        spec = hermitian_eig(model.hamiltonian())
-        a = coupling_operator(model)
+        spec = hermitian_eig(model.hamiltonian().dense())
+        a = coupling_operator(model).dense()
         p = default_params(spec.spectral_norm, spec.gap)
         k, k_quad = exact_jump(spec, a, p), quadrature_jump(spec, a, p)
         k_clamped = exact_jump(spec, a, p.with_clamp(True))
@@ -1008,12 +1022,12 @@ class TestAuxCommands:
         from lindbladprep.linalg import hermitian_eig
 
         model = ModelSpec("hubbard1d", 4, hubbard_t=1.0, hubbard_u=4.0)
-        a = coupling_operator(model)
-        assert len(invariant_blocks(model.hamiltonian(), a)) == 25
+        assert len(invariant_blocks(model.hamiltonian(), coupling_operator(model))) == 25
+        a = coupling_operator(model).dense()
         assert main(["jump-report", "--model", "hubbard1d", "--sites", "4"]) == 0
         lines = capsys.readouterr().out.splitlines()
         rows = {name: float(value) for name, value in (line.split(",") for line in lines[1:])}
-        spec = hermitian_eig(model.hamiltonian())
+        spec = hermitian_eig(model.hamiltonian().dense())
         p = default_params(spec.spectral_norm, spec.gap)
         k, k_quad = exact_jump(spec, a, p), quadrature_jump(spec, a, p)
         expect = {
@@ -1184,7 +1198,7 @@ class TestMutationHarness:
 
         ok, _ = quadrature_convergence_check()
         assert ok
-        spec = hermitian_eig(build_tfim(2, 1.2))
+        spec = hermitian_eig(build_tfim(2, 1.2).dense())
         p = default_params(spec.spectral_norm, spec.gap)
         nodes, weights = quadrature_grid(p)
         corrupted = np.where(nodes < 0, -weights, weights)

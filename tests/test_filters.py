@@ -89,13 +89,13 @@ class TestFHat:
 
     def test_nonnegative_on_benchmark_defaults(self):
         for sites in (2, 4):
-            spec = hermitian_eig(build_tfim(sites, 1.2))
+            spec = hermitian_eig(build_tfim(sites, 1.2).dense())
             p = default_params(spec.spectral_norm, spec.gap)
             grid = np.linspace(-2 * p.a, 2 * p.a, 4001)
             assert float(np.min(f_hat(grid, p))) >= -1e-15
 
     def test_support_property(self):
-        spec = hermitian_eig(build_tfim(4, 1.2))
+        spec = hermitian_eig(build_tfim(4, 1.2).dense())
         gap = spec.gap
         p = default_params(spec.spectral_norm, gap)
         grid = np.linspace(gap, 3 * p.a, 2001)
@@ -137,7 +137,7 @@ class TestFTime:
         upper limit must extend past 0 because the erf tail leaks into
         positive frequencies.
         """
-        spec = hermitian_eig(build_tfim(2, 1.2))
+        spec = hermitian_eig(build_tfim(2, 1.2).dense())
         p = default_params(spec.spectral_norm, spec.gap)
         lo, hi = -(p.a + 6 * p.delta_a), 6 * p.delta_b
         n = 2**16 + 1
@@ -157,7 +157,7 @@ class TestFTime:
         assert worst <= 1e-6
 
     def test_envelope_decay(self):
-        spec = hermitian_eig(build_tfim(4, 1.2))
+        spec = hermitian_eig(build_tfim(4, 1.2).dense())
         p = default_params(spec.spectral_norm, spec.gap)
         ss = np.linspace(1.0, 3 * p.s_radius, 500)
         vals = np.abs(f_time(ss, p))

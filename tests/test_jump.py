@@ -11,10 +11,10 @@ from conftest import PAULI_X, PAULI_Z
 
 def tfim_setup(sites, clamp=False):
     model = ModelSpec("tfim", sites, tfim_g=1.2)
-    h = model.hamiltonian()
+    h = model.hamiltonian().dense()
     spec = hermitian_eig(h)
     p = default_params(spec.spectral_norm, spec.gap, clamp=clamp)
-    return spec, coupling_operator(model), p
+    return spec, coupling_operator(model).dense(), p
 
 
 def node_loop_quadrature(spec, a, p, grid=None):
@@ -34,7 +34,7 @@ class TestExactJump:
     def test_identity_coupling_clamped_vanishes(self):
         # A = I is diagonal in the energy basis (to roundoff), and all
         # diagonal frequencies are clamped away
-        spec = hermitian_eig(build_tfim(2, 1.2))
+        spec = hermitian_eig(build_tfim(2, 1.2).dense())
         p = default_params(spec.spectral_norm, spec.gap, clamp=True)
         k = exact_jump(spec, HermitianOperator(np.eye(4)), p)
         assert np.max(np.abs(k.matrix)) <= 1e-14
@@ -77,7 +77,7 @@ class TestExactJump:
         assert res <= bound
 
     def test_dimension_mismatch(self):
-        spec = hermitian_eig(build_tfim(2, 1.2))
+        spec = hermitian_eig(build_tfim(2, 1.2).dense())
         p = default_params(spec.spectral_norm, spec.gap)
         with pytest.raises(ValueError):
             exact_jump(spec, HermitianOperator(np.eye(8)), p)
@@ -95,8 +95,8 @@ class TestQuadratureJump:
             ModelSpec("tfim", 6, tfim_g=1.2),
             ModelSpec("hubbard1d", 4, hubbard_t=1.0, hubbard_u=4.0),
         ):
-            spec = hermitian_eig(model.hamiltonian())
-            a = coupling_operator(model)
+            spec = hermitian_eig(model.hamiltonian().dense())
+            a = coupling_operator(model).dense()
             p = default_params(spec.spectral_norm, spec.gap)
             err = np.linalg.norm(
                 exact_jump(spec, a, p).matrix - quadrature_jump(spec, a, p).matrix, 2
@@ -124,8 +124,8 @@ class TestQuadratureJump:
         ],
     )
     def test_matches_node_loop_oracle(self, model, corrupt):
-        spec = hermitian_eig(model.hamiltonian())
-        a = coupling_operator(model)
+        spec = hermitian_eig(model.hamiltonian().dense())
+        a = coupling_operator(model).dense()
         p = default_params(spec.spectral_norm, spec.gap)
         grid = None
         if corrupt:  # the verify harness's sign-flipped weights

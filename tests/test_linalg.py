@@ -67,7 +67,7 @@ class TestHermitianEig:
     def test_tfim2_against_char_poly_oracle(self):
         # independent oracle: roots of the characteristic polynomial of the
         # dense 4x4 TFIM matrix, computed via companion-matrix eigenvalues
-        h = build_tfim(2, 1.2)
+        h = build_tfim(2, 1.2).dense()
         coeffs = np.poly(h.matrix)
         roots = np.sort_complex(np.roots(coeffs)).real
         spec = hermitian_eig(h)

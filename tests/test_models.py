@@ -5,9 +5,15 @@ import pytest
 
 from lindbladprep.channel import invariant_blocks
 from lindbladprep.linalg import HermitianOperator, hermitian_eig
-from lindbladprep.models import ModelSpec, build_hubbard_1d, build_tfim, coupling_operator
+from lindbladprep.models import (
+    ModelSpec,
+    SparseOperator,
+    build_hubbard_1d,
+    build_tfim,
+    coupling_operator,
+)
 
-from conftest import PAULI_I, PAULI_X, PAULI_Z
+from conftest import PAULI_I, PAULI_X, PAULI_Z, pattern
 
 
 def pauli_chain(ops):
@@ -35,20 +41,20 @@ def tfim_oracle(sites, g):
 
 class TestTfim:
     def test_classical_ising(self):
-        h = build_tfim(2, 0.0)
+        h = build_tfim(2, 0.0).dense()
         assert np.allclose(h.matrix, np.diag([-1.0, 1.0, 1.0, -1.0]))
 
     def test_matches_pauli_sum_oracle(self):
-        assert np.allclose(build_tfim(2, 1.2).matrix, tfim_oracle(2, 1.2), atol=1e-14)
-        assert np.allclose(build_tfim(4, 1.2).matrix, tfim_oracle(4, 1.2), atol=1e-14)
+        assert np.allclose(build_tfim(2, 1.2).dense().matrix, tfim_oracle(2, 1.2), atol=1e-14)
+        assert np.allclose(build_tfim(4, 1.2).dense().matrix, tfim_oracle(4, 1.2), atol=1e-14)
 
     def test_tfim4_ground_energy_oracle(self):
-        spec = hermitian_eig(build_tfim(4, 1.2))
+        spec = hermitian_eig(build_tfim(4, 1.2).dense())
         oracle = np.sort(np.linalg.eigvalsh(tfim_oracle(4, 1.2)))
         assert abs(spec.eigenvalues[0] - oracle[0]) <= 1e-10
 
     def test_spin_flip_symmetry(self):
-        h = build_tfim(3, 0.7).matrix
+        h = build_tfim(3, 0.7).dense().matrix
         flip = pauli_chain([PAULI_X] * 3)
         assert np.max(np.abs(flip @ h @ flip - h)) <= 1e-12
 
@@ -56,9 +62,9 @@ class TestTfim:
     def test_bit_identical_to_kronecker_oracle(self, sites):
         """Every entry is a sum of exact +/-1 and +/-g terms, so the index
         construction and the Kronecker products agree bit for bit."""
-        assert np.array_equal(build_tfim(sites, 1.2).matrix, tfim_oracle(sites, 1.2))
+        assert np.array_equal(build_tfim(sites, 1.2).dense().matrix, tfim_oracle(sites, 1.2))
         z_first = pauli_chain([PAULI_Z] + [PAULI_I] * (sites - 1))
-        a = coupling_operator(ModelSpec("tfim", sites, tfim_g=1.2)).matrix
+        a = coupling_operator(ModelSpec("tfim", sites, tfim_g=1.2)).dense().matrix
         assert np.array_equal(a, z_first)
 
     def test_site_ceiling(self):
@@ -136,12 +142,12 @@ def free_fermion_spectrum(sites, t):
 
 class TestHubbard:
     def test_free_fermion_oracle(self):
-        h = build_hubbard_1d(2, 1.0, 0.0)
+        h = build_hubbard_1d(2, 1.0, 0.0).dense()
         spectrum = np.sort(np.linalg.eigvalsh(h.matrix))
         assert np.allclose(spectrum, free_fermion_spectrum(2, 1.0), atol=1e-10)
 
     def test_hopping_off_is_diagonal(self):
-        h = build_hubbard_1d(2, 0.0, 4.0).matrix
+        h = build_hubbard_1d(2, 0.0, 4.0).dense().matrix
         assert np.max(np.abs(h - np.diag(np.diag(h)))) <= 1e-14
         # every diagonal entry is U * sum_j (n_up - 1/2)(n_dn - 1/2)
         diag = np.diag(h).real
@@ -153,7 +159,7 @@ class TestHubbard:
         assert np.allclose(np.sort(diag), np.sort(expect))
 
     def test_symmetries(self):
-        h = build_hubbard_1d(4, 1.0, 4.0).matrix
+        h = build_hubbard_1d(4, 1.0, 4.0).dense().matrix
         n = hubbard_number_operator(4).matrix
         sz = hubbard_sz_operator(4).matrix
         assert np.max(np.abs(h @ n - n @ h)) <= 1e-12
@@ -165,9 +171,9 @@ class TestHubbard:
         index construction and the Kronecker products agree bit for bit,
         Jordan-Wigner signs included.  U = 0.1 is not dyadic: three or more
         U/4 terms round, and agree only when summed in the same order."""
-        h = build_hubbard_1d(sites, 0.3, 0.1).matrix
+        h = build_hubbard_1d(sites, 0.3, 0.1).dense().matrix
         assert np.array_equal(h, hubbard_oracle(sites, 0.3, 0.1))
-        a = coupling_operator(ModelSpec("hubbard1d", sites, hubbard_t=1.0, hubbard_u=4.0))
+        a = coupling_operator(ModelSpec("hubbard1d", sites, hubbard_t=1.0, hubbard_u=4.0)).dense()
         assert np.array_equal(a.matrix, hubbard_coupling_oracle(sites))
 
     def test_qubit_ceiling(self):
@@ -177,16 +183,16 @@ class TestHubbard:
 
 class TestCoupling:
     def test_tfim_z1(self):
-        a = coupling_operator(ModelSpec("tfim", 2, tfim_g=1.0))
+        a = coupling_operator(ModelSpec("tfim", 2, tfim_g=1.0)).dense()
         assert np.allclose(a.matrix, np.diag([1, 1, -1, -1]))
 
     def test_hubbard_hermitian(self):
-        a = coupling_operator(ModelSpec("hubbard1d", 2, hubbard_t=1.0, hubbard_u=4.0))
+        a = coupling_operator(ModelSpec("hubbard1d", 2, hubbard_t=1.0, hubbard_u=4.0)).dense()
         assert np.max(np.abs(a.matrix - a.matrix.conj().T)) <= 1e-14
 
     def test_hubbard_single_particle_sector_oracle(self):
         """A^2 restricted to one-particle states is the hopping square."""
-        a = coupling_operator(ModelSpec("hubbard1d", 2, hubbard_t=1.0, hubbard_u=4.0)).matrix
+        a = coupling_operator(ModelSpec("hubbard1d", 2, hubbard_t=1.0, hubbard_u=4.0)).dense().matrix
         # one-particle basis states: modes 0..3 occupied alone; the JW basis
         # index with only mode q occupied is 2^(3-q) (mode 0 leads)
         idx = [2 ** (3 - q) for q in range(4)]
@@ -199,7 +205,51 @@ class TestCoupling:
         assert np.allclose(a_sub @ a_sub, np.eye(4))
 
 
+def dense_scan(*ops: HermitianOperator) -> list[np.ndarray]:
+    """Breadth-first components of the joint dense ``!= 0`` pattern, an
+    oracle for the partition of the sparse terms."""
+    linked = np.logical_or.reduce([op.matrix != 0 for op in ops])
+    unseen = np.ones(linked.shape[0], dtype=bool)
+    blocks = []
+    while unseen.any():
+        block = np.zeros_like(unseen)
+        frontier = block.copy()
+        frontier[np.argmax(unseen)] = True
+        while frontier.any():
+            block |= frontier
+            frontier = linked[frontier].any(axis=0) & ~block
+        unseen &= ~block
+        blocks.append(np.flatnonzero(block))
+    return blocks
+
+
+PARTITIONED = [ModelSpec("hubbard1d", s, hubbard_t=1.0, hubbard_u=4.0) for s in range(2, 6)] + [
+    ModelSpec("tfim", s, tfim_g=1.2) for s in range(2, 7)
+]
+
+
 class TestInvariantBlocks:
+    @pytest.mark.parametrize("model", PARTITIONED, ids=lambda m: f"{m.kind}{m.sites}")
+    def test_sparse_partition_matches_the_dense_scan(self, model):
+        """The terms' pattern is the dense ``!= 0`` pattern, their components
+        are the dense scan's, and each block is the dense restriction."""
+        ops = model.hamiltonian(), coupling_operator(model)
+        dense = [op.dense() for op in ops]
+        for op, full in zip(ops, dense):
+            assert np.array_equal(pattern(op), full.matrix != 0)
+        blocks = invariant_blocks(*ops)
+        assert [b.tolist() for b in blocks] == [b.tolist() for b in dense_scan(*dense)]
+        for idx in blocks:
+            for op, full in zip(ops, dense):
+                assert np.array_equal(op.dense(idx).matrix, full.matrix[np.ix_(idx, idx)])
+
+    def test_dense_refuses_an_index_set_that_a_term_leaves(self):
+        model = ModelSpec("hubbard1d", 2, hubbard_t=1.0, hubbard_u=4.0)
+        h = model.hamiltonian()
+        largest = max(invariant_blocks(h, coupling_operator(model)), key=len)
+        with pytest.raises(ValueError, match="links the index set"):
+            h.dense(largest[:-1])
+
     @pytest.mark.parametrize("sites, count, largest", [(2, 9, 4), (4, 25, 36)])
     def test_hubbard_blocks_are_number_and_sz_sectors(self, sites, count, largest):
         model = ModelSpec("hubbard1d", sites, hubbard_t=1.0, hubbard_u=4.0)
@@ -225,9 +275,12 @@ class TestInvariantBlocks:
         h, a = model.hamiltonian(), coupling_operator(model)
         blocks = invariant_blocks(h, a)
         i, j = blocks[1][0], blocks[2][-1]
-        linked = h.matrix.copy()
-        linked[i, j] = linked[j, i] = 1e-300  # the pattern has no tolerance
-        merged = invariant_blocks(HermitianOperator(linked), a)
+        # two more terms, the pair (i, j) and (j, i): the pattern has no tolerance
+        tiny = [1e-300, 1e-300]
+        linked = SparseOperator(
+            h.dim, np.append(h.rows, [i, j]), np.append(h.cols, [j, i]), np.append(h.vals, tiny)
+        )
+        merged = invariant_blocks(linked, a)
         assert len(merged) == len(blocks) - 1
         union = tuple(np.union1d(blocks[1], blocks[2]))
         assert union in set(map(tuple, merged))

@@ -492,7 +492,7 @@ class TestMixingLayers:
         from lindbladprep.linalg import hermitian_eig
         from lindbladprep.models import build_tfim
 
-        spec = hermitian_eig(build_tfim(4, 1.2))
+        spec = hermitian_eig(build_tfim(4, 1.2).dense())
         lam = spec.eigenvalues
         p = clamped_params(spec.spectral_norm, spec.gap)
         rep = mixing_layers_experiment(

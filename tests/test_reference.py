@@ -26,10 +26,10 @@ from conftest import PAULI_Z, random_density
 
 def tfim2_system(clamp=False):
     model = ModelSpec("tfim", 2, tfim_g=1.2)
-    h = model.hamiltonian()
+    h = model.hamiltonian().dense()
     spec = hermitian_eig(h)
     p = default_params(spec.spectral_norm, spec.gap, clamp=clamp)
-    k = exact_jump(spec, coupling_operator(model), p)
+    k = exact_jump(spec, coupling_operator(model).dense(), p)
     return LindbladSystem(h, k), spec
 
 
@@ -46,7 +46,7 @@ class TestLindbladianApply:
 
     def test_zero_jump_is_commutator(self, rng):
         model = ModelSpec("tfim", 2, tfim_g=1.2)
-        h = model.hamiltonian()
+        h = model.hamiltonian().dense()
         spec = hermitian_eig(h)
         p = default_params(spec.spectral_norm, spec.gap)
         k0 = quadrature_jump(spec, HermitianOperator(np.zeros((4, 4))), p)
@@ -185,6 +185,6 @@ class TestChannelProperties:
 
 
 def _zero_jump():
-    spec = hermitian_eig(build_tfim(2, 1.2))
+    spec = hermitian_eig(build_tfim(2, 1.2).dense())
     p = default_params(spec.spectral_norm, spec.gap)
     return quadrature_jump(spec, HermitianOperator(np.zeros((4, 4))), p)
