@@ -35,7 +35,9 @@ its levels.  :func:`prepare` builds only the block of the initial
 eigenstate, the one :func:`evolve` steps: a block of size ``d``
 costs ``r * 2 * (2M + 1)`` hops of ``(d, d) @ (d, 2d)``.  This is exact,
 not an approximation.  TFIM is one block; the Hubbard chain splits into its
-(N_up, N_dn) sectors (25 for four sites, the largest of size 36).
+(N_up, N_dn) sectors (25 for four sites, the largest of size 36).  The
+block is stepped in the eigenbasis of its H, the basis of ``jump-report``,
+where energy and ground overlap are functions of the level populations.
 
 The trajectory backend samples waiting times, the quantum-jump method of
 Dalibard, Castin and Molmer (PRL 68, 580 (1992)): a trajectory clicks at
@@ -63,7 +65,6 @@ import numpy as np
 from .filters import MIN_GAP, FilterParams, f_time, quadrature_grid
 from .linalg import (
     STEP_DRIFT,
-    DensityMatrix,
     HermitianOperator,
     SpectralDecomposition,
     evolution_unitary,
@@ -574,10 +575,11 @@ def trajectory_step(
 
 
 def _record_steps(n_steps: int, stride: int) -> np.ndarray:
-    steps = list(range(0, n_steps + 1, stride))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    return np.asarray(steps, dtype=int)
+    try:
+        steps = np.arange(0, n_steps + 1, stride)
+    except ValueError as exc:  # numpy refuses an array of 2^63 bytes or more before it tries
+        raise MemoryError(f"{n_steps // stride + 1} recorded steps: {exc}") from exc
+    return steps if steps[-1] == n_steps else np.append(steps, n_steps)
 
 
 Block = namedtuple("Block", "idx h a spec ranks")
@@ -626,8 +628,8 @@ def spectrum(model: ModelSpec, filter_overrides: dict | None = None) -> Spectrum
 @dataclass(frozen=True)
 class Preparation:
     """What :func:`prepare` builds for ``cfg``: the filter, ``meta``'s filter,
-    health and spectrum, and, on the :class:`Block` of the initial level, its
-    H matrix, Kraus pair, ground projector and psi0."""
+    health and spectrum, and, in the eigenbasis of the initial level's block,
+    its Kraus pair, levels, ground-level mask and initial unit vector."""
 
     # the config fields that no build reads, which :func:`evolve` may change
     PER_RUN = ("backend", "reps", "seed", "record_stride", "total_time")
@@ -635,9 +637,9 @@ class Preparation:
     cfg: ChannelConfig
     params: FilterParams
     meta: dict
-    h_block: np.ndarray
     kraus: np.ndarray
-    ground_proj: np.ndarray
+    levels: np.ndarray
+    ground: np.ndarray
     psi0: np.ndarray
 
 
@@ -649,25 +651,27 @@ def prepare(
     :func:`spectrum` owns the partition and the level ranks; the initial
     level's rank picks its block, and the levels feed the spectral-range
     check of :func:`evolve` and ``meta["spectrum"]``.  A run evolves only
-    that block: its state, Kraus pair and ground projector come from the
-    block's own record, the projector onto its levels within
-    :data:`filters.MIN_GAP` of the global ground energy, the spacing below
-    which the filter rule sees no gap.  No step leaves the block, so this
-    is exact; a ground state in another block has overlap exactly 0.
+    that block, in the eigenbasis ``V`` of its H: the pair of
+    :func:`build_kraus_pair` becomes ``V^dag M_b V``, the initial state the
+    unit vector of its level, and the ground levels are the block's levels
+    within :data:`filters.MIN_GAP` of the global ground energy, the
+    spacing below which the filter rule sees no gap.  No step leaves the
+    block, so this is exact; a ground state in another block has overlap
+    exactly 0.
     """
     dim, blocks, levels, gap, norm_h, p = spectrum(model, filter_overrides)
     k = cfg.initial_level(dim)
-    idx, h, a, spec, ranks = next(block for block in blocks if k in block.ranks)
+    idx, _, a, spec, ranks = next(block for block in blocks if k in block.ranks)
     kraus, defect = build_kraus_pair(spec, a, p, cfg)
-    vg = spec.eigenvectors[:, spec.eigenvalues <= levels[0] + MIN_GAP]
     meta = {
         "filter": {**asdict(p), "grid_radius": p.grid_radius},
         "health": {"kraus_isometry_defect": defect, "block_dim": int(idx.size)},
         "spectrum": {"ground_energy": float(levels[0]), "max_energy": float(levels[-1]),
                      "gap": gap, "spectral_norm": norm_h, "dim": dim},
     }
-    psi0 = spec.eigenvectors[:, ranks.tolist().index(k)]
-    return Preparation(cfg, p, meta, h.matrix, kraus, vg @ vg.conj().T, psi0)
+    v, ground = spec.eigenvectors, spec.eigenvalues <= levels[0] + MIN_GAP
+    psi0 = np.eye(1, spec.dim, ranks.tolist().index(k), dtype=complex)[0]
+    return Preparation(cfg, p, meta, v.conj().T @ kraus @ v, spec.eigenvalues, ground, psi0)
 
 
 def evolve(prep: Preparation, cfg: ChannelConfig) -> SimulationRecord:
@@ -678,22 +682,24 @@ def evolve(prep: Preparation, cfg: ChannelConfig) -> SimulationRecord:
     difference raises ``ValueError`` naming the first field that differs.
 
     Both backends run the same record loop: advance to the next recorded
-    step, observe, repeat.  The trajectory backend advances all
-    ``cfg.reps`` trajectories as one (n, reps) block over each record span
-    (:func:`trajectory_step`) with the power ``M0^L`` of the span's length
-    L, made once for each distinct length: the stride, and a shorter last
-    span.  Trajectory ``i`` draws from its own ``SeedSequence([cfg.seed,
-    i])`` generator its first threshold and one more after each click, and
-    nothing else, so its clicks depend on neither ``cfg.reps`` nor
-    ``cfg.record_stride``, and a run is byte-identical at a fixed BLAS
-    thread count.  ``health.click_rate`` holds the clicks of each span
-    over ``span * reps``.  The recorded energies must stay within the
-    spectral range up to ``1e-6 * max(1, |H|)``.
+    step, observe, repeat.  Each observes the populations ``pops`` of the
+    block's levels, ``diag(rho)`` or ``|psi|^2`` per column: the energy is
+    ``levels @ pops`` and the overlap ``ground @ pops``.  The trajectory
+    backend advances all ``cfg.reps`` trajectories as one (n, reps) block
+    over each record span (:func:`trajectory_step`) with the power ``M0^L``
+    of the span's length L, made once for each distinct length: the stride,
+    and a shorter last span.  Trajectory ``i`` draws from its own
+    ``SeedSequence([cfg.seed, i])`` generator its first threshold and one
+    more after each click, and nothing else, so its clicks depend on
+    neither ``cfg.reps`` nor ``cfg.record_stride``, and a run is
+    byte-identical at a fixed BLAS thread count.  ``health.click_rate``
+    holds the clicks of each span over ``span * reps``.  The recorded
+    energies must stay within the spectral range up to ``1e-6 * max(1, |H|)``.
     """
     for f in fields(ChannelConfig):
         if f.name not in prep.PER_RUN and getattr(cfg, f.name) != getattr(prep.cfg, f.name):
             raise ValueError(f"cfg differs from the prepared config in {f.name!r}")
-    kraus, h_block, ground_proj, psi0 = prep.kraus, prep.h_block, prep.ground_proj, prep.psi0
+    kraus, psi0 = prep.kraus, prep.psi0
     record_steps = _record_steps(cfg.n_steps, cfg.record_stride)
     spans = np.diff(record_steps)
     per_step = step_cost(prep.params, cfg)
@@ -702,16 +708,12 @@ def evolve(prep: Preparation, cfg: ChannelConfig) -> SimulationRecord:
     health, spectral = meta["health"], meta["spectrum"]
 
     if cfg.backend == "density":
-        state = DensityMatrix.pure(psi0).matrix
+        state = np.outer(psi0, psi0.conj())
 
         def advance(rho: np.ndarray, span: int) -> np.ndarray:
             for _ in range(span):
                 rho = channel_step_density(rho, kraus)
             return rho
-
-        def observe(rho: np.ndarray) -> tuple[float, float]:
-            # Tr(X rho) = vdot(X, rho) for Hermitian X: O(n^2), no product formed
-            return np.vdot(h_block, rho).real, np.vdot(ground_proj, rho).real
 
     else:
         seeds = (np.random.SeedSequence([cfg.seed, i]) for i in range(cfg.reps))
@@ -726,13 +728,9 @@ def evolve(prep: Preparation, cfg: ChannelConfig) -> SimulationRecord:
             click_rate.append(int(clicks.sum()) / (span * cfg.reps))
             return psi, q
 
-        def observe(state: tuple) -> tuple[np.ndarray, np.ndarray]:
-            psi = state[0]
-
-            def expect(x):
-                return np.einsum("ij,ij->j", psi.conj(), x @ psi).real
-
-            return expect(h_block), expect(ground_proj)
+    def observe(state) -> tuple:  # energy and ground overlap of each column
+        pops = state.diagonal().real if cfg.backend == "density" else np.abs(state[0]) ** 2
+        return prep.levels @ pops, prep.ground @ pops
 
     observed = [observe(state)]
     for span in spans.tolist():

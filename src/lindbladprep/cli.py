@@ -280,7 +280,7 @@ def main(argv=None) -> int:
     except (ConfigError, ChannelError, LinalgError, PlotError, OSError, MemoryError) as exc:
         # invalid input exits 2; a failed run (out of memory too), or an
         # unreadable input or unwritable output path, exits 1
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_RUNTIME
 
 

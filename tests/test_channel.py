@@ -20,7 +20,7 @@ from lindbladprep.channel import (
     trajectory_step,
 )
 from lindbladprep.config import load_run_config, resolve_filter_params
-from lindbladprep.filters import default_params, f_time, quadrature_grid
+from lindbladprep.filters import MIN_GAP, default_params, f_time, quadrature_grid
 from lindbladprep.jump import dilate, quadrature_jump
 from lindbladprep.linalg import (
     STEP_DRIFT,
@@ -629,7 +629,9 @@ class TestRunSimulation:
                     obs[k, i, step] = np.vdot(psi, x @ psi).real
             for (block, _, span_clicks), (first, last) in zip(spans, zip(rec.steps, rec.steps[1:])):
                 assert span_clicks[i] == clicks[i, first + 1 : last + 1].sum()
-                assert np.max(np.abs(block[:, i] - states[last])) <= 1e-12
+                # the run steps TFIM's one block in the eigenbasis of its H
+                block_state = spec.eigenvectors @ block[:, i]
+                assert np.max(np.abs(block_state - states[last])) <= 1e-12
         assert clicks.sum() > 0
         for name, ref in zip(("energy", "overlap"), obs[:, :, rec.steps]):
             assert np.max(np.abs(getattr(rec, f"{name}_mean") - ref.mean(axis=0))) <= 1e-12
@@ -740,6 +742,38 @@ class TestTrajectoryDensityOracle:
         quarter = replace(cfg, total_time=cfg.total_time / 4)
         assert oracle_z(model, quarter, ORACLE_SEEDS[name]) <= ORACLE_BOUND
         assert builds == [quarter]
+
+
+class TestPreparation:
+    """``prepare`` hands ``evolve`` the evolved block in the eigenbasis V of
+    its H; ``build_kraus_pair`` keeps the computational basis."""
+
+    @pytest.mark.parametrize("initial_state", ["highest_excited", "ground"])
+    @pytest.mark.parametrize(
+        "model",
+        [ModelSpec("tfim", 2, tfim_g=1.2), ModelSpec("hubbard1d", 2, hubbard_t=1.0, hubbard_u=4.0)],
+        ids=["tfim2", "hubbard2"],
+    )
+    def test_block_in_energy_basis(self, model, initial_state):
+        """The levels and ground mask of the block, its pair as ``V^dag M_b V``,
+        and a first record that reads the initial level on both backends."""
+        cfg = ChannelConfig(
+            tau=0.5, total_time=1.0, mode="discrete", r=2, backend="density",
+            initial_state=initial_state,
+        )
+        sp = spectrum(model)
+        k = cfg.initial_level(sp.dim)
+        block = next(b for b in sp.blocks if k in b.ranks)
+        prep = prepare(model, cfg)
+        assert np.array_equal(prep.levels, block.spec.eigenvalues)
+        assert np.array_equal(prep.ground, prep.levels <= sp.levels[0] + MIN_GAP)
+        kraus, _ = build_kraus_pair(block.spec, block.a, sp.params, cfg)
+        v = block.spec.eigenvectors
+        assert np.max(np.abs(v @ prep.kraus @ v.conj().T - kraus)) <= 1e-12
+        for backend in ("density", "trajectory"):
+            rec = evolve(prep, replace(cfg, backend=backend, reps=3))
+            assert rec.energy_mean[0] == pytest.approx(sp.levels[k], abs=1e-12)
+            assert rec.overlap_mean[0] == (1.0 if initial_state == "ground" else 0.0)
 
 
 def dense_rows(model, cfg, psi0):

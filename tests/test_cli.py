@@ -456,6 +456,21 @@ class TestRunCommand:
         assert "2e+18 grid nodes" in err
         assert not (tmp_path / "run.csv").exists()
 
+    @pytest.mark.parametrize("total_time", [1e-282, 5e-282], ids=["1e18-steps", "5e18-steps"])
+    def test_record_steps_too_big_exit_1(self, tmp_path, capsys, total_time):
+        """tau = 1e-300 makes 1e18 or 5e18 steps, counts that fit 64 bits, so
+        the config passes and the pair is built; the run's record steps then
+        cannot be allocated.  One error line names the size, where a bare
+        MemoryError used to print ``error: `` with no text."""
+        data = tiny_config(tmp_path, mode="discrete", tau=1e-300, total_time=total_time)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["run", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and err.strip() != "error:"
+        assert not (tmp_path / "run.csv").exists()
+
     def test_run_eigensolves_h_once(self, tmp_path, monkeypatch):
         import lindbladprep.channel as channel
         import lindbladprep.linalg as linalg
@@ -1177,6 +1192,7 @@ class TestExitCodeMap:
             (LinalgError("eigensolve failed"), 1),
             (OSError("disk full"), 1),
             (MemoryError("cannot allocate the state"), 1),
+            (MemoryError(), 1),  # no text: the line names the exception
         ]:
             def failing(args, exc=exc):
                 raise exc
@@ -1184,7 +1200,7 @@ class TestExitCodeMap:
             monkeypatch.setattr(cli, "cmd_verify", failing)
             assert main(["verify"]) == code, exc
             out, err = capsys.readouterr()
-            assert out == "" and err == f"error: {exc}\n"
+            assert out == "" and err == f"error: {str(exc) or type(exc).__name__}\n"
 
 
 class TestMutationHarness:
