@@ -20,9 +20,9 @@ column ``<b| W^r |0>`` (b = 0, 1): the Kraus pair ``[M0, M1]``, with
 ``e^{-iH tau}`` folded in.  :func:`build_kraus_pair` streams the factors
 onto that 2N x N block in the eigenbasis of ``A``, where every ``Atilde_l``
 is 2 x 2-block diagonal (O(N^2) work) and every frame hop is one GEMM, so
-neither ``W`` nor its factors are ever formed.  :func:`build_w` runs the
-same kernel on the 2N x 2N identity and, with :func:`build_w_naive`,
-serves as the oracle.
+neither ``W`` nor its factors are ever formed.  :func:`build_w`, the oracle,
+forms ``W`` itself without the cancellation: every factor inside its full
+Heisenberg frame, so it shares no hop with the kernel.
 
 Every factor of ``W`` is block-diagonal on the connected components of the
 joint nonzero pattern of ``H`` and ``A`` (:func:`invariant_blocks`), so
@@ -82,7 +82,6 @@ __all__ = [
     "ChannelError",
     "build_kraus_pair",
     "build_w",
-    "build_w_naive",
     "invariant_blocks",
     "spectrum",
     "isometry_defect",
@@ -361,27 +360,6 @@ def isometry_defect(m0: np.ndarray, m1: np.ndarray) -> float:
     return max_abs(m0.conj().T @ m0 + m1.conj().T @ m1 - np.eye(m0.shape[1]))
 
 
-def _w_columns(
-    spec: SpectralDecomposition, a: HermitianOperator, p: FilterParams, tau_eff: float, r: int,
-    ancillas: tuple[int, ...],
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(va, cols)``: the eigenvectors ``va`` of ``A`` and, for ``spec`` the
-    spectrum of ``H``, the (2, N, k N) columns of ``W(sqrt(tau_eff))^r`` on
-    the k ancilla states ``ancillas``, with the rows in the eigenbasis of
-    ``A``: ``cols[b][:, j N:(j + 1) N] = va^dag <b| W^r |ancillas[j]>``."""
-    if spec.dim != a.dim:
-        raise ValueError("dimension mismatch between spectrum and coupling")
-    a_spec = hermitian_eig(a)
-    va = a_spec.eigenvectors
-    n = spec.dim
-    x = np.zeros((n, 2, len(ancillas) * n), dtype=complex)
-    for j, b in enumerate(ancillas):
-        x[:, b, j * n : (j + 1) * n] = va.conj().T
-    hop = _frame_hop(spec, va, p.tau_s)
-    x = _apply_w(x, hop, a_spec.eigenvalues, _node_angles(p, tau_eff), r)
-    return va, x.transpose(1, 0, 2)
-
-
 def build_kraus_pair(
     spec: SpectralDecomposition,
     a: HermitianOperator,
@@ -392,14 +370,24 @@ def build_kraus_pair(
 
     ``spec`` is the spectrum of ``H``.  ``U`` is ``e^{-iH tau}``, formed
     from ``spec``, when the coherent part is on and the identity otherwise.
-    Memory stays O(N^2): only the 2N x N block column is formed.  Returns
-    ``(kraus, defect)``: ``kraus`` is the ``(2, N, N)`` array ``[M0, M1]``
-    and ``defect`` its :func:`isometry_defect`; the pair is refused unless
-    that is at most 1e-10.
+    The ancilla-|0> block column is streamed through the factors of ``W``
+    (:func:`_apply_w`) in the eigenbasis ``va`` of ``A``, starting from
+    ``va^dag``, and ``U va`` takes it back, so memory stays O(N^2): neither
+    ``W`` nor its factors are formed.  Returns ``(kraus, defect)``:
+    ``kraus`` is the ``(2, N, N)`` array ``[M0, M1]`` and ``defect`` its
+    :func:`isometry_defect`; the pair is refused unless that is at most
+    1e-10.
     """
-    va, cols = _w_columns(spec, a, p, cfg.tau_eff, cfg.r, (0,))
+    if spec.dim != a.dim:
+        raise ValueError("dimension mismatch between spectrum and coupling")
+    a_spec = hermitian_eig(a)
+    va = a_spec.eigenvectors
+    x = np.zeros((spec.dim, 2, spec.dim), dtype=complex)
+    x[:, 0] = va.conj().T
+    hop = _frame_hop(spec, va, p.tau_s)
+    x = _apply_w(x, hop, a_spec.eigenvalues, _node_angles(p, cfg.tau_eff), cfg.r)
     back = evolution_unitary(spec, cfg.tau) @ va if cfg.include_coherent else va
-    kraus = back @ cols
+    kraus = back @ x.transpose(1, 0, 2)
     defect = isometry_defect(*kraus)
     if not defect <= 1e-10:
         raise ChannelError(
@@ -414,57 +402,35 @@ def build_w(
     p: FilterParams,
     tau_eff: float,
 ) -> np.ndarray:
-    """Second-order ordered-product unitary approximating
-    ``exp(-i sqrt(tau_eff) Ktilde_s)`` up to the cancelled outer frames.
+    """The 2N x 2N ordered-product unitary ``W(sqrt(tau_eff))``, built
+    without the frame cancellation: the oracle of :func:`build_kraus_pair`.
+
+    Every node carries its full Heisenberg frame, shifted by the grid
+    radius ``G``: ``f_l = (I x e^{+iH(s_l + G)}) Atilde_l (I x e^{-iH(s_l + G)})``,
+    and ``W = (f_{-M} ... f_M)(f_M ... f_{-M})``, whose adjacent frames
+    telescope to the hops of ``W``.  The two products are streamed, one
+    factor at a time, and none of the kernel's hops is run.
 
     ``tau_eff`` is the per-segment dissipative weight: ``tau`` for a single
     segment, ``tau / r^2`` when a step of size ``tau`` is split into ``r``
     segments (the unitary argument multiplies, so ``r`` segments of
-    ``sqrt(tau)/r`` compose to ``sqrt(tau)``).  Runs use
-    :func:`build_kraus_pair`; the full ``W`` is an oracle.
+    ``sqrt(tau)/r`` compose to ``sqrt(tau)``).
     """
     if tau_eff <= 0:
         raise ValueError("tau_eff must be positive")
-    va, cols = _w_columns(spec, a, p, tau_eff, 1, (0, 1))
-    w = np.concatenate(va @ cols)
+    a_spec = hermitian_eig(a)
+    nodes, _ = quadrature_grid(p)
+    left = right = np.eye(2 * spec.dim, dtype=complex)
+    for s_l, phi, theta in zip(nodes, *_node_angles(p, tau_eff)):
+        u = evolution_unitary(spec, -(s_l + p.grid_radius))  # e^{+iH(s_l + G)}
+        c, o01, o10 = (u @ b @ u.conj().T for b in _atilde_blocks(a_spec, phi, theta))
+        f_l = np.block([[c, o01], [o10, c]])
+        left, right = left @ f_l, f_l @ right
+    w = left @ right
     defect = isometry_defect(*np.split(w, 2))  # max|W^dag W - I|
     if not defect <= 1e-10:
         raise ChannelError(f"W lost unitarity: max|W^dag W - I| = {defect:.3e}")
     return w
-
-
-def build_w_naive(
-    spec: SpectralDecomposition,
-    a: HermitianOperator,
-    p: FilterParams,
-    tau_eff: float,
-) -> np.ndarray:
-    """Pre-cancellation ordered product, kept as an independent reference.
-
-    Every node carries its full Heisenberg frame
-    ``(I x e^{+iH s_l}) Atilde_l (I x e^{-iH s_l})``; the result equals
-    ``(I x e^{-iHG}) W (I x e^{+iHG})`` with ``G`` the grid radius.
-    """
-    a_spec = hermitian_eig(a)
-    nodes, _ = quadrature_grid(p)
-    phis, thetas = _node_angles(p, tau_eff)
-    n = spec.dim
-
-    def frame(t: float) -> np.ndarray:
-        return np.kron(np.eye(2), evolution_unitary(spec, t))
-
-    conjugated = []
-    for s_l, phi, theta in zip(nodes, phis, thetas):
-        c, o01, o10 = _atilde_blocks(a_spec, phi, theta)
-        atilde = np.block([[c, o01], [o10, c]])
-        conjugated.append(frame(-s_l) @ atilde @ frame(s_l))
-
-    out = np.eye(2 * n, dtype=complex)
-    for mat in conjugated:  # right-ordered
-        out = out @ mat
-    for mat in reversed(conjugated):  # left-ordered
-        out = out @ mat
-    return out
 
 
 def channel_step_density(rho: np.ndarray, kraus: np.ndarray) -> np.ndarray:

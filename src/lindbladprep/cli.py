@@ -92,10 +92,10 @@ def cmd_run(args) -> int:
 @contextlib.contextmanager
 def _publish(targets: list[Path], inputs=()):
     """Claim the files ``targets`` before the work: refuse one that resolves to
-    a path of ``inputs``, the files the command reads, and a directory, make
-    the missing parents and yield a map from each target to a temporary name
-    beside it; a clean exit renames the files into place, and any exception
-    leaves no new file or directory."""
+    a path of ``inputs``, the files the command reads, and one that exists
+    but is not a regular file, make the missing parents and yield a map from
+    each target to a temporary name beside it; a clean exit renames the files
+    into place, and any exception leaves no new file or directory."""
     read = {Path(path).resolve() for path in inputs}
     for target in targets:
         if target.resolve() in read:
@@ -106,6 +106,8 @@ def _publish(targets: list[Path], inputs=()):
         for target in targets:
             if target.is_dir():  # the one target the renames below could not replace
                 raise IsADirectoryError(errno.EISDIR, "output path is a directory", str(target))
+            if target.exists() and not target.is_file():  # a FIFO or device the renames would replace
+                raise FileExistsError(errno.EEXIST, "output path is not a regular file", str(target))
             for directory in reversed([target.parent, *target.parent.parents]):
                 if not directory.is_dir():  # a regular file in the way fails here
                     directory.mkdir()
@@ -156,15 +158,25 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
+_CHUNK = 1 << 16  # grid points per chunk of a filter table
+
+
+def _chunked(grid: np.ndarray, rows):
+    """``rows(chunk)`` for each chunk of ``_CHUNK`` points of ``grid``, in
+    order, so a table's Python rows never exist all at once."""
+    for start in range(0, grid.size, _CHUNK):
+        yield from rows(grid[start : start + _CHUNK])
+
+
 def cmd_filter_table(args) -> int:
     out_dir = output_path("--out-dir", args.out_dir)
     if args.points < 0:
         raise ConfigError(f"--points must be non-negative, got {args.points}")
-    grid_bytes = 8 * args.points
+    grid_bytes = 16 * args.points  # the two grids; the rows are made one chunk at a time
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if grid_bytes > memory:
         raise ConfigError(
-            f"--points {args.points} needs {grid_bytes} bytes for one grid, "
+            f"--points {args.points} needs {grid_bytes} bytes for its two grids, "
             f"more than the {memory} bytes of physical memory"
         )
     model = _model_from_args(args)
@@ -173,11 +185,16 @@ def cmd_filter_table(args) -> int:
         p = spectrum(model).params.with_clamp(args.clamp)
         omegas = np.linspace(-(p.a + 6 * p.delta_a), 6 * p.delta_b, args.points)
         ss = np.linspace(-p.grid_radius, p.grid_radius, args.points)
-        f = f_time(ss, p)
-        freq_rows = zip(omegas.tolist(), f_hat(omegas, p).tolist())
-        time_rows = zip(ss.tolist(), f.real.tolist(), f.imag.tolist())
-        write_csv(temps[freq_csv], ["omega", "f_hat"], freq_rows)
-        write_csv(temps[time_csv], ["s", "re_f", "im_f"], time_rows)
+
+        def freq_rows(w: np.ndarray):
+            return zip(w.tolist(), f_hat(w, p).tolist())
+
+        def time_rows(s: np.ndarray):
+            f = f_time(s, p)
+            return zip(s.tolist(), f.real.tolist(), f.imag.tolist())
+
+        write_csv(temps[freq_csv], ["omega", "f_hat"], _chunked(omegas, freq_rows))
+        write_csv(temps[time_csv], ["s", "re_f", "im_f"], _chunked(ss, time_rows))
     print(f"wrote {freq_csv} and {time_csv}")
     return EXIT_OK
 

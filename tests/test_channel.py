@@ -103,6 +103,20 @@ class TestBuildW:
         w = build_w(spec, HermitianOperator(np.zeros((4, 4))), p, 0.4)
         assert np.max(np.abs(w - np.eye(8))) <= 1e-12
 
+    def test_runs_none_of_the_kernel(self, monkeypatch):
+        """The oracle forms every frame itself: it needs neither the kernel's
+        streamed product nor its frame hop."""
+        import lindbladprep.channel as channel
+
+        def kernel(*args):
+            raise AssertionError("build_w ran the kernel")
+
+        monkeypatch.setattr(channel, "_apply_w", kernel)
+        monkeypatch.setattr(channel, "_frame_hop", kernel)
+        _, _, spec, a, p = tfim_setup(2)
+        w = build_w(spec, a, p, 0.4)
+        assert np.max(np.abs(w.conj().T @ w - np.eye(8))) <= 1e-10
+
     def test_node_factor_matches_expm_oracle(self):
         """Each exactly-exponentiated gate equals expm of its generator."""
         from lindbladprep.channel import _atilde_blocks
@@ -154,8 +168,9 @@ class TestBuildKrausPair:
             (ModelSpec("tfim", 4, tfim_g=1.2), 2),
             (ModelSpec("hubbard1d", 2, hubbard_t=1.0, hubbard_u=4.0), 2),
             (ModelSpec("hubbard1d", 3, hubbard_t=1.0, hubbard_u=4.0), 2),
+            (ModelSpec("tfim", 6, tfim_g=1.2), 1),
         ],
-        ids=["tfim4-r1", "tfim4-r2", "hubbard2-r2", "hubbard3-r2"],
+        ids=["tfim4-r1", "tfim4-r2", "hubbard2-r2", "hubbard3-r2", "tfim6-r1"],
     )
     def test_matches_block_column_of_w_power(self, model, r, coherent):
         """(M0, M1) is the ancilla-|0> block column of W^r, with e^{-iH tau}
@@ -174,6 +189,23 @@ class TestBuildKrausPair:
         fold = evolution_unitary(spec, cfg.tau) if coherent else np.eye(n)
         assert np.max(np.abs(m0 - fold @ phi[:n, :n])) <= 1e-12
         assert np.max(np.abs(m1 - fold @ phi[n:, :n])) <= 1e-12
+
+    def test_oracle_sees_a_kernel_fault_the_gate_misses(self, monkeypatch):
+        """A frame hop over tau_s (1 + 1e-6) keeps the pair trace-preserving,
+        so its isometry gate passes; the un-cancelled ``build_w`` does not
+        share the hop, so its block column shows the fault."""
+        import lindbladprep.channel as channel
+
+        exact = channel._frame_hop
+        monkeypatch.setattr(
+            channel, "_frame_hop", lambda spec, va, tau_s: exact(spec, va, tau_s * (1 + 1e-6))
+        )
+        _, _, spec, a, p = tfim_setup(4)
+        cfg = ChannelConfig(tau=0.3, total_time=0.3, include_coherent=False)
+        kraus, defect = build_kraus_pair(spec, a, p, cfg)
+        w = build_w(spec, a, p, cfg.tau_eff)
+        assert defect <= 1e-10
+        assert np.max(np.abs(np.concatenate(kraus) - w[:, : spec.dim])) > 1e-9
 
     def test_coupling_links_blocks_of_h(self):
         """A diagonal H alone splits into singletons; A = X x I joins them in

@@ -1,7 +1,9 @@
 import json
 import os
+import stat
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -864,6 +866,20 @@ class TestAuxCommands:
         time_tab = (tmp_path / "filter_time.csv").read_text().splitlines()
         assert time_tab[0] == "s,re_f,im_f"
 
+    def test_filter_table_memory_follows_the_grids(self, tmp_path):
+        """The tables are written one chunk of rows at a time, so the traced
+        peak stays within the two float grids (16 bytes a point), the bound
+        the ``--points`` guard counts, plus a fixed 16 MB."""
+        points = 300_000
+        tracemalloc.start()
+        try:
+            assert main(["filter-table", "--sites", "2", "--points", str(points),
+                         "--out-dir", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * points + 16 * 2**20
+
     def test_filter_table_negative_points_exit_2(self, tmp_path):
         out = fresh_python(
             "-m", "lindbladprep.cli", "filter-table", "--sites", "2",
@@ -1125,6 +1141,7 @@ BAD_AUX = [
     ("plot {tmp}/good.csv --kind energy-time --out {tmp}/dir", 1),
     ("filter-table --sites 2 --out-dir {tmp}/file", 1),
     ("jump-report --sites 2 --sparsity-out {tmp}/dir", 1),
+    ("jump-report --sites 2 --sparsity-out {tmp}/fifo", 1),
     ("filter-table --sites 2 --out-dir {tmp}/blocked", 1),
     ("plot {tmp}/good.csv --kind energy-time --out=", 2),
     ("filter-table --sites 2 --out-dir=", 2),
@@ -1133,7 +1150,8 @@ BAD_AUX = [
     ("verify fast --report {tmp}/dir", 1),
     ("plot {tmp}/good.csv --kind energy-time --out {tmp}/p.svg --label a\x01b", 2),
     ("plot {tmp}/r\udcff.csv --kind energy-time --out {tmp}/p.svg", 2),
-    # refused before any allocation: 8 bytes a point is more than any machine's memory
+    # refused before any allocation: 16 bytes a point, for the two grids, is more than any
+    # machine's memory
     ("filter-table --sites 2 --points 4611686018427387904 --out-dir {tmp}/tables", 2),
 ]
 
@@ -1148,6 +1166,7 @@ class TestBadAuxInput:
             "plot-short-row", "plot-nan-cell", "plot-inf-cell", "plot-not-utf8", "plot-field-too-large",
             "plot-csv-is-directory", "plot-out-is-directory",
             "filter-table-out-dir-is-file", "jump-report-sparsity-out-is-directory",
+            "jump-report-sparsity-out-is-fifo",
             "filter-table-time-csv-is-directory", "plot-out-empty", "filter-table-out-dir-empty",
             "jump-report-sparsity-out-empty", "verify-report-empty", "verify-report-is-directory",
             "plot-label-not-xml", "plot-csv-stem-not-utf8", "filter-table-points-too-many",
@@ -1156,8 +1175,9 @@ class TestBadAuxInput:
     def test_one_error_line(self, tmp_path, monkeypatch, capsys, argv, code):
         """One error line and nothing on stdout: each input is refused before
         any computation, and no command leaves a new file or directory, also in
-        the working directory."""
+        the working directory, or replaces a FIFO by a regular file."""
         (tmp_path / "dir").mkdir()
+        os.mkfifo(tmp_path / "fifo")
         (tmp_path / "blocked" / "filter_time.csv").mkdir(parents=True)
         (tmp_path / "file").write_text("a regular file\n")
         header = ",".join(read_columns())
@@ -1175,6 +1195,7 @@ class TestBadAuxInput:
         out = assert_one_error_line(capsys, argv.format(tmp=tmp_path).split(), code)
         assert out == ""
         assert sorted(tmp_path.rglob("*")) == before
+        assert stat.S_ISFIFO((tmp_path / "fifo").stat().st_mode)
 
 
 class TestExitCodeMap:
