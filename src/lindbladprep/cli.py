@@ -26,6 +26,7 @@ import csv
 import errno
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -178,6 +179,16 @@ def cmd_filter_table(args) -> int:
         raise ConfigError(
             f"--points {args.points} needs {grid_bytes} bytes for its two grids, "
             f"more than the {memory} bytes of physical memory"
+        )
+    # worst case of the two tables: 24-character float reprs and \r\n make a freq row at
+    # most 51 bytes and a time row at most 76, after two 13-byte headers
+    table_bytes = 127 * args.points + 26
+    existing = next(d for d in (out_dir, *out_dir.parents) if d.exists())
+    free = shutil.disk_usage(existing).free
+    if table_bytes > free:
+        raise ConfigError(
+            f"--points {args.points} may write {table_bytes} bytes of tables, "
+            f"more than the {free} bytes free under {str(existing)!r}"
         )
     model = _model_from_args(args)
     freq_csv, time_csv = out_dir / "filter_freq.csv", out_dir / "filter_time.csv"

@@ -250,17 +250,27 @@ _DRAW_CHUNK_BYTES = 256 * 1024
 
 def step_draws(rngs: list, n_steps: int, width: int):
     """Yield ``n_steps`` arrays of shape ``(len(rngs), width)``, one per step,
-    whose row ``i`` holds the next ``width`` standard normals of ``rngs[i]``,
-    drawn in chunks of :data:`_DRAW_CHUNK_BYTES`."""
+    whose row ``i`` holds the next ``width`` standard normals of ``rngs[i]``.
+
+    The normals are drawn in chunks of :data:`_DRAW_CHUNK_BYTES` into one
+    ``(len(rngs), chunk, width)`` buffer, allocated once, and each step's
+    array is a view of it: a view is valid only until the next chunk is
+    drawn, that is until the generator is advanced past the chunk's last
+    step.  A generator fills its row as ``row[:c] = g.standard_normal((c,
+    width))``, so a stream needs only ``standard_normal(size)``."""
     chunk = max(1, _DRAW_CHUNK_BYTES // (8 * width * len(rngs)))
+    buf = np.empty((len(rngs), min(chunk, n_steps), width))
     for start in range(0, n_steps, chunk):
-        size = (min(chunk, n_steps - start), width)
-        yield from np.stack([g.standard_normal(size) for g in rngs], axis=1)
+        c = min(chunk, n_steps - start)
+        for row, g in zip(buf, rngs):
+            row[:c] = g.standard_normal((c, width))
+        for step in range(c):
+            yield buf[:, step]
 
 
 def _resampled_evolution(
     lam: np.ndarray, spec_r: RandomCouplingSpec, p: FilterParams, p0: np.ndarray, tau: float,
-    t_final: float, rngs: list, record: int | None,
+    t_final: float, rngs: list, record: int | None, observe=lambda rho: rho,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evolve ``diag(p0)`` once per generator: every ``tau``, draw a coupling
     ``A`` and take one RK4 step of the master equation with ``H = diag(lam)``
@@ -278,9 +288,15 @@ def _resampled_evolution(
     draws from an identically seeded generator; a generator draws its normals
     for a chunk of steps at a time (:func:`step_draws`), and the couplings are
     built one step at a time.  ``tau`` and ``t_final`` are checked by
-    :func:`linalg.step_count` before any draw.  Returns ``record`` evenly spaced
-    checkpoint steps (None: the last step only) and the states there,
-    ``(rep, step, n, n)``.
+    :func:`linalg.step_count` before any draw.
+
+    Returns ``record`` evenly spaced checkpoint steps (None: the last step
+    only) and what ``observe`` reads there.  ``observe`` maps the ``(rep, n,
+    n)`` state block to an array with one leading entry per rep (by default
+    the block itself); its results are copied into one ``(rep, checkpoint,
+    ...)`` array.  That array, the states, the ``[K; J]`` product, the
+    conjugate transposes and the draw buffer are all allocated before the
+    first step, so the memory is an O(reps n^2) working set plus the records.
     """
     n_steps = step_count(tau, t_final, ("tau", "t_final"))
     steps = np.array([n_steps]) if record is None else np.linspace(1, n_steps, record).round()
@@ -291,22 +307,31 @@ def _resampled_evolution(
     kj = np.empty((reps, 2 * n, n), dtype=complex)  # [K; J] of the current step
     k, j = kj[:, :n], kj[:, n:]
     k_floats = kj.view(float)[:, :n]
+    gathered = np.empty(k_floats.shape)  # the step's normals in the layout of K's floats
+    kh = np.empty((reps, n, n), dtype=complex).swapaxes(1, 2)  # K^dag, as conj(K) transposed
+    kx_jx = np.empty_like(kj)  # [K; J] x
+    kx, jx = kx_jx[:, :n], kx_jx[:, n:]
+    conj = np.empty((reps, n, n), dtype=complex)  # a conjugate, read transposed
     rho = np.repeat(np.diag(p0.astype(complex))[None], reps, axis=0)
-    kept = []
+    stage = np.empty_like(rho)  # the RK4 stage; it holds the next state, then swaps with rho
+    first = observe(rho)
+    records = np.empty((reps, steps.size, *first.shape[1:]), dtype=first.dtype)
+    kept = 0
     draws = step_draws(rngs, n_steps, n * n)
     for step, z in enumerate(draws, start=1):  # z: (rep, normal)
-        np.multiply(z[:, src], scale, out=k_floats)
-        kh = k.conj().swapaxes(1, 2)
+        # every index is in range; the default mode "raise" would buffer the output
+        np.take(z, src, axis=1, out=gathered, mode="clip")
+        np.multiply(gathered, scale, out=k_floats)
+        np.conjugate(k, out=kh.swapaxes(1, 2))
         np.matmul(kh, k, out=j)
         j *= -0.5
         j += coherent
         x = rho
         for order in (4, 3, 2, 1):
-            kx_jx = kj @ x
-            jx = kx_jx[:, n:]
-            x = kx_jx[:, :n] @ kh
+            np.matmul(kj, x, out=kx_jx)
+            x = np.matmul(kx, kh, out=stage)
             x += jx
-            x += jx.conj().swapaxes(1, 2)
+            x += np.conjugate(jx, out=conj).swapaxes(1, 2)
             x *= tau / order
             x += rho
         # Re tr x is also the trace of the Hermitian part of x
@@ -315,15 +340,21 @@ def _resampled_evolution(
         if not drift.max() <= STEP_DRIFT:  # NaN fails too
             bad = np.flatnonzero(~(drift <= STEP_DRIFT))[0]
             raise LinalgError(f"trace of rep {bad} drifted to {tr[bad]}; decrease tau")
-        x += x.conj().swapaxes(1, 2)
+        x += np.conjugate(x, out=conj).swapaxes(1, 2)
         x *= (0.5 / tr)[:, None, None]
-        rho = x
-        if step == steps[len(kept)]:
-            kept.append(rho)
-    return steps, np.stack(kept, axis=1)
+        rho, stage = x, rho
+        if step == steps[kept]:
+            records[:, kept] = observe(rho)
+            kept += 1
+    return steps, records
 
 
 N_CHECKPOINTS = 10  # evenly spaced steps at which an ergodicity run compares populations
+
+
+def _populations(rho: np.ndarray) -> np.ndarray:
+    """The real diagonals ``(rep, level)`` of a ``(rep, n, n)`` state block."""
+    return np.diagonal(rho, axis1=1, axis2=2).real
 
 
 @dataclass
@@ -379,6 +410,11 @@ def ergodicity_experiment(
     steps, the last of them at ``t_final``.  Per-rep RNG streams derive
     from (seed, rep), so a rep's path does not depend on ``reps``, which
     must be at least 2 for a standard error.
+
+    Only the populations are recorded: the real diagonal of each rep's state
+    at each checkpoint, one ``(reps, N_CHECKPOINTS, dim)`` float array
+    allocated before the first step.  The memory is so O(reps dim^2) for the
+    states being stepped plus O(reps N_CHECKPOINTS dim) for the records.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2 (the standard error needs two samples)")
@@ -389,11 +425,10 @@ def ergodicity_experiment(
     rngs = [
         np.random.default_rng(np.random.SeedSequence([seed, rep])) for rep in range(reps)
     ]
-    check_steps, states = _resampled_evolution(
-        lam, spec_r, p, p0, tau, t_final, rngs, N_CHECKPOINTS
+    check_steps, populations = _resampled_evolution(
+        lam, spec_r, p, p0, tau, t_final, rngs, N_CHECKPOINTS, observe=_populations
     )
-    diag_samples = np.diagonal(states, axis1=2, axis2=3).real  # (rep, checkpoint, level)
-    mc_mean, mc_se = mean_se(diag_samples, 0)
+    mc_mean, mc_se = mean_se(populations, 0)  # over the reps of (rep, checkpoint, level)
     ode = np.stack([evolve_populations(tmat, p0, s * tau) for s in check_steps])
     dev = np.abs(mc_mean - ode)
     # the finite resampling interval leaves an O(tau) deterministic bias
@@ -524,8 +559,12 @@ def concentration_experiment(
     For each ``tau`` the experiment averages ``E || rho_M - E(rho(T)) ||_F``
     over ``reps`` stochastic runs and fits a log-log slope; the sampling
     term scales like sqrt(tau), so the fitted slope should sit near 1/2.
-    ``reps`` must be at least 2 for a standard error.
+    ``taus`` must hold at least one step, and ``reps`` must be at least 2
+    for a standard error, or ValueError before any draw.  Each run records
+    only its last-step state.
     """
+    if len(taus) == 0:
+        raise ValueError(f"taus must hold at least one resampling step, got {list(taus)}")
     if reps < 2:
         raise ValueError("reps must be >= 2 (the standard error needs two samples)")
     lam = np.asarray(eigenvalues, dtype=float)

@@ -1,11 +1,13 @@
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -879,6 +881,36 @@ class TestAuxCommands:
         finally:
             tracemalloc.stop()
         assert peak < 16 * points + 16 * 2**20
+
+    def test_filter_table_refused_beyond_free_disk(self, tmp_path, monkeypatch, capsys):
+        """The two tables take at most 127 bytes a point plus their headers
+        (24-character float reprs and \\r\\n); a ``--points`` whose worst case
+        exceeds the free space under the nearest existing ancestor of
+        ``--out-dir`` exits 2 before any computation and leaves no file."""
+        points, out = 1000, tmp_path / "a" / "b"
+        asked = []
+
+        def free_bytes(free):
+            def disk_usage(path):
+                asked.append(Path(path))
+                return SimpleNamespace(total=2 * free, used=free, free=free)
+
+            return disk_usage
+
+        def no_spectrum(model):
+            raise AssertionError("computed before checking the free disk space")
+
+        argv = ["filter-table", "--sites", "2", "--points", str(points), "--out-dir", str(out)]
+        with monkeypatch.context() as patch:
+            patch.setattr(shutil, "disk_usage", free_bytes(127 * points + 25))
+            patch.setattr("lindbladprep.cli.spectrum", no_spectrum)
+            assert_one_error_line(capsys, argv, 2)
+        assert asked == [tmp_path]
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(shutil, "disk_usage", free_bytes(127 * points + 26))
+        assert main(argv) == 0
+        written = sum(f.stat().st_size for f in out.iterdir())
+        assert written <= 127 * points + 26
 
     def test_filter_table_negative_points_exit_2(self, tmp_path):
         out = fresh_python(

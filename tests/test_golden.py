@@ -1,12 +1,16 @@
-"""Golden outputs: the committed configs' CSV rows and manifests.
+"""Golden outputs: the committed configs' CSV rows and manifests, and one
+random-coupling ergodicity run.
 
 Each config in ``configs/`` runs in process and is compared with
 ``tests/golden/<config>.csv`` and ``<config>.manifest.json``: every CSV
 value and every manifest number within ``|x - y| <= 1e-9 (1 + |y|)``, the
 ``click_rate`` lists exactly, every other manifest key exactly, and the
-output paths not at all.  A tolerance and not bytes, since OpenBLAS picks
-its kernels by CPU and thread count, so another machine may round
-differently.
+output paths not at all.  The ergodicity run is the one CI repeats in two
+processes (8 levels, 50 reps, seed 11); its checkpoints, Monte Carlo means
+and standard errors and rate-equation populations are compared with
+``tests/golden/rc_ergodicity.json`` within the same tolerance.  A
+tolerance and not bytes, since OpenBLAS picks its kernels by CPU and thread
+count, so another machine may round differently.
 
 A change that moves a number regenerates the goldens, at one BLAS thread::
 
@@ -17,15 +21,19 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lindbladprep import randomcoupling as rc
 from lindbladprep.channel import SimulationRecord, run_simulation
 from lindbladprep.config import load_run_config, manifest_dict
+from lindbladprep.filters import default_params
 from lindbladprep.plotting import write_json, write_timeseries_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
+RC_GOLDEN = GOLDEN / "rc_ergodicity.json"
 
 
 def outputs(config: Path) -> tuple:
@@ -34,6 +42,19 @@ def outputs(config: Path) -> tuple:
     run = load_run_config(config)
     record = run_simulation(run.model, run.channel, run.filter_overrides)
     return run, record, json.loads(json.dumps(manifest_dict(run, record.meta)))
+
+
+def rc_outputs() -> dict:
+    """The arrays of CI's ergodicity run: 8 equispaced levels over a span of
+    4, uniform coupling variance 0.5, a uniform start, tau 0.01 to t 3, 50
+    reps, seed 11."""
+    lam = rc.synthetic_spectrum("equispaced", 8, span=4.0)
+    p = default_params(4.0, float(lam[1] - lam[0]), clamp=True)
+    report = rc.ergodicity_experiment(
+        lam, rc.RandomCouplingSpec.uniform(8, 0.5), p, np.full(8, 1 / 8),
+        tau=0.01, t_final=3.0, reps=50, seed=11,
+    )
+    return {key: getattr(report, key).tolist() for key in ("checkpoints", "mc_mean", "mc_se", "ode")}
 
 
 def assert_close(got, want, where: str) -> None:
@@ -71,6 +92,10 @@ def test_config_matches_golden(config):
     )
 
 
+def test_rc_ergodicity_matches_golden():
+    assert_close(rc_outputs(), json.loads(RC_GOLDEN.read_text()), "rc_ergodicity")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for config in CONFIGS:
@@ -78,3 +103,5 @@ if __name__ == "__main__":
         write_timeseries_csv(record, GOLDEN / f"{config.stem}.csv")
         write_json(GOLDEN / f"{config.stem}.manifest.json", manifest_dict(run, record.meta))
         print(f"wrote {GOLDEN / config.stem}.csv and .manifest.json")
+    write_json(RC_GOLDEN, rc_outputs())
+    print(f"wrote {RC_GOLDEN}")

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,10 +327,10 @@ class TestErgodicity:
     def test_nan_population_counts_outside(self, monkeypatch):
         exact = randomcoupling._resampled_evolution
 
-        def poisoned(*args):
-            steps, states = exact(*args)
-            states[0, -1, 1, 1] = np.nan
-            return steps, states
+        def poisoned(*args, **kwargs):
+            steps, populations = exact(*args, **kwargs)
+            populations[0, -1, 1] = np.nan  # rep 0, last checkpoint, level 1
+            return steps, populations
 
         monkeypatch.setattr(randomcoupling, "_resampled_evolution", poisoned)
         lam = synthetic_spectrum("equispaced", 4, span=3.0)
@@ -339,6 +340,24 @@ class TestErgodicity:
         )
         assert rep.n_outside_3se == 1
         assert not rep.consistent()
+
+
+    def test_memory_follows_the_populations(self):
+        """Only the populations are recorded, into one array allocated before
+        the first step: at 500 reps the traced peak is about 5.8 MiB, where
+        keeping every rep's 8x8 state at each checkpoint, and a stacked copy
+        of them, took 12.9 MiB."""
+        lam = synthetic_spectrum("equispaced", 8, span=4.0)
+        args = (lam, RandomCouplingSpec.uniform(8, 0.5), clamped_params(4.0, float(lam[1] - lam[0])),
+                np.full(8, 1 / 8))
+        tracemalloc.start()
+        try:
+            rep = ergodicity_experiment(*args, tau=0.01, t_final=0.5, reps=500, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.mc_mean.shape == (randomcoupling.N_CHECKPOINTS, 8)
+        assert peak < 8 * 2**20
 
 
 class TestResampledEvolution:
@@ -631,6 +650,19 @@ class TestConcentration:
             concentration_experiment(
                 lam, RandomCouplingSpec.uniform(4, 0.5), clamped_params(3.0, 1.0),
                 np.full(4, 0.25), taus=[0.05, 0.0], t_final=1.0, reps=2,
+            )
+
+    def test_empty_taus_rejected_before_any_draw(self, monkeypatch):
+        # used to return an empty report with slope nan
+        def no_draws(*args):
+            raise AssertionError("drew with no tau to run")
+
+        monkeypatch.setattr(randomcoupling, "step_draws", no_draws)
+        lam = synthetic_spectrum("equispaced", 4, span=3.0)
+        with pytest.raises(ValueError, match=r"taus must hold at least one resampling step, got \[\]"):
+            concentration_experiment(
+                lam, RandomCouplingSpec.uniform(4, 0.5), clamped_params(3.0, 1.0),
+                np.full(4, 0.25), taus=[], t_final=1.0, reps=2,
             )
 
 
