@@ -151,6 +151,8 @@ class SpectralDecomposition:
     def __post_init__(self):
         evals = np.asarray(self.eigenvalues, dtype=float)
         vecs = np.asarray(self.eigenvectors, dtype=complex)
+        if not np.isfinite(evals).all():
+            raise LinalgError("eigenvalues must be finite")
         if np.any(np.diff(evals) < 0):
             raise LinalgError("eigenvalues must be sorted ascending")
         evals.setflags(write=False)
@@ -222,16 +224,16 @@ def hermitian_eig(op: HermitianOperator) -> SpectralDecomposition:
         evals, vecs = np.linalg.eigh(op.matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise LinalgError(f"eigensolver failed to converge: {exc}") from exc
+    scale = max(1.0, frob(op.matrix))
+    if not frob(op.matrix @ vecs - vecs * evals) <= 1e-10 * scale:  # NaN fails too
+        raise LinalgError("eigendecomposition residual too large")
+    if not max_abs(vecs.conj().T @ vecs - np.eye(op.dim)) <= 1e-10:
+        raise LinalgError("eigenvectors not orthonormal")
+    # checked first, so every column has unit norm and a nonzero pivot
     vecs = np.array(vecs, dtype=complex)
     pivot = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
     vecs *= np.abs(pivot) / pivot
-    spec = SpectralDecomposition(evals, vecs)
-    scale = max(1.0, frob(op.matrix))
-    if frob(op.matrix @ vecs - vecs * evals) > 1e-10 * scale:
-        raise LinalgError("eigendecomposition residual too large")
-    if max_abs(vecs.conj().T @ vecs - np.eye(op.dim)) > 1e-10:
-        raise LinalgError("eigenvectors not orthonormal")
-    return spec
+    return SpectralDecomposition(evals, vecs)
 
 
 def evolution_unitary(spec: SpectralDecomposition, t: float) -> np.ndarray:

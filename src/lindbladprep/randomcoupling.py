@@ -276,14 +276,16 @@ def _resampled_evolution(
     ``A`` and take one RK4 step of the master equation with ``H = diag(lam)``
     and ``K = F o A``, ``F_ij = fhat(lam_i - lam_j)`` (no eigenbasis needed).
     The generator ``L x = K x K^dag - (K^dag K x + x K^dag K)/2 - i[H, x]`` is
-    applied as ``K x K^dag + J x + (J x)^dag`` with ``J = -K^dag K/2 - iH``,
-    since every stage input is Hermitian; ``K x`` and ``J x`` come from one
-    product with the stacked ``[K; J]``.  With ``K`` and ``J`` fixed across
-    the step, the classical RK4 step is ``T4(tau L) rho``, evaluated by
-    Horner's rule as ``rho + tau L(rho + tau/2 L(rho + tau/3 L(rho + tau/4 L
-    rho)))``.  A step fails if it moves a rep's trace by more than
-    ``linalg.STEP_DRIFT`` or to NaN; else it is re-Hermitized and
-    renormalized in one pass.  Each step takes the next ``n^2`` normals of
+    applied as ``G + G^dag`` with ``G = K' x K'^dag + J x``, ``K' = K/sqrt(2)``
+    and ``J = -K'^dag K' - iH``, since every stage input is Hermitian; the
+    draw is scaled to ``K'`` in the gather, and ``K' x`` and ``J x`` come from
+    one product with the stacked ``[K'; J]``.  A sum ``G + G^dag`` is
+    Hermitian bit for bit, and so is every stage and every state: no step
+    re-Hermitizes.  With ``K`` and ``J`` fixed across the step, the classical
+    RK4 step is ``T4(tau L) rho``, evaluated by Horner's rule as ``rho + tau
+    L(rho + tau/2 L(rho + tau/3 L(rho + tau/4 L rho)))``.  A step fails if it
+    moves a rep's trace by more than ``linalg.STEP_DRIFT`` or to NaN; else it
+    is divided by its trace.  Each step takes the next ``n^2`` normals of
     every generator, so its first coupling is the one :func:`sample_coupling`
     draws from an identically seeded generator; a generator draws its normals
     for a chunk of steps at a time (:func:`step_draws`), and the couplings are
@@ -294,7 +296,7 @@ def _resampled_evolution(
     only) and what ``observe`` reads there.  ``observe`` maps the ``(rep, n,
     n)`` state block to an array with one leading entry per rep (by default
     the block itself); its results are copied into one ``(rep, checkpoint,
-    ...)`` array.  That array, the states, the ``[K; J]`` product, the
+    ...)`` array.  That array, the states, the ``[K'; J]`` product, the
     conjugate transposes and the draw buffer are all allocated before the
     first step, so the memory is an O(reps n^2) working set plus the records.
     """
@@ -302,14 +304,14 @@ def _resampled_evolution(
     steps = np.array([n_steps]) if record is None else np.linspace(1, n_steps, record).round()
     steps = steps[np.diff(steps, prepend=0) > 0].astype(int)  # np.unique would import numpy.ma
     n, reps = lam.size, len(rngs)
-    src, scale = _coupling_gather(spec_r, f_hat(lam[:, None] - lam[None, :], p))
+    src, scale = _coupling_gather(spec_r, math.sqrt(0.5) * f_hat(lam[:, None] - lam[None, :], p))
     coherent = -1j * np.diag(lam)
-    kj = np.empty((reps, 2 * n, n), dtype=complex)  # [K; J] of the current step
+    kj = np.empty((reps, 2 * n, n), dtype=complex)  # [K'; J] of the current step
     k, j = kj[:, :n], kj[:, n:]
     k_floats = kj.view(float)[:, :n]
-    gathered = np.empty(k_floats.shape)  # the step's normals in the layout of K's floats
-    kh = np.empty((reps, n, n), dtype=complex).swapaxes(1, 2)  # K^dag, as conj(K) transposed
-    kx_jx = np.empty_like(kj)  # [K; J] x
+    gathered = np.empty(k_floats.shape)  # the step's normals in the layout of the floats of K'
+    kh = np.empty((reps, n, n), dtype=complex).swapaxes(1, 2)  # K'^dag, as conj(K') transposed
+    kx_jx = np.empty_like(kj)  # [K'; J] x
     kx, jx = kx_jx[:, :n], kx_jx[:, n:]
     conj = np.empty((reps, n, n), dtype=complex)  # a conjugate, read transposed
     rho = np.repeat(np.diag(p0.astype(complex))[None], reps, axis=0)
@@ -324,24 +326,21 @@ def _resampled_evolution(
         np.multiply(gathered, scale, out=k_floats)
         np.conjugate(k, out=kh.swapaxes(1, 2))
         np.matmul(kh, k, out=j)
-        j *= -0.5
-        j += coherent
+        np.subtract(coherent, j, out=j)
         x = rho
         for order in (4, 3, 2, 1):
             np.matmul(kj, x, out=kx_jx)
             x = np.matmul(kx, kh, out=stage)
             x += jx
-            x += np.conjugate(jx, out=conj).swapaxes(1, 2)
+            x += np.conjugate(x, out=conj).swapaxes(1, 2)
             x *= tau / order
             x += rho
-        # Re tr x is also the trace of the Hermitian part of x
         tr = np.trace(x, axis1=1, axis2=2).real
         drift = np.abs(tr - 1.0)
         if not drift.max() <= STEP_DRIFT:  # NaN fails too
             bad = np.flatnonzero(~(drift <= STEP_DRIFT))[0]
             raise LinalgError(f"trace of rep {bad} drifted to {tr[bad]}; decrease tau")
-        x += np.conjugate(x, out=conj).swapaxes(1, 2)
-        x *= (0.5 / tr)[:, None, None]
+        x /= tr[:, None, None]
         rho, stage = x, rho
         if step == steps[kept]:
             records[:, kept] = observe(rho)

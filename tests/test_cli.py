@@ -346,6 +346,30 @@ class TestRunCommand:
         assert not (tmp_path / "run.csv").exists()
 
     @pytest.mark.parametrize(
+        "model, refused",
+        [
+            ({"kind": "tfim", "sites": 2, "g": 1e308}, True),
+            ({"kind": "hubbard1d", "sites": 2, "t": 1e308, "u": 4.0}, True),
+            ({"kind": "tfim", "sites": 2, "g": 4e307}, False),
+            ({"kind": "hubbard1d", "sites": 2, "t": 4e307, "u": 4.0}, False),
+        ],
+        ids=["g-1e308", "t-1e308", "g-4e307", "t-4e307"],
+    )
+    def test_coupling_near_the_float_limit_exit_2(self, tmp_path, capsys, model, refused):
+        """A coupling whose doubled Gershgorin bound on ||H|| overflows is refused
+        with the model, naming it; one just inside the limit still fails in one
+        line, at the filter. Both used to end in an overflow warning."""
+        data = tiny_config(tmp_path)
+        data["model"] = model
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert ("model coupling too large" in err) == refused
+        assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize(
         "csv, manifest, plots",
         [
             ("new/run.csv", "new/run.csv", None),
@@ -1162,6 +1186,7 @@ BAD_AUX = [
     ("jump-report --sites 2 --g inf", 2),
     ("filter-table --sites 2 --g 1e150 --out-dir {tmp}/tables", 2),
     ("jump-report --sites 2 --g 1e200", 2),
+    ("filter-table --sites 2 --g 1e308 --out-dir {tmp}/tables", 2),
     ("jump-report --model tfim --sites 2 --u 9", 2),
     ("plot {tmp}/bad.csv --kind energy-time --out {tmp}/p.svg", 2),
     ("plot {tmp}/short.csv --kind energy-time --out {tmp}/p.svg", 2),
@@ -1194,7 +1219,7 @@ class TestBadAuxInput:
         BAD_AUX,
         ids=[
             "filter-table-g-nan", "jump-report-g-inf", "filter-table-g-1e150",
-            "jump-report-g-1e200", "jump-report-u-for-tfim", "plot-non-numeric-cell",
+            "jump-report-g-1e200", "filter-table-g-1e308", "jump-report-u-for-tfim", "plot-non-numeric-cell",
             "plot-short-row", "plot-nan-cell", "plot-inf-cell", "plot-not-utf8", "plot-field-too-large",
             "plot-csv-is-directory", "plot-out-is-directory",
             "filter-table-out-dir-is-file", "jump-report-sparsity-out-is-directory",

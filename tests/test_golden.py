@@ -15,15 +15,23 @@ count, so another machine may round differently.
 A change that moves a number regenerates the goldens, at one BLAS thread::
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden.py
+
+Bytes are promised only at a fixed BLAS thread count.  Across thread
+counts, a TFIM-8 discrete run in fresh processes at one and two OpenBLAS
+threads agrees within the same tolerance, its click rates exactly.
 """
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lindbladprep
 from lindbladprep import randomcoupling as rc
 from lindbladprep.channel import SimulationRecord, run_simulation
 from lindbladprep.config import load_run_config, manifest_dict
@@ -55,6 +63,30 @@ def rc_outputs() -> dict:
         tau=0.01, t_final=3.0, reps=50, seed=11,
     )
     return {key: getattr(report, key).tolist() for key in ("checkpoints", "mc_mean", "mc_se", "ode")}
+
+
+def tfim8_config(stem: str, filter_overrides: dict) -> dict:
+    """A short TFIM-8 discrete run (tau 1 to t 4, r 1, 20 reps) writing
+    ``<stem>.csv`` and ``<stem>.manifest.json``."""
+    data = json.loads((ROOT / "configs" / "tfim4_discrete.json").read_text())
+    data["model"]["sites"] = 8
+    data["channel"].update(tau=1.0, total_time=4.0, r=1, reps=20)
+    data["filter"] = filter_overrides
+    data["output"] = {"csv": f"{stem}.csv", "manifest": f"{stem}.manifest.json", "plots": None}
+    return data
+
+
+def read_run(stem: str) -> dict:
+    """The CSV values and the manifest, less its output paths, that a run
+    wrote to ``<stem>.csv`` and ``<stem>.manifest.json``."""
+    with open(f"{stem}.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == SimulationRecord.COLUMNS
+    manifest = json.loads(Path(f"{stem}.manifest.json").read_text())
+    return {
+        "csv": [[float(x) for x in row] for row in rows],
+        "manifest": {k: v for k, v in manifest.items() if k != "output"},
+    }
 
 
 def assert_close(got, want, where: str) -> None:
@@ -94,6 +126,28 @@ def test_config_matches_golden(config):
 
 def test_rc_ergodicity_matches_golden():
     assert_close(rc_outputs(), json.loads(RC_GOLDEN.read_text()), "rc_ergodicity")
+
+
+def test_tfim8_agrees_across_blas_thread_counts(tmp_path):
+    """OpenBLAS may round differently at two threads, so the runs are compared
+    within the tolerance and not by bytes.  A partial filter (``s_radius``
+    3, ``m_half`` 54 in place of 129) keeps the build short."""
+    src = str(Path(lindbladprep.__file__).resolve().parents[1])
+    runs = []
+    for threads in (1, 2):
+        stem = str(tmp_path / f"threads{threads}")
+        cfg = Path(f"{stem}.json")
+        cfg.write_text(json.dumps(tfim8_config(stem, {"s_radius": 3.0})))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        cmd = [sys.executable, "-m", "lindbladprep.cli", "run", str(cfg)]
+        runs.append((stem, subprocess.Popen(cmd, env=env, stderr=subprocess.PIPE, text=True)))
+    for _, proc in runs:
+        assert proc.wait(timeout=60) == 0, proc.stderr.read()
+        proc.stderr.close()
+    one, two = (read_run(stem) for stem, _ in runs)
+    assert two["manifest"]["resolved"]["filter"]["m_half"] == 54
+    assert_close(two, one, "threads")
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ from lindbladprep.linalg import (
     DensityMatrix,
     HermitianOperator,
     LinalgError,
+    SpectralDecomposition,
     evolution_unitary,
     frob,
     hermitian_eig,
@@ -93,6 +94,27 @@ class TestHermitianEig:
             assert pivot.imag == pytest.approx(0.0, abs=1e-15)
             assert pivot.real > 0
 
+
+    @pytest.mark.parametrize("bad", ["vectors", "values"])
+    def test_nan_from_the_solver_refused(self, monkeypatch, bad):
+        """NaN from ``eigh`` fails the residual check, written ``not x <= tol``
+        as every check here is, before the phase convention divides by it."""
+        eigh = np.linalg.eigh
+
+        def poisoned(m):
+            evals, vecs = eigh(m)
+            if bad == "vectors":
+                return evals, np.full_like(vecs, np.nan)
+            return np.where(np.arange(evals.size) == 1, np.nan, evals), vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", poisoned)
+        with pytest.raises(LinalgError, match="residual too large"):
+            hermitian_eig(HermitianOperator(PAULI_Z))
+
+    def test_nan_eigenvalue_refused(self):
+        # np.diff(evals) < 0 is False at a NaN, so the order check alone let it through
+        with pytest.raises(LinalgError, match="eigenvalues must be finite"):
+            SpectralDecomposition(np.array([0.0, np.nan, 1.0]), np.eye(3))
 
     def test_huge_entries_keep_a_finite_residual_scale(self):
         """Squares of entries past 1e154 overflow; the norm scales them down,

@@ -396,6 +396,22 @@ class TestResampledEvolution:
         expect = rk4_oracle(lam, spec_r, p, p0, 0.01, 200, rngs())
         assert np.max(np.abs(states - expect)) <= 1e-13
 
+    @pytest.mark.parametrize("record", [None, 10], ids=["last-step", "checkpoints"])
+    @pytest.mark.parametrize(
+        "levels, span, reps, tau, t_final",
+        [(8, 4.0, 50, 0.01, 3.0), (4, 3.0, 200, 0.0125, 2.0)],
+        ids=["ergodicity", "concentration"],
+    )
+    def test_states_hermitian_bit_for_bit(self, levels, span, reps, tau, t_final, record):
+        """Each stage adds ``G + G^dag``, so no step needs re-Hermitizing."""
+        lam = synthetic_spectrum("equispaced", levels, span=span)
+        p = clamped_params(span, float(lam[1] - lam[0]))
+        rngs = [np.random.default_rng(np.random.SeedSequence([3, i])) for i in range(reps)]
+        _, states = _resampled_evolution(lam, RandomCouplingSpec.uniform(levels, 0.5), p,
+                                         np.full(levels, 1 / levels), tau, t_final, rngs, record)
+        assert states.shape[:2] == (reps, 1 if record is None else record)
+        assert np.array_equal(states, states.conj().swapaxes(-1, -2))
+
     def test_independent_of_draw_chunk_size(self, monkeypatch):
         spec_r = RandomCouplingSpec.uniform(4, 0.5)
 
