@@ -115,17 +115,16 @@ class ModelSpec:
         if not all(math.isfinite(x) for x in (self.tfim_g, self.hubbard_t, self.hubbard_u)):
             raise ValueError("model couplings must be finite")
         # Gershgorin: no row of H sums to more than this in absolute value. Twice it, the
-        # width of the spectrum's range, must be a float for the solve and the filter.
+        # width of the range that holds the spectrum, must be a float for the solve and the filter.
         if self.kind == "tfim":
-            bound, rule = (self.sites - 1) + self.sites * abs(self.tfim_g), "(L - 1) + L |g|"
+            bound = (self.sites - 1) + self.sites * abs(self.tfim_g)
         else:
             bound = 2 * (self.sites - 1) * abs(self.hubbard_t) + self.sites * abs(self.hubbard_u) / 4
-            rule = "2 (L - 1) |t| + L |u| / 4"
         if not math.isfinite(2 * bound):
             couplings = ", ".join(f"{key} = {value:g}" for key, value in self.params.items())
             raise ValueError(
-                f"model coupling too large ({couplings}): twice the bound {rule} on ||H|| "
-                f"at L = {self.sites} sites overflows the float range"
+                f"model coupling too large ({couplings}): twice its Gershgorin bound on ||H|| "
+                "overflows the float range"
             )
         if self.n_qubits > MAX_QUBITS:
             raise ValueError(

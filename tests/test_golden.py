@@ -143,8 +143,8 @@ def test_tfim8_agrees_across_blas_thread_counts(tmp_path):
         cmd = [sys.executable, "-m", "lindbladprep.cli", "run", str(cfg)]
         runs.append((stem, subprocess.Popen(cmd, env=env, stderr=subprocess.PIPE, text=True)))
     for _, proc in runs:
-        assert proc.wait(timeout=60) == 0, proc.stderr.read()
-        proc.stderr.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
     one, two = (read_run(stem) for stem, _ in runs)
     assert two["manifest"]["resolved"]["filter"]["m_half"] == 54
     assert_close(two, one, "threads")
